@@ -244,8 +244,7 @@ def _cmd_simulate(args):
     parser, digest = _load_config(args.config)
     family, _, couplings, state = _build_system(parser, args.config)
     cfg = _evolution_config(parser, args.config)
-    rng = np.random.default_rng(args.seed)
-    traj = evolve(state, couplings=couplings, config=cfg, rng=rng)
+    traj = evolve(state, couplings=couplings, config=cfg)
     n = state.classical_dim
     header = ["t"] + [f"p_{i}" for i in range(n)] + ["trace_drift", "min_eigenvalue"]
     meta = [("tool", f"eeqt {__version__}"), ("command", "simulate"),
@@ -256,7 +255,7 @@ def _cmd_simulate(args):
 
 def _cmd_efficiency(args):
     parser, digest = _load_config(args.config)
-    family, spec, _, _ = _build_system(parser, args.config)
+    family, spec, _, state = _build_system(parser, args.config)
     cfg = _evolution_config(parser, args.config)
     times = np.arange(0.0, cfg.duration + 0.5 * cfg.step * cfg.record_every,
                       cfg.step * cfg.record_every)
@@ -287,8 +286,8 @@ def _cmd_efficiency(args):
         rows = [(t, *n_state_trajectory(spec, aligned, t)) for t in times]
         header = ["t"] + [f"p_{i}" for i in range(spec.n_channels + 1)]
     elif family == "filter":
-        weights, _ = _signal_weights(parser, spec.e1.shape[0], path)
-        q1 = weights[0] if weights else 0.0
+        # weight on the detector projector; the initial state is p = (1, 0, ...)
+        q1 = float(np.trace(spec.e1 @ state.blocks[0]).real)
         rows = [(t, *filter_classical_output(1.0, 0.0, q1, spec.k, t)) for t in times]
         header = ["t", "p_0", "p_1"]
     else:
@@ -315,7 +314,7 @@ def _cmd_validate(args):
     for dim in (2, 3):
         for pattern in enumerate_admissible_patterns(dim):
             coupling = pattern.instantiate(_orthogonal_entries(pattern, rng))
-            cp = check_cp_conditions([coupling], rng=np.random.default_rng(args.seed))
+            cp = check_cp_conditions([coupling])
             if dim == 2:
                 cls = admissible_2x2(coupling)
                 topology = ""

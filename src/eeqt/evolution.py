@@ -6,9 +6,11 @@ Integrates the Liouville equation
 
 blockwise for block-diagonal states, with a fixed-step classical RK4
 integrator and a post-hoc trace-drift guard.  Coupling operators are block
-matrices over classical index pairs whose entries are quantum operators;
-structural complete-positivity conditions are checked numerically on probe
-operators.
+matrices over classical index pairs whose entries are quantum operators.  A
+``Generator`` validates and stacks a Hamiltonian and couplings once; the
+right-hand side, the integrator, the rate equations and the structural
+complete-positivity check all work from it.  The CP check is exact: it reads
+the block pattern of each coupling instead of sampling probe operators.
 """
 
 from __future__ import annotations
@@ -17,13 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import (
-    HERMITICITY_TOL,
-    HybridState,
-    classical_marginal,
-    random_projector,
-    validate_state,
-)
+from .states import HERMITICITY_TOL, HybridState, block_eigenvalues, validate_state
 
 BLOCK_ZERO_TOL = 1e-10
 
@@ -86,26 +82,15 @@ class CouplingOperator:
                     blocks[a, b] = np.asarray(entry, dtype=complex)
         return cls(blocks)
 
-    def support(self) -> frozenset:
-        """Set of (alpha, beta) classical index pairs with a nonzero entry."""
+    def support(self, tol: float = 1e-12) -> frozenset:
+        """Set of (alpha, beta) classical index pairs with an entry above `tol`."""
         mags = np.max(np.abs(self.blocks), axis=(2, 3))
         return frozenset(
             (a, b)
             for a in range(self.classical_dim)
             for b in range(self.classical_dim)
-            if mags[a, b] > 1e-12
+            if mags[a, b] > tol
         )
-
-
-def hamiltonian_blocks(blocks, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Validate a block-diagonal Hamiltonian given as an (n+1, d, d) array."""
-    h = np.asarray(blocks, dtype=complex)
-    if h.ndim != 3 or h.shape[1] != h.shape[2]:
-        raise ValueError(f"Hamiltonian blocks must be (n+1, d, d), got {h.shape}")
-    dev = np.max(np.abs(h - h.conj().transpose(0, 2, 1)))
-    if dev > tol:
-        raise ValueError(f"Hamiltonian block not Hermitian: max dev {dev:.3g}")
-    return h
 
 
 @dataclass(frozen=True)
@@ -126,19 +111,105 @@ class EvolutionConfig:
             raise ValueError("record_every must be a positive integer")
 
 
-def _stack(couplings) -> np.ndarray | None:
-    if not couplings:
-        return None
-    vs = np.stack([v.blocks for v in couplings])
-    shapes = {v.blocks.shape for v in couplings}
-    if len(shapes) != 1:
-        raise ValueError("coupling operators have mismatched shapes")
-    return vs
+@dataclass(frozen=True)
+class Generator:
+    """Validated Hamiltonian and couplings, prepared once for repeated use.
 
+    Attributes
+    ----------
+    h : np.ndarray | None
+        Hermitian Hamiltonian blocks, shape (n+1, d, d).
+    vs : np.ndarray | None
+        Coupling operators stacked to shape (m, n+1, n+1, d, d).
+    gain : np.ndarray | None
+        Diagonal blocks of sum_i Vi Vi*, shape (n+1, d, d).
+    """
 
-def _gain_rate(vs: np.ndarray) -> np.ndarray:
-    # G[alpha] = sum_{i, gamma} V[i, alpha, gamma] V[i, alpha, gamma]^dagger
-    return np.einsum("iagxz,iagwz->axw", vs, vs.conj())
+    h: np.ndarray | None = field(repr=False)
+    vs: np.ndarray | None = field(repr=False)
+    gain: np.ndarray | None = field(repr=False)
+
+    @classmethod
+    def prepare(cls, couplings=(), hamiltonian=None,
+                state: HybridState | None = None) -> "Generator":
+        """Stack and validate; with `state`, also check its (n+1, d)."""
+        couplings = list(couplings)
+        vs = None
+        if couplings:
+            if len({v.blocks.shape for v in couplings}) != 1:
+                raise ValueError("coupling operators have mismatched shapes")
+            vs = np.stack([v.blocks for v in couplings])
+        h = None
+        if hamiltonian is not None:
+            h = np.asarray(hamiltonian, dtype=complex)
+            if h.ndim != 3 or h.shape[1] != h.shape[2]:
+                raise ValueError(f"Hamiltonian blocks must be (n+1, d, d), got {h.shape}")
+            dev = np.max(np.abs(h - h.conj().transpose(0, 2, 1)))
+            if dev > HERMITICITY_TOL:
+                raise ValueError(f"Hamiltonian block not Hermitian: max dev {dev:.3g}")
+        if state is not None:
+            n, d = state.classical_dim, state.quantum_dim
+            if h is not None and h.shape != (n, d, d):
+                raise ValueError(
+                    f"Hamiltonian shape {h.shape} does not match state ({n}, {d}, {d})"
+                )
+            if vs is not None and vs.shape[1:] != (n, n, d, d):
+                raise ValueError(
+                    f"coupling shape {vs.shape[1:]} does not match state ({n}, {n}, {d}, {d})"
+                )
+        # G[alpha] = sum_{i, gamma} V[i, alpha, gamma] V[i, alpha, gamma]^dagger
+        gain = None if vs is None else np.einsum("iagxz,iagwz->axw", vs, vs.conj())
+        return cls(h, vs, gain)
+
+    def rhs(self, rho: np.ndarray) -> np.ndarray:
+        """Time derivative of the (n+1, d, d) block array `rho`."""
+        h, vs, gain = self.h, self.vs, self.gain
+        out = np.zeros_like(rho)
+        if h is not None:
+            out += -1j * (h @ rho - rho @ h)
+        if vs is not None:
+            # sum_{i, gamma} V[i, gamma, alpha]^dagger rho[gamma] V[i, gamma, alpha]
+            out += np.einsum("igaxm,gxz,igazw->amw", vs.conj(), rho, vs)
+            out -= 0.5 * (gain @ rho + rho @ gain)
+        return out
+
+    def cp_report(self, tol: float = BLOCK_ZERO_TOL) -> "CPReport":
+        """Exact structural complete-positivity check of the couplings.
+
+        (i) sum_i Vi Vi* must be block-diagonal.  (ii) Vi* A Vi must be
+        block-diagonal for every block-diagonal A.  Since
+        (Vi* A Vi)[alpha, beta] = sum_gamma Vi[gamma, alpha]^dag A[gamma] Vi[gamma, beta]
+        with every A[gamma] free, (ii) holds exactly when no block row gamma of
+        any Vi has two nonzero blocks.  The reported sandwich magnitude
+        sum_gamma |Vi[gamma, alpha]|_F |Vi[gamma, beta]|_F bounds the
+        off-diagonal block for every A whose blocks have unit norm.
+        """
+        if self.vs is None:
+            return CPReport(0.0, 0.0, (), tol)
+        vs = self.vs
+        n = vs.shape[1]
+        offdiag = ~np.eye(n, dtype=bool)
+        violations = []
+
+        # war1: off-diagonal blocks of sum_i Vi Vi*
+        gain_full = np.einsum("iagxz,ibgwz->abxw", vs, vs.conj())
+        gain_mags = np.max(np.abs(gain_full), axis=(2, 3))
+        gain_worst = float(gain_mags[offdiag].max()) if n > 1 else 0.0
+        for a, b in zip(*np.nonzero((gain_mags > tol) & offdiag)):
+            violations.append(("gain", None, int(a), int(b), float(gain_mags[a, b])))
+
+        # war2: two nonzero blocks in one block row of some Vi
+        norms = np.linalg.norm(vs, axis=(3, 4))
+        leak = np.einsum("iga,igb->iab", norms, norms)
+        sandwich_worst = float(leak[:, offdiag].max()) if n > 1 else 0.0
+        for i, a, b in zip(*np.nonzero((leak > tol) & offdiag)):
+            violations.append(("sandwich", int(i), int(a), int(b), float(leak[i, a, b])))
+        return CPReport(
+            gain_offdiag=gain_worst,
+            sandwich_offdiag=sandwich_worst,
+            violations=tuple(violations),
+            tol=tol,
+        )
 
 
 def liouville_rhs(state: HybridState, hamiltonian=None, couplings=()) -> np.ndarray:
@@ -147,32 +218,7 @@ def liouville_rhs(state: HybridState, hamiltonian=None, couplings=()) -> np.ndar
     Returns an (n+1, d, d) array; the traces of the returned blocks sum to
     zero (probability conservation).
     """
-    vs = _stack(list(couplings))
-    h = None if hamiltonian is None else hamiltonian_blocks(hamiltonian)
-    gain = None if vs is None else _gain_rate(vs)
-    _check_dims(state, h, vs)
-    return _rhs(state.blocks, h, vs, gain)
-
-
-def _check_dims(state: HybridState, h, vs) -> None:
-    n, d = state.classical_dim, state.quantum_dim
-    if h is not None and h.shape != (n, d, d):
-        raise ValueError(f"Hamiltonian shape {h.shape} does not match state ({n}, {d}, {d})")
-    if vs is not None and vs.shape[1:] != (n, n, d, d):
-        raise ValueError(
-            f"coupling shape {vs.shape[1:]} does not match state ({n}, {n}, {d}, {d})"
-        )
-
-
-def _rhs(rho: np.ndarray, h, vs, gain) -> np.ndarray:
-    out = np.zeros_like(rho)
-    if h is not None:
-        out += -1j * (h @ rho - rho @ h)
-    if vs is not None:
-        # sum_{i, gamma} V[i, gamma, alpha]^dagger rho[gamma] V[i, gamma, alpha]
-        out += np.einsum("igaxm,gxz,igazw->amw", vs.conj(), rho, vs)
-        out -= 0.5 * (gain @ rho + rho @ gain)
-    return out
+    return Generator.prepare(couplings, hamiltonian, state).rhs(state.blocks)
 
 
 @dataclass(frozen=True)
@@ -196,8 +242,7 @@ class Trajectory:
         return np.abs(self.probabilities().sum(axis=1) - 1.0)
 
     def min_eigenvalues(self) -> np.ndarray:
-        herm = 0.5 * (self.blocks + self.blocks.conj().transpose(0, 1, 3, 2))
-        return np.linalg.eigvalsh(herm).min(axis=(1, 2))
+        return block_eigenvalues(self.blocks).min(axis=(1, 2))
 
 
 class TraceDriftError(RuntimeError):
@@ -210,25 +255,21 @@ def evolve(
     couplings=(),
     config: EvolutionConfig | None = None,
     check_cp: bool = True,
-    rng: np.random.Generator | None = None,
 ) -> Trajectory:
     """Integrate the Liouville equation with fixed-step RK4.
 
     The first recorded entry is the initial state.  Raises TraceDriftError
-    if the total trace drifts beyond ``config.trace_tol`` (step too large)
-    and ValueError if the couplings fail the structural CP check.
+    if the total trace drifts beyond ``config.trace_tol`` or is not finite
+    (step too large) and ValueError if the couplings fail the structural CP
+    check.
     """
     if config is None:
         raise ValueError("an EvolutionConfig is required")
-    couplings = list(couplings)
-    if check_cp and couplings:
-        report = check_cp_conditions(couplings, probes=[state], rng=rng)
+    gen = Generator.prepare(couplings, hamiltonian, state)
+    if check_cp:
+        report = gen.cp_report()
         if not report.ok:
             raise ValueError(f"coupling operators fail CP conditions: {report.summary()}")
-    vs = _stack(couplings)
-    h = None if hamiltonian is None else hamiltonian_blocks(hamiltonian)
-    gain = None if vs is None else _gain_rate(vs)
-    _check_dims(state, h, vs)
 
     n_steps = int(round(config.duration / config.step))
     dt = config.step
@@ -236,17 +277,17 @@ def evolve(
     records = [rho.copy()]
     times = [0.0]
     for step in range(1, n_steps + 1):
-        k1 = _rhs(rho, h, vs, gain)
-        k2 = _rhs(rho + 0.5 * dt * k1, h, vs, gain)
-        k3 = _rhs(rho + 0.5 * dt * k2, h, vs, gain)
-        k4 = _rhs(rho + dt * k3, h, vs, gain)
+        k1 = gen.rhs(rho)
+        k2 = gen.rhs(rho + 0.5 * dt * k1)
+        k3 = gen.rhs(rho + 0.5 * dt * k2)
+        k4 = gen.rhs(rho + dt * k3)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if step % config.record_every == 0 or step == n_steps:
             records.append(rho.copy())
             times.append(step * dt)
     traj = Trajectory(times=np.asarray(times), blocks=np.stack(records))
     drift = traj.trace_drift().max()
-    if drift > config.trace_tol:
+    if not drift <= config.trace_tol:  # also catches a NaN drift
         raise TraceDriftError(
             f"trace drift {drift:.3g} exceeds {config.trace_tol:.3g}; reduce step"
         )
@@ -258,8 +299,9 @@ class CPReport:
     """Result of the structural complete-positivity checks.
 
     ``gain_offdiag``: largest off-diagonal block magnitude of sum_i Vi Vi*.
-    ``sandwich_offdiag``: largest off-diagonal block magnitude of Vi* A Vi
-    over all probes A.  ``violations`` lists (check, i, alpha, beta, value).
+    ``sandwich_offdiag``: largest bound, over i and alpha != beta, on the
+    (alpha, beta) block of Vi* A Vi for block-diagonal A with unit-norm
+    blocks.  ``violations`` lists (check, i, alpha, beta, value).
     """
 
     gain_offdiag: float
@@ -281,66 +323,14 @@ class CPReport:
         )
 
 
-def check_cp_conditions(
-    couplings,
-    probes=(),
-    n_random_probes: int = 8,
-    tol: float = BLOCK_ZERO_TOL,
-    rng: np.random.Generator | None = None,
-) -> CPReport:
+def check_cp_conditions(couplings, probes=(), tol: float = BLOCK_ZERO_TOL) -> CPReport:
     """Verify that the couplings map block-diagonal operators to block-diagonal.
 
-    Checks (i) that sum_i Vi Vi* is block-diagonal and (ii) that Vi* A Vi is
-    block-diagonal for a family of probe operators A: random block-diagonal
-    operators plus any supplied hybrid states.
+    The check is exact; see ``Generator.cp_report``.  ``probes`` is accepted
+    for compatibility and ignored: no probe operator can reveal more than the
+    block-row test already decides.
     """
-    couplings = list(couplings)
-    if not couplings:
-        return CPReport(0.0, 0.0, (), tol)
-    vs = _stack(couplings)
-    _, n, _, d, _ = vs.shape
-    if rng is None:
-        rng = np.random.default_rng(0)
-
-    offdiag = ~np.eye(n, dtype=bool)
-    violations = []
-
-    # war1: off-diagonal blocks of sum_i Vi Vi*
-    gain_full = np.einsum("iagxz,ibgwz->abxw", vs, vs.conj())
-    gain_mags = np.max(np.abs(gain_full), axis=(2, 3))
-    gain_worst = float(gain_mags[offdiag].max()) if n > 1 else 0.0
-    for a in range(n):
-        for b in range(n):
-            if a != b and gain_mags[a, b] > tol:
-                violations.append(("gain", None, a, b, float(gain_mags[a, b])))
-
-    # war2: off-diagonal blocks of Vi* A Vi for block-diagonal probes A
-    probe_blocks = [np.asarray(p.blocks, dtype=complex) if isinstance(p, HybridState)
-                    else np.asarray(p, dtype=complex) for p in probes]
-    for _ in range(n_random_probes):
-        probe_blocks.append(np.stack([random_projector(d, rng) for _ in range(n)]))
-    sandwich_worst = 0.0
-    for a_probe in probe_blocks:
-        # (Vi* A Vi)[alpha, beta] = sum_gamma Vi[gamma, alpha]^dag A[gamma] Vi[gamma, beta]
-        sandwich = np.einsum(
-            "igaxm,gxz,igbzw->iabmw", vs.conj(), a_probe, vs
-        )
-        mags = np.max(np.abs(sandwich), axis=(3, 4))
-        for i in range(mags.shape[0]):
-            for a in range(n):
-                for b in range(n):
-                    if a != b:
-                        sandwich_worst = max(sandwich_worst, float(mags[i, a, b]))
-                        if mags[i, a, b] > tol:
-                            violations.append(
-                                ("sandwich", i, a, b, float(mags[i, a, b]))
-                            )
-    return CPReport(
-        gain_offdiag=gain_worst,
-        sandwich_offdiag=sandwich_worst,
-        violations=tuple(violations),
-        tol=tol,
-    )
+    return Generator.prepare(couplings).cp_report(tol)
 
 
 def classical_rate_equations(state: HybridState, couplings) -> np.ndarray:
@@ -350,15 +340,13 @@ def classical_rate_equations(state: HybridState, couplings) -> np.ndarray:
     commutator is traceless so only the couplings contribute.  The returned
     derivatives sum to zero.
     """
-    vs = _stack(list(couplings))
-    if vs is None:
+    gen = Generator.prepare(couplings, state=state)
+    if gen.vs is None:
         return np.zeros(state.classical_dim)
-    _check_dims(state, None, vs)
     rho = state.blocks
     # gain into alpha from gamma minus loss out of alpha
-    rates = np.einsum("igaxm,gxz,igazm->a", vs.conj(), rho, vs).real
-    gain = _gain_rate(vs)
-    rates -= np.einsum("axz,azx->a", gain, rho).real
+    rates = np.einsum("igaxm,gxz,igazm->a", gen.vs.conj(), rho, gen.vs).real
+    rates -= np.einsum("axz,azx->a", gen.gain, rho).real
     return rates
 
 

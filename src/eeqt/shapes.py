@@ -116,13 +116,6 @@ _CONJUNCTS_3X3 = (
 )
 
 
-def block_support(coupling: CouplingOperator, tol: float = PATTERN_ZERO_TOL) -> frozenset:
-    """Positions (row, col) of classical blocks with max entry above `tol`."""
-    mags = np.max(np.abs(coupling.blocks), axis=(2, 3))
-    n = coupling.classical_dim
-    return frozenset((a, b) for a in range(n) for b in range(n) if mags[a, b] > tol)
-
-
 def _violated_conjuncts(support, conjuncts):
     return tuple(
         label for label, pos1, pos2 in conjuncts
@@ -159,7 +152,7 @@ def admissible_2x2(coupling: CouplingOperator) -> Classification2x2:
     """Classify a 2-event coupling against the six catalogued patterns."""
     if coupling.classical_dim != 2:
         raise ValueError("admissible_2x2 requires classical_dim == 2")
-    support = block_support(coupling)
+    support = coupling.support(PATTERN_ZERO_TOL)
     violated = _violated_conjuncts(support, _CONJUNCTS_2X2)
     if violated:
         return Classification2x2(None, False, violated, support)
@@ -186,7 +179,7 @@ def admissible_3x3(coupling: CouplingOperator) -> Classification3x3:
     """
     if coupling.classical_dim != 3:
         raise ValueError("admissible_3x3 requires classical_dim == 3")
-    support = block_support(coupling)
+    support = coupling.support(PATTERN_ZERO_TOL)
     violated = structural_condition_3x3(support)
     admissible = not violated
     diagonal_part = {pos for pos in support if pos[0] == pos[1]}

@@ -119,6 +119,11 @@ class HybridState:
         return self.blocks.shape[1]
 
 
+def block_eigenvalues(blocks: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the Hermitian part of each matrix on the last two axes."""
+    return np.linalg.eigvalsh(0.5 * (blocks + np.swapaxes(blocks.conj(), -1, -2)))
+
+
 @dataclass(frozen=True)
 class StateReport:
     """Validation report for a HybridState (reporting only, never raises)."""
@@ -145,9 +150,8 @@ def validate_state(
     """Check Hermiticity, positivity and normalization of every block."""
     blocks = state.blocks
     herm = float(np.max(np.abs(blocks - blocks.conj().transpose(0, 2, 1))))
-    # eigvalsh on the Hermitian part; deviation is reported separately
-    herm_part = 0.5 * (blocks + blocks.conj().transpose(0, 2, 1))
-    min_eig = float(np.min(np.linalg.eigvalsh(herm_part)))
+    # eigenvalues of the Hermitian part; deviation is reported separately
+    min_eig = float(np.min(block_eigenvalues(blocks)))
     traces = np.trace(blocks, axis1=1, axis2=2).real
     trace_dev = float(abs(traces.sum() - 1.0))
     return StateReport(

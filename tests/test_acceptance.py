@@ -147,7 +147,6 @@ def test_criterion_3_n_independence(n_state_trajectories):
 
 
 def test_criterion_4_shape_catalogues():
-    rng = np.random.default_rng(11)
     counts = {}
     cp_all = True
     for dim in (2, 3):
@@ -160,7 +159,7 @@ def test_criterion_4_shape_catalogues():
             entries = {pos: basis_projector(d, k)
                        for k, pos in enumerate(sorted(pattern.support))}
             coupling = pattern.instantiate(entries)
-            cp_all &= check_cp_conditions([coupling], rng=rng).ok
+            cp_all &= check_cp_conditions([coupling]).ok
     duplicates = [p.label for p in enumerate_admissible_patterns(3)
                   if p.duplicate_of]
     ok = counts == {2: 6, 3: 11} and duplicates == ["W11"] and cp_all

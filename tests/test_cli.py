@@ -122,6 +122,19 @@ def test_efficiency_filter_family(tmp_path):
     assert p1 == pytest.approx(0.5 * (1.0 - math.exp(-2.0 * t)) * 0.7, abs=1e-12)
 
 
+def test_efficiency_filter_uses_projector_weight(tmp_path):
+    # the closed form takes q1 = tr(e1 rho_q), the weight on the detector
+    # projector, so it must track the integrated system for any projector
+    config = write(tmp_path, "filter.ini",
+                   FILTER_CONFIG.replace("k = 1.0", "k = 1.0\nprojector = 1"))
+    sim, eff = tmp_path / "sim.csv", tmp_path / "eff.csv"
+    assert main(["simulate", "--config", config, "--output", str(sim)]) == EXIT_OK
+    assert main(["efficiency", "--config", config, "--output", str(eff)]) == EXIT_OK
+    simulated = [float(v) for v in read_csv(sim)[2][-1][:3]]
+    closed = [float(v) for v in read_csv(eff)[2][-1]]
+    assert closed == pytest.approx(simulated, abs=1e-6)
+
+
 def test_validate_reports_both_catalogues(tmp_path, capsys):
     out = tmp_path / "shapes.csv"
     assert main(["validate", "--output", str(out)]) == EXIT_OK
@@ -201,5 +214,15 @@ def test_trace_drift_guard_exits_3(tmp_path, capsys):
     config = write(tmp_path, "coarse.ini", BINARY_CONFIG.replace(
         "step = 0.01", "step = 2.0").replace("duration = 2.0", "duration = 20.0")
         .replace("k1 = 1.0", "k1 = 4.0"))
+    assert main(["simulate", "--config", config, "--output", "-"]) == EXIT_NUMERIC
+    assert "numerical guard" in capsys.readouterr().err
+
+
+def test_nan_trace_drift_exits_3(tmp_path, capsys):
+    # an unstable step drives the records to NaN; NaN drift must still trip
+    # the guard instead of producing an exit-0 CSV of NaN rows
+    config = write(tmp_path, "unstable.ini", BINARY_CONFIG.replace(
+        "step = 0.01", "step = 0.5").replace("duration = 2.0", "duration = 400.0")
+        .replace("k1 = 1.0", "k1 = 30.0"))
     assert main(["simulate", "--config", config, "--output", "-"]) == EXIT_NUMERIC
     assert "numerical guard" in capsys.readouterr().err
