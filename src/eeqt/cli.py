@@ -11,8 +11,16 @@ reproduce   recompute the reference worked-example values and report pass/fail
 All CSV output starts with '#'-prefixed metadata lines (tool version, config
 hash, random seed) so identical inputs produce byte-identical files.
 
-Exit codes: 0 success, 1 usage error, 2 config error, 3 numerical-guard or
-reproduction failure.
+``simulate`` and ``efficiency`` read an INI config whose ``[detector] family``
+names an entry of ``FAMILIES``.  That entry is the only code that reads the
+family's keys; it builds the couplings, the quantum signal, the classical
+dimension and a lazily evaluated closed form.  Every ValueError raised while
+serving a config, from a missing key to a signal that is not a density matrix
+or a duration the step does not divide, is a config error.
+
+Exit codes: 0 success, 1 usage error (including a bad ``plan`` flag), 2 config
+error, 3 numerical-guard or reproduction failure (including arithmetic that
+overflows or a closed form that is not finite).
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ import argparse
 import configparser
 import hashlib
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,7 +62,7 @@ from .shapes import (
     classify_topology,
     enumerate_admissible_patterns,
 )
-from .states import basis_projector, offdiagonal_element, product_state
+from .states import basis_projector, offdiagonal_element, product_state, validate_state
 
 DEFAULT_SEED = 0
 
@@ -61,10 +70,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-
-class ConfigError(Exception):
-    pass
 
 
 def _fmt(x) -> str:
@@ -85,214 +90,207 @@ def _write_csv(path, header, rows, meta):
             fh.write(text)
 
 
-def _load_config(path):
-    parser = configparser.ConfigParser()
+class _Config(configparser.ConfigParser):
+    """A parsed config file whose values are read with a cast and a default."""
+
+    def value(self, section, key, cast=float, default=None):
+        if not self.has_option(section, key):
+            if default is None:
+                raise ValueError(f"missing key '{key}' in section [{section}]")
+            return default
+        try:
+            return cast(self.get(section, key))
+        except (ValueError, configparser.Error) as exc:
+            raise ValueError(f"bad value for [{section}] {key}: {exc}") from exc
+
+
+class System(NamedTuple):
+    """What a detector family builds from a config.
+
+    ``closed_form()`` returns the asymptotic metadata (or None) and t -> p_0..p_n.
+    It is None without a closed form, and lazy: it may reject a config that
+    integrates fine.
+    """
+
+    couplings: list
+    rho_q: np.ndarray
+    classical_dim: int
+    closed_form: Callable | None
+
+
+def _binary(config, dim):
+    get = config.value
+    idx = get("detector", "projector", int, 0)
+    spec = BinaryDetectorSpec(get("detector", "k1"), get("detector", "k2"),
+                              basis_projector(dim, idx))
+    a0 = get("signal", "aligned", default=1.0)
+    b0 = get("signal", "orthogonal", default=0.0)
+    if b0 > 0 and dim < 2:
+        raise ValueError("orthogonal weight needs quantum dim >= 2")
+    if 1.0 - a0 - b0 > 1e-12:
+        raise ValueError("binary signal weights must sum to 1")
+    rho_q = a0 * spec.e
+    if b0 > 0:
+        rho_q = rho_q + b0 * basis_projector(dim, (idx + 1) % dim)
+
+    def closed_form():
+        sig = SignalDecomposition(a0, b0)
+        p0_inf, p1_inf = binary_asymptotic(spec, sig)
+        return (f"p_0={_fmt(p0_inf)} p_1={_fmt(p1_inf)}",
+                lambda t: binary_trajectory(spec, sig, t))
+
+    return System([spec.coupling()], rho_q, 2, closed_form)
+
+
+def _two_state(config, dim):
+    get = config.value
+    constants = [get("detector", key) for key in ("k1", "k2", "n1", "n2")]
+    i2 = get("detector", "projector2", int, 0)
+    i3 = get("detector", "projector3", int, 1)
+    spec = TwoStateDetectorSpec(*constants, basis_projector(dim, i2), basis_projector(dim, i3))
+    a0 = get("signal", "aligned", default=1.0)
+    b0 = get("signal", "orthogonal", default=0.0)
+    rho_q = a0 * spec.e2 + b0 * spec.e3
+    rest = 1.0 - a0 - b0
+    if rest > 1e-12:
+        # the inert weight goes on the highest basis index neither projector uses
+        free = [i for i in range(dim) if i not in (i2, i3)]
+        if not free:
+            raise ValueError("inert weight needs quantum dim >= 3")
+        rho_q = rho_q + rest * basis_projector(dim, free[-1])
+
+    def closed_form():
+        p1_inf, p2_inf, eff = two_state_asymptotic(spec, a0, b0)
+        return (f"p_1={_fmt(p1_inf)} p_2={_fmt(p2_inf)} efficiency={_fmt(eff)}",
+                lambda t: two_state_trajectory(spec, a0, b0, t))
+
+    return System(spec.couplings(), rho_q, 3, closed_form)
+
+
+def _n_state(config, dim):
+    get = config.value
+    channels = get("detector", "channels", int)
+    if not 1 <= channels <= dim:
+        raise ValueError(f"channels = {channels} must lie in 1..{dim}, the quantum dim")
+    spec = NStateDetectorSpec(get("detector", "k"),
+                              tuple(basis_projector(dim, i) for i in range(channels)))
+    aligned = get("detector", "aligned_channel", int, 0)
+    if not 0 <= aligned < channels:
+        raise ValueError("aligned_channel out of range")
+    return System(spec.couplings(), basis_projector(dim, aligned), channels + 1,
+                  lambda: (f"p_{aligned + 1}=1", lambda t: n_state_trajectory(spec, aligned, t)))
+
+
+def _weighted_signal(config, dim, default_weights=None):
+    """Diagonal ``weights`` plus named coherences ``offdiag_i_j``, as a matrix."""
+    weights = config.value("signal", "weights", lambda raw: [float(v) for v in raw.split(",")],
+                           default_weights)
+    if len(weights) > dim:
+        raise ValueError(f"{len(weights)} signal weights for quantum dim {dim}")
+    rho_q = np.zeros((dim, dim), dtype=complex)
+    for i, w in enumerate(weights):
+        rho_q += w * basis_projector(dim, i)
+    for key in config.options("signal") if config.has_section("signal") else ():
+        if key.startswith("offdiag_"):
+            try:
+                _, i, j = key.split("_")
+                unit = offdiagonal_element(dim, int(i), int(j))
+            except ValueError as exc:
+                raise ValueError(f"bad off-diagonal key '{key}': {exc}") from exc
+            rho_q += config.value("signal", key) * unit
+    return rho_q
+
+
+def _filter(config, dim):
+    spec = FilterSpec(config.value("detector", "k"),
+                      basis_projector(dim, config.value("detector", "projector", int, 0)))
+    rho_q = _weighted_signal(config, dim)
+    q1 = float(np.trace(spec.e1 @ rho_q).real)  # the weight on the detector projector
+    return System([spec.coupling()], rho_q, 2,
+                  lambda: (None, lambda t: filter_classical_output(1.0, 0.0, q1, spec.k, t)))
+
+
+def _none(config, dim):
+    classical_dim = config.value("detector", "classical_dim", int, 2)
+    if classical_dim < 1:
+        raise ValueError("classical_dim must be at least 1")
+    return System([], _weighted_signal(config, dim, [1.0]), classical_dim, None)
+
+
+# Detector family -> builder(config, quantum dim) -> System.  A family's
+# config keys are read in its builder and nowhere else.
+FAMILIES = {
+    "binary": _binary,
+    "two_state": _two_state,
+    "n_state": _n_state,
+    "filter": _filter,
+    "none": _none,
+}
+
+
+def _build_system(config):
+    """Detector family, its System and the initial hybrid state of a config."""
+    family = config.value("detector", "family", str)
+    if family not in FAMILIES:
+        raise ValueError(f"unknown detector family '{family}'")
+    system = FAMILIES[family](config, config.value("detector", "dim", int, 2))
+    state = product_state(system.rho_q, np.eye(system.classical_dim)[0])  # p = (1, 0, ...)
+    report = validate_state(state)
+    if not report.ok:
+        raise ValueError(f"signal is not a density matrix: Hermiticity deviation "
+                         f"{report.hermiticity_deviation:.3g}, min eigenvalue "
+                         f"{report.min_eigenvalue:.3g}")
+    return family, system, state
+
+
+def _load_system(path):
+    """Config hash, family, System, initial state and EvolutionConfig of a file."""
+    config = _Config()
     try:
         with open(path) as fh:
             raw = fh.read()
-        parser.read_string(raw, source=path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(str(exc)) from exc
-    digest = hashlib.sha256(raw.encode()).hexdigest()[:16]
-    return parser, digest
-
-
-def _get(parser, section, key, cast=float, default=None, path="config"):
-    if not parser.has_section(section):
-        if default is not None:
-            return default
-        raise ConfigError(f"{path}: missing section [{section}]")
-    if not parser.has_option(section, key):
-        if default is not None:
-            return default
-        raise ConfigError(f"{path}: missing key '{key}' in section [{section}]")
-    raw = parser.get(section, key)
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: bad value for [{section}] {key} = {raw!r}") from exc
-
-
-def _signal_weights(parser, dim, path):
-    raw = _get(parser, "signal", "weights", cast=str, default="", path=path)
-    if raw:
-        weights = [float(v) for v in raw.split(",")]
-    else:
-        weights = []
-    if len(weights) > dim:
-        raise ConfigError(f"{path}: {len(weights)} signal weights for quantum dim {dim}")
-    offdiag = {}
-    if parser.has_section("signal"):
-        for key, value in parser.items("signal"):
-            if key.startswith("offdiag_"):
-                try:
-                    _, i, j = key.split("_")
-                    i, j = int(i), int(j)
-                except ValueError as exc:
-                    raise ConfigError(f"{path}: bad off-diagonal key '{key}'") from exc
-                if not (0 <= i < dim and 0 <= j < dim) or i == j:
-                    raise ConfigError(f"{path}: off-diagonal indices {key} out of range")
-                offdiag[(i, j)] = float(value)
-    return weights, offdiag
-
-
-def _build_system(parser, path):
-    """Detector couplings plus the initial quantum state from a config."""
-    family = _get(parser, "detector", "family", cast=str, path=path)
-    dim = _get(parser, "detector", "dim", cast=int, default=2, path=path)
-    if family == "binary":
-        k1 = _get(parser, "detector", "k1", path=path)
-        k2 = _get(parser, "detector", "k2", path=path)
-        idx = _get(parser, "detector", "projector", cast=int, default=0, path=path)
-        spec = BinaryDetectorSpec(k1, k2, basis_projector(dim, idx))
-        a0 = _get(parser, "signal", "aligned", default=1.0, path=path)
-        b0 = _get(parser, "signal", "orthogonal", default=0.0, path=path)
-        if b0 > 0 and dim < 2:
-            raise ConfigError(f"{path}: orthogonal weight needs quantum dim >= 2")
-        rho_q = a0 * basis_projector(dim, idx)
-        if b0 > 0:
-            rho_q = rho_q + b0 * basis_projector(dim, (idx + 1) % dim)
-        rest = 1.0 - a0 - b0
-        if rest > 1e-12:
-            raise ConfigError(f"{path}: binary signal weights must sum to 1")
-        couplings = [spec.coupling()]
-        n_class = 2
-    elif family == "two_state":
-        spec = TwoStateDetectorSpec(
-            _get(parser, "detector", "k1", path=path),
-            _get(parser, "detector", "k2", path=path),
-            _get(parser, "detector", "n1", path=path),
-            _get(parser, "detector", "n2", path=path),
-            basis_projector(dim, _get(parser, "detector", "projector2", cast=int,
-                                      default=0, path=path)),
-            basis_projector(dim, _get(parser, "detector", "projector3", cast=int,
-                                      default=1, path=path)),
-        )
-        a0 = _get(parser, "signal", "aligned", default=1.0, path=path)
-        b0 = _get(parser, "signal", "orthogonal", default=0.0, path=path)
-        rho_q = a0 * spec.e2 + b0 * spec.e3
-        rest = 1.0 - a0 - b0
-        if rest > 1e-12:
-            if dim < 3:
-                raise ConfigError(f"{path}: inert weight needs quantum dim >= 3")
-            rho_q = rho_q + rest * basis_projector(dim, dim - 1)
-        couplings = spec.couplings()
-        n_class = 3
-    elif family == "n_state":
-        channels = _get(parser, "detector", "channels", cast=int, path=path)
-        if channels > dim:
-            raise ConfigError(f"{path}: {channels} channels need quantum dim >= {channels}")
-        spec = NStateDetectorSpec(
-            _get(parser, "detector", "k", path=path),
-            tuple(basis_projector(dim, i) for i in range(channels)),
-        )
-        aligned = _get(parser, "detector", "aligned_channel", cast=int, default=0,
-                       path=path)
-        if not 0 <= aligned < channels:
-            raise ConfigError(f"{path}: aligned_channel out of range")
-        rho_q = basis_projector(dim, aligned)
-        couplings = spec.couplings()
-        n_class = channels + 1
-    elif family == "filter":
-        idx = _get(parser, "detector", "projector", cast=int, default=0, path=path)
-        spec = FilterSpec(_get(parser, "detector", "k", path=path),
-                          basis_projector(dim, idx))
-        weights, offdiag = _signal_weights(parser, dim, path)
-        if not weights:
-            raise ConfigError(f"{path}: filter signal needs a 'weights' list")
-        rho_q = np.zeros((dim, dim), dtype=complex)
-        for i, w in enumerate(weights):
-            rho_q += w * basis_projector(dim, i)
-        for (i, j), w in offdiag.items():
-            rho_q += w * offdiagonal_element(dim, i, j)
-        couplings = [spec.coupling()]
-        n_class = 2
-    elif family == "none":
-        weights, offdiag = _signal_weights(parser, dim, path)
-        rho_q = np.zeros((dim, dim), dtype=complex)
-        for i, w in enumerate(weights or [1.0]):
-            rho_q += w * basis_projector(dim, i)
-        for (i, j), w in offdiag.items():
-            rho_q += w * offdiagonal_element(dim, i, j)
-        spec = None
-        couplings = []
-        n_class = _get(parser, "detector", "classical_dim", cast=int, default=2,
-                       path=path)
-    else:
-        raise ConfigError(f"{path}: unknown detector family '{family}'")
-    tr = np.trace(rho_q).real
-    if abs(tr - 1.0) > 1e-9:
-        raise ConfigError(f"{path}: signal weights give trace {tr:.6g}, expected 1")
-    p = np.zeros(n_class)
-    p[0] = 1.0
-    state = product_state(rho_q, p)
-    return family, spec, couplings, state
-
-
-def _evolution_config(parser, path):
-    return EvolutionConfig(
-        step=_get(parser, "evolution", "step", default=0.005, path=path),
-        duration=_get(parser, "evolution", "duration", default=10.0, path=path),
-        record_every=_get(parser, "evolution", "record_every", cast=int, default=10,
-                          path=path),
+        config.read_string(raw, source=path)
+    except (OSError, configparser.Error) as exc:
+        raise ValueError(f"cannot read config: {exc}") from exc
+    family, system, state = _build_system(config)
+    evolution = EvolutionConfig(
+        step=config.value("evolution", "step", default=0.005),
+        duration=config.value("evolution", "duration", default=10.0),
+        record_every=config.value("evolution", "record_every", int, 10),
     )
+    digest = hashlib.sha256(raw.encode()).hexdigest()[:16]
+    return digest, family, system, state, evolution
+
+
+def _write_system_csv(args, digest, family, system, rows, columns=(), meta=()):
+    """CSV of t, p_0..p_n and `columns`, with the metadata of simulate and efficiency."""
+    header = ["t"] + [f"p_{i}" for i in range(system.classical_dim)] + list(columns)
+    _write_csv(args.output, header, rows,
+               [("tool", f"eeqt {__version__}"), ("command", args.command),
+                ("config_sha256", digest), ("seed", args.seed), ("family", family), *meta])
 
 
 def _cmd_simulate(args):
-    parser, digest = _load_config(args.config)
-    family, _, couplings, state = _build_system(parser, args.config)
-    cfg = _evolution_config(parser, args.config)
-    traj = evolve(state, couplings=couplings, config=cfg)
-    n = state.classical_dim
-    header = ["t"] + [f"p_{i}" for i in range(n)] + ["trace_drift", "min_eigenvalue"]
-    meta = [("tool", f"eeqt {__version__}"), ("command", "simulate"),
-            ("config_sha256", digest), ("seed", args.seed), ("family", family)]
-    _write_csv(args.output, header, trajectory_rows(traj), meta)
+    digest, family, system, state, cfg = _load_system(args.config)
+    traj = evolve(state, couplings=system.couplings, config=cfg)
+    _write_system_csv(args, digest, family, system, trajectory_rows(traj),
+                      ["trace_drift", "min_eigenvalue"])
     return EXIT_OK
 
 
 def _cmd_efficiency(args):
-    parser, digest = _load_config(args.config)
-    family, spec, _, state = _build_system(parser, args.config)
-    cfg = _evolution_config(parser, args.config)
+    digest, family, system, _, cfg = _load_system(args.config)
+    if system.closed_form is None:
+        raise ValueError(f"family '{family}' has no closed form")
+    asymptotic, probabilities = system.closed_form()
     times = np.arange(0.0, cfg.duration + 0.5 * cfg.step * cfg.record_every,
                       cfg.step * cfg.record_every)
-    meta = [("tool", f"eeqt {__version__}"), ("command", "efficiency"),
-            ("config_sha256", digest), ("seed", args.seed), ("family", family)]
-    path = args.config
-    if family == "binary":
-        sig = SignalDecomposition(
-            _get(parser, "signal", "aligned", default=1.0, path=path),
-            _get(parser, "signal", "orthogonal", default=0.0, path=path),
-        )
-        p0_inf, p1_inf = binary_asymptotic(spec, sig)
-        meta.append(("asymptotic", f"p_0={_fmt(p0_inf)} p_1={_fmt(p1_inf)}"))
-        rows = [(t, *binary_trajectory(spec, sig, t)) for t in times]
-        header = ["t", "p_0", "p_1"]
-    elif family == "two_state":
-        a0 = _get(parser, "signal", "aligned", default=1.0, path=path)
-        b0 = _get(parser, "signal", "orthogonal", default=0.0, path=path)
-        p1_inf, p2_inf, eff = two_state_asymptotic(spec, a0, b0)
-        meta.append(("asymptotic",
-                     f"p_1={_fmt(p1_inf)} p_2={_fmt(p2_inf)} efficiency={_fmt(eff)}"))
-        rows = [(t, *two_state_trajectory(spec, a0, b0, t)) for t in times]
-        header = ["t", "p_0", "p_1", "p_2"]
-    elif family == "n_state":
-        aligned = _get(parser, "detector", "aligned_channel", cast=int, default=0,
-                       path=path)
-        meta.append(("asymptotic", f"p_{aligned + 1}=1"))
-        rows = [(t, *n_state_trajectory(spec, aligned, t)) for t in times]
-        header = ["t"] + [f"p_{i}" for i in range(spec.n_channels + 1)]
-    elif family == "filter":
-        # weight on the detector projector; the initial state is p = (1, 0, ...)
-        q1 = float(np.trace(spec.e1 @ state.blocks[0]).real)
-        rows = [(t, *filter_classical_output(1.0, 0.0, q1, spec.k, t)) for t in times]
-        header = ["t", "p_0", "p_1"]
-    else:
-        raise ConfigError(f"{path}: family '{family}' has no closed form")
-    _write_csv(args.output, header, rows, meta)
+    rows = [(t, *probabilities(t)) for t in times]
+    if not np.isfinite(rows).all():
+        raise FloatingPointError("closed form is not finite; a constant is too large "
+                                 "or too small to represent")
+    _write_system_csv(args, digest, family, system, rows,
+                      meta=[("asymptotic", asymptotic)] if asymptotic is not None else [])
     return EXIT_OK
 
 
@@ -458,17 +456,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"eeqt {__version__}")
     sub = parser.add_subparsers(dest="command")
 
-    p_sim = sub.add_parser("simulate", help="integrate a configured system")
-    p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--output", default="-")
-    p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_sim.set_defaults(func=_cmd_simulate)
-
-    p_eff = sub.add_parser("efficiency", help="closed-form detector solutions")
-    p_eff.add_argument("--config", required=True)
-    p_eff.add_argument("--output", default="-")
-    p_eff.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_eff.set_defaults(func=_cmd_efficiency)
+    for name, func, text in (("simulate", _cmd_simulate, "integrate a configured system"),
+                             ("efficiency", _cmd_efficiency, "closed-form detector solutions")):
+        p_sys = sub.add_parser(name, help=text)
+        p_sys.add_argument("--config", required=True)
+        p_sys.add_argument("--output", default="-")
+        p_sys.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p_sys.set_defaults(func=func)
 
     p_val = sub.add_parser("validate", help="coupling shape catalogue report")
     p_val.add_argument("--output", default="-")
@@ -504,15 +498,15 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        if not hasattr(args, "config"):  # plan rejects a flag value
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        print(f"config error: {args.config}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except TraceDriftError as exc:
+    except (TraceDriftError, ArithmeticError) as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -15,11 +15,12 @@ the block pattern of each coupling instead of sampling probe operators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import HERMITICITY_TOL, HybridState, block_eigenvalues, validate_state
+from .states import HERMITICITY_TOL, HybridState, block_eigenvalues
 
 BLOCK_ZERO_TOL = 1e-10
 
@@ -95,7 +96,7 @@ class CouplingOperator:
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Fixed-step integration parameters."""
+    """Fixed-step integration parameters; `duration` is a whole number of steps."""
 
     step: float
     duration: float
@@ -103,10 +104,13 @@ class EvolutionConfig:
     trace_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.step <= 0 or self.duration <= 0:
-            raise ValueError("step and duration must be positive")
-        if self.step > self.duration:
-            raise ValueError("step must not exceed duration")
+        if not 0 < self.step <= self.duration < math.inf:
+            raise ValueError("step and duration must satisfy 0 < step <= duration < inf")
+        # relative tolerance: 0.12 / 0.002 is 59.99999999999999
+        if abs(math.remainder(self.duration, self.step)) > 1e-9 * self.duration:
+            raise ValueError(
+                f"duration {self.duration:g} is not a whole multiple of step {self.step:g}"
+            )
         if self.record_every < 1:
             raise ValueError("record_every must be a positive integer")
 
@@ -358,7 +362,3 @@ def trajectory_rows(traj: Trajectory):
     for k in range(len(traj)):
         yield (traj.times[k], *probs[k], drift[k], mins[k])
 
-
-def validate_trajectory(traj: Trajectory, **tols) -> bool:
-    """True when every recorded state passes validate_state."""
-    return all(validate_state(traj.state(k), **tols).ok for k in range(len(traj)))

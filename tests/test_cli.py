@@ -1,9 +1,14 @@
+import configparser
 import math
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eeqt.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from eeqt.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, FAMILIES, main
+
+SHIPPED_CONFIGS = sorted((pathlib.Path(__file__).parents[1] / "configs").glob("*.ini"))
 
 BINARY_CONFIG = """\
 [detector]
@@ -49,6 +54,28 @@ weights = 0.7,0.3
 step = 0.01
 duration = 2.0
 record_every = 100
+"""
+
+
+TWO_STATE_CONFIG = """\
+[detector]
+family = two_state
+dim = 3
+k1 = 1.0
+k2 = 0.0
+n1 = 1.0
+n2 = 0.0
+projector2 = 0
+projector3 = 1
+
+[signal]
+aligned = 0.5
+orthogonal = 0.5
+
+[evolution]
+step = 0.01
+duration = 2.0
+record_every = 50
 """
 
 
@@ -122,17 +149,44 @@ def test_efficiency_filter_family(tmp_path):
     assert p1 == pytest.approx(0.5 * (1.0 - math.exp(-2.0 * t)) * 0.7, abs=1e-12)
 
 
-def test_efficiency_filter_uses_projector_weight(tmp_path):
-    # the closed form takes q1 = tr(e1 rho_q), the weight on the detector
-    # projector, so it must track the integrated system for any projector
-    config = write(tmp_path, "filter.ini",
-                   FILTER_CONFIG.replace("k = 1.0", "k = 1.0\nprojector = 1"))
+# Every family with a closed form, with the signal placed where a mix-up of
+# basis indices would show: the closed form must track the integration.
+CLOSED_FORM_CASES = {
+    **{f"shipped-{path.stem}": path.read_text() for path in SHIPPED_CONFIGS},
+    # the inert weight must avoid both projectors, not sit on index dim-1
+    "two_state-inert-beside-projectors": TWO_STATE_CONFIG
+    .replace("projector2 = 0", "projector2 = 2").replace("projector3 = 1", "projector3 = 0")
+    .replace("aligned = 0.5", "aligned = 0.3").replace("orthogonal = 0.5", "orthogonal = 0.3"),
+    "binary-orthogonal": BINARY_CONFIG.replace("k2 = 0.0", "k2 = 0.5")
+    .replace("aligned = 1.0", "aligned = 0.6\northogonal = 0.4"),
+    # q1 = tr(e1 rho_q) is the weight on the configured projector
+    "filter-projector-1": FILTER_CONFIG.replace("k = 1.0", "k = 1.0\nprojector = 1"),
+}
+
+
+@pytest.mark.parametrize("text", CLOSED_FORM_CASES.values(), ids=CLOSED_FORM_CASES)
+def test_closed_form_matches_simulation(tmp_path, text):
+    config = write(tmp_path, "case.ini", text)
     sim, eff = tmp_path / "sim.csv", tmp_path / "eff.csv"
     assert main(["simulate", "--config", config, "--output", str(sim)]) == EXIT_OK
     assert main(["efficiency", "--config", config, "--output", str(eff)]) == EXIT_OK
-    simulated = [float(v) for v in read_csv(sim)[2][-1][:3]]
-    closed = [float(v) for v in read_csv(eff)[2][-1]]
-    assert closed == pytest.approx(simulated, abs=1e-6)
+    _, sim_header, sim_rows = read_csv(sim)
+    _, eff_header, eff_rows = read_csv(eff)
+    assert sim_header == eff_header + ["trace_drift", "min_eigenvalue"]
+    simulated = np.array([row[:len(eff_header)] for row in sim_rows], dtype=float)
+    np.testing.assert_allclose(np.array(eff_rows, dtype=float), simulated, rtol=0, atol=1e-6)
+
+
+def test_closed_form_cases_cover_every_family(tmp_path, capsys):
+    covered = set()
+    for text in CLOSED_FORM_CASES.values():
+        parser = configparser.ConfigParser()
+        parser.read_string(text)
+        covered.add(parser.get("detector", "family"))
+    assert covered == set(FAMILIES) - {"none"}
+    free = write(tmp_path, "free.ini", FREE_CONFIG)
+    assert main(["efficiency", "--config", free, "--output", "-"]) == EXIT_CONFIG
+    assert "no closed form" in capsys.readouterr().err
 
 
 def test_validate_reports_both_catalogues(tmp_path, capsys):
@@ -203,6 +257,49 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["simulate", "--config", unknown, "--output", "-"]) == EXIT_CONFIG
 
 
+BAD_CONFIGS = [
+    pytest.param("simulate", BINARY_CONFIG.replace("k1 = 1.0", "k1 = -1"), id="negative-k1"),
+    pytest.param("simulate", TWO_STATE_CONFIG.replace("projector3 = 1", "projector3 = 0"),
+                 id="shared-projector"),
+    pytest.param("simulate", BINARY_CONFIG.replace("step = 0.01", "step = 0"), id="zero-step"),
+    pytest.param("simulate", FILTER_CONFIG.replace("0.7,0.3", "0.5,abc"), id="garbage-weight"),
+    pytest.param("efficiency", TWO_STATE_CONFIG.replace("k1 = 1.0", "k1 = 0"),
+                 id="weighted-channel-without-constants"),
+    pytest.param("simulate", FREE_CONFIG.replace("classical_dim = 2", "classical_dim = 0"),
+                 id="no-classical-events"),
+    pytest.param("simulate", BINARY_CONFIG.replace("duration = 2.0", "duration = inf"),
+                 id="infinite-duration"),
+    pytest.param("simulate", BINARY_CONFIG.replace("duration = 2.0", "duration = nan"),
+                 id="nan-duration"),
+    pytest.param("efficiency", BINARY_CONFIG.replace("step = 0.01", "step = nan"),
+                 id="nan-step"),
+    pytest.param("simulate", BINARY_CONFIG.replace("step = 0.01", "step = 0.7")
+                 .replace("duration = 2.0", "duration = 1.0"), id="simulate-partial-step"),
+    pytest.param("efficiency", BINARY_CONFIG.replace("step = 0.01", "step = 0.7")
+                 .replace("duration = 2.0", "duration = 1.0"), id="efficiency-partial-step"),
+    pytest.param("simulate", FREE_CONFIG.replace("0.6,0.4", "0.6,0.4\noffdiag_0_1 = 0.3"),
+                 id="non-hermitian-signal"),
+    pytest.param("simulate", FILTER_CONFIG.replace("0.7,0.3", "1.5,-0.5"),
+                 id="non-positive-signal"),
+]
+
+
+@pytest.mark.parametrize("command, text", BAD_CONFIGS)
+def test_bad_config_values_exit_2(tmp_path, capsys, command, text):
+    config = write(tmp_path, "bad.ini", text)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", config, "--output", str(out)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_does_not_evaluate_the_closed_form(tmp_path):
+    # the closed form rejects a weighted channel whose constants are zero,
+    # but the system integrates fine: efficiency exits 2 and simulate 0
+    config = write(tmp_path, "lazy.ini", TWO_STATE_CONFIG.replace("k1 = 1.0", "k1 = 0"))
+    assert main(["simulate", "--config", config, "--output", str(tmp_path / "s.csv")]) == EXIT_OK
+
+
 def test_usage_errors_exit_1(capsys):
     assert main([]) == EXIT_USAGE
     assert main(["frobnicate"]) == EXIT_USAGE
@@ -226,3 +323,95 @@ def test_nan_trace_drift_exits_3(tmp_path, capsys):
         .replace("k1 = 1.0", "k1 = 30.0"))
     assert main(["simulate", "--config", config, "--output", "-"]) == EXIT_NUMERIC
     assert "numerical guard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    BINARY_CONFIG.replace("k1 = 1.0", "k1 = 1e200"),     # k1 ** 2 overflows
+    BINARY_CONFIG.replace("k1 = 1.0", "k1 = 1e-200"),    # k1 ** 2 + k2 ** 2 underflows to 0
+    FILTER_CONFIG.replace("k = 1.0", "k = 1e308"),       # 2 k t is inf * 0 at t = 0
+], ids=["overflow", "underflow", "nan"])
+def test_unrepresentable_closed_form_exits_3(tmp_path, capsys, text):
+    config = write(tmp_path, "extreme.ini", text)
+    out = tmp_path / "eff.csv"
+    assert main(["efficiency", "--config", config, "--output", str(out)]) == EXIT_NUMERIC
+    assert "numerical guard" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Config fuzz: a valid config of a random family, with up to two values
+# replaced by a negative, zero, extreme, non-finite or garbage one, or
+# removed.  At most 50 steps keep each example cheap.
+BAD_VALUES = ["-1", "0", "1e200", "1e-200", "inf", "nan", "abc", "", None]
+# The step grid never draws 1e-200, 1e200 or a missing value: a step count
+# such as 1e202 is accepted and runs without bound, and the defaults take up
+# to 2000 steps.
+BAD_GRID_VALUES = ["-1", "0", "inf", "nan", "abc", "", "0.123"]
+CONSTANTS = st.floats(0.1, 2.0).map(repr)
+
+
+@st.composite
+def config_sections(draw):
+    family = draw(st.sampled_from(["binary", "two_state", "n_state", "filter", "none"]))
+    dim = draw(st.integers(1, 4))
+    index = st.integers(0, dim - 1).map(str)
+    detector = {"family": family, "dim": str(dim)}
+    signal = {}
+    if family in ("binary", "two_state"):
+        a0 = draw(st.floats(0.0, 1.0)) if dim > 1 else 1.0
+        b0 = draw(st.one_of(st.just(1.0 - a0), st.floats(0.0, 1.0 - a0)))
+        signal = {"aligned": repr(a0), "orthogonal": repr(b0)}
+    if family == "binary":
+        detector.update(k1=draw(CONSTANTS), k2=draw(CONSTANTS), projector=draw(index))
+    elif family == "two_state":
+        for key in ("k1", "k2", "n1", "n2"):
+            detector[key] = draw(CONSTANTS)
+        order = draw(st.permutations(range(max(dim, 2))))
+        detector.update(projector2=str(order[0]), projector3=str(order[1]))
+    elif family == "n_state":
+        channels = draw(st.integers(1, dim))
+        detector.update(channels=str(channels), k=draw(CONSTANTS),
+                        aligned_channel=str(draw(st.integers(0, channels - 1))))
+    else:
+        detector.update(k=draw(CONSTANTS), projector=draw(index),
+                        classical_dim=str(draw(st.integers(1, 3))))
+        units = draw(st.lists(st.integers(1, 9), min_size=1, max_size=dim))
+        weights = [u / sum(units) for u in units]
+        signal["weights"] = ",".join(repr(w) for w in weights)
+        if len(weights) > 1:
+            # one Hermitian pair of coherences, small enough to stay positive
+            c = repr(draw(st.floats(-0.99, 0.99)) * min(weights[0], weights[1]))
+            signal.update(offdiag_0_1=c, offdiag_1_0=c)
+    step = draw(st.sampled_from([0.01, 0.05, 0.1]))
+    evolution = {"step": repr(step), "duration": repr(step * draw(st.integers(1, 50))),
+                 "record_every": str(draw(st.integers(1, 60)))}
+    return {"detector": detector, "signal": signal, "evolution": evolution}
+
+
+@st.composite
+def config_texts(draw):
+    sections = draw(config_sections())
+    for _ in range(draw(st.integers(0, 2))):
+        name = draw(st.sampled_from(sorted(name for name in sections if sections[name])))
+        key = draw(st.sampled_from(sorted(sections[name])))
+        bad = BAD_GRID_VALUES if key in ("step", "duration") else BAD_VALUES
+        sections[name][key] = draw(st.sampled_from(bad))
+    lines = []
+    for name, section in sections.items():
+        lines.append(f"[{name}]")
+        lines += [f"{key} = {value}" for key, value in section.items() if value is not None]
+    return "\n".join(lines) + "\n"
+
+
+@given(text=config_texts())
+@settings(max_examples=200, deadline=None)
+def test_any_config_exits_with_a_documented_code(tmp_path_factory, text):
+    directory = tmp_path_factory.mktemp("fuzz")
+    config = write(directory, "fuzz.ini", text)
+    for command in ("simulate", "efficiency"):
+        out = directory / f"{command}.csv"
+        with np.errstate(all="ignore"):
+            code = main([command, "--config", config, "--output", str(out)])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
+        if code == EXIT_OK:
+            _, _, rows = read_csv(out)
+            assert np.isfinite(np.array(rows, dtype=float)).all()

@@ -13,9 +13,14 @@ from eeqt.evolution import (
     evolve,
     liouville_rhs,
     trajectory_rows,
-    validate_trajectory,
 )
-from eeqt.states import HybridState, basis_projector, product_state, random_projector
+from eeqt.states import (
+    HybridState,
+    basis_projector,
+    product_state,
+    random_projector,
+    validate_state,
+)
 
 from conftest import random_density, random_hybrid_state
 
@@ -113,7 +118,25 @@ def test_evolve_first_entry_is_initial_state(rng):
                   config=EvolutionConfig(step=0.05, duration=1.0))
     np.testing.assert_array_equal(traj.blocks[0], state.blocks)
     assert traj.times[0] == 0.0
-    assert validate_trajectory(traj)
+    assert all(validate_state(traj.state(k)).ok for k in range(len(traj)))
+
+
+@pytest.mark.parametrize("step, duration", [
+    (0.1, math.inf), (math.inf, 1.0), (0.1, math.nan), (math.nan, 1.0),
+    (0.7, 1.0), (0.3, 1.0),
+])
+def test_config_rejects_a_step_grid_that_misses_the_duration(step, duration):
+    # a non-finite value or a duration the step does not divide would end the
+    # run early, late or never
+    with pytest.raises(ValueError):
+        EvolutionConfig(step=step, duration=duration)
+
+
+def test_config_accepts_whole_multiples_up_to_rounding():
+    # 0.12 / 0.002 is 59.99999999999999 in floating point
+    state = product_state(basis_projector(2, 0), [1.0, 0.0])
+    traj = evolve(state, config=EvolutionConfig(step=0.002, duration=0.12, record_every=60))
+    assert traj.times.tolist() == [0.0, 60 * 0.002]
 
 
 def test_evolve_trace_drift_guard_fires():
