@@ -18,9 +18,10 @@ dimension and a lazily evaluated closed form.  Every ValueError raised while
 serving a config, from a missing key to a signal that is not a density matrix
 or a duration the step does not divide, is a config error.
 
-Exit codes: 0 success, 1 usage error (including a bad ``plan`` flag), 2 config
-error, 3 numerical-guard or reproduction failure (including arithmetic that
-overflows or a closed form that is not finite).
+Exit codes: 0 success, 1 usage error (including a bad ``plan`` flag, NaN
+among them, and an ``--output`` that cannot be written), 2 config error, 3
+numerical-guard or reproduction failure (including arithmetic that overflows
+or a closed form that is not finite).
 """
 
 from __future__ import annotations
@@ -76,6 +77,10 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
+class OutputError(Exception):
+    """The ``--output`` file cannot be written; a usage error."""
+
+
 def _write_csv(path, header, rows, meta):
     lines = [f"# {key}: {value}" for key, value in meta]
     lines.append(",".join(header))
@@ -85,9 +90,12 @@ def _write_csv(path, header, rows, meta):
     text = "\n".join(lines) + "\n"
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 class _Config(configparser.ConfigParser):
@@ -283,8 +291,7 @@ def _cmd_efficiency(args):
     if system.closed_form is None:
         raise ValueError(f"family '{family}' has no closed form")
     asymptotic, probabilities = system.closed_form()
-    times = np.arange(0.0, cfg.duration + 0.5 * cfg.step * cfg.record_every,
-                      cfg.step * cfg.record_every)
+    times = [step * cfg.step for step in cfg.record_steps()]  # the grid evolve records
     rows = [(t, *probabilities(t)) for t in times]
     if not np.isfinite(rows).all():
         raise FloatingPointError("closed form is not finite; a constant is too large "
@@ -498,6 +505,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ValueError as exc:
         if not hasattr(args, "config"):  # plan rejects a flag value
             print(f"error: {exc}", file=sys.stderr)

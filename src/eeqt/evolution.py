@@ -114,6 +114,12 @@ class EvolutionConfig:
         if self.record_every < 1:
             raise ValueError("record_every must be a positive integer")
 
+    def record_steps(self):
+        """Yield the recorded step numbers: 0, every ``record_every``-th, and the last."""
+        n_steps = round(self.duration / self.step)
+        yield from range(0, n_steps, self.record_every)
+        yield n_steps
+
 
 @dataclass(frozen=True)
 class Generator:
@@ -275,20 +281,20 @@ def evolve(
         if not report.ok:
             raise ValueError(f"coupling operators fail CP conditions: {report.summary()}")
 
-    n_steps = int(round(config.duration / config.step))
     dt = config.step
     rho = state.blocks.copy()
-    records = [rho.copy()]
-    times = [0.0]
-    for step in range(1, n_steps + 1):
-        k1 = gen.rhs(rho)
-        k2 = gen.rhs(rho + 0.5 * dt * k1)
-        k3 = gen.rhs(rho + 0.5 * dt * k2)
-        k4 = gen.rhs(rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if step % config.record_every == 0 or step == n_steps:
-            records.append(rho.copy())
-            times.append(step * dt)
+    records, times = [], []
+    done = 0
+    for step in config.record_steps():
+        for _ in range(step - done):
+            k1 = gen.rhs(rho)
+            k2 = gen.rhs(rho + 0.5 * dt * k1)
+            k3 = gen.rhs(rho + 0.5 * dt * k2)
+            k4 = gen.rhs(rho + dt * k3)
+            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        records.append(rho.copy())
+        times.append(step * dt)
+        done = step
     traj = Trajectory(times=np.asarray(times), blocks=np.stack(records))
     drift = traj.trace_drift().max()
     if not drift <= config.trace_tol:  # also catches a NaN drift

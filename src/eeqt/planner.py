@@ -7,12 +7,26 @@ transmission at all, and how many states the decoding detector needs so that
 the registered count falls in the decoding interval with the target
 confidence.  Counts are evaluated with exact binomial sums; the normal
 approximation is deliberately avoided at these sample sizes.
+
+Every binomial term takes one path: log C(m, i) + i log p + (m-i) log(1-p),
+with the coefficient read from a shared table of log k!, all terms of a sum
+in one numpy expression.  Only p = 0 and p = 1, where log p or log(1-p) is
+not finite, are handled apart.  The sums agree with exact rational arithmetic
+to about 1e-12, so ``detect_nonmonotonicity`` reports a descent only when the
+confidence drops by more than ``DESCENT_TOL`` = 1e-10.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
+
+import numpy as np
+
+# Smallest confidence drop reported as a descent; a smaller one, such as
+# 1.0 -> 1 - 1e-16 on a set holding every count, is rounding.
+DESCENT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -36,16 +50,18 @@ class TransmissionScenario:
             raise ValueError("rho1 must lie in [0, 1]")
         if not 0 <= self.eta_det <= 1:
             raise ValueError("eta_det must lie in [0, 1]")
-        if self.accuracy <= 0:
-            raise ValueError("accuracy must be positive")
+        if not 0 < self.accuracy < math.inf:
+            raise ValueError(f"accuracy must be positive and finite, not {self.accuracy}")
         if self.rho1 - self.accuracy < -1e-12 or self.rho1 + self.accuracy > 1 + 1e-12:
             raise ValueError("decoding interval (rho1 - a, rho1 + a) leaves [0, 1]")
         if not 0 < self.confidence_target < 1:
             raise ValueError("confidence_target must lie in (0, 1)")
         if self.margin is None:
             object.__setattr__(self, "margin", self.eta_det * self.accuracy)
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
+        if not 0 < self.margin < math.inf:
+            raise ValueError(f"margin must be positive and finite, not {self.margin}")
+        if 1.0 / (2.0 * self.margin) == math.inf:
+            raise ValueError(f"margin {self.margin:g} is too small for a finite minimal m")
         if self.margin > self.accuracy + 1e-12:
             raise ValueError("margin must not exceed accuracy")
 
@@ -120,30 +136,30 @@ def advantageous_set(m: int, scenario: TransmissionScenario) -> range:
 def confidence(m: int, p: float, counts) -> float:
     """Binomial probability of registering a count inside ``counts``.
 
-    Sum over i of C(m, i) p^i (1-p)^(m-i), accumulated in the log domain.
-    Exact integer binomial coefficients are used up to m = 64, log-gamma
-    beyond.
+    Sum over i of C(m, i) p^i (1-p)^(m-i), with every term evaluated in the
+    log domain from one shared log-factorial table in a single numpy
+    expression.  ``counts`` is any iterable of ints in [0, m].
     """
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
-    total = 0.0
-    for i in counts:
-        if not 0 <= i <= m:
-            raise ValueError(f"count {i} outside [0, {m}]")
-        total += _binomial_term(m, i, p)
-    return min(total, 1.0)
-
-
-def _binomial_term(m: int, i: int, p: float) -> float:
-    if p == 0.0:
-        return 1.0 if i == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if i == m else 0.0
-    if m <= 64:
-        log_coeff = math.log(math.comb(m, i))
+    i = np.fromiter(counts, dtype=np.int64)
+    outside = (i < 0) | (i > m)
+    if outside.any():
+        raise ValueError(f"count {i[outside][0]} outside [0, {m}]")
+    if p in (0.0, 1.0):  # log 0 is not finite: the whole mass sits on count m * p
+        terms = (i == m * p).astype(float)
     else:
-        log_coeff = math.lgamma(m + 1) - math.lgamma(i + 1) - math.lgamma(m - i + 1)
-    return math.exp(log_coeff + i * math.log(p) + (m - i) * math.log1p(-p))
+        lf = _log_factorials(1 << m.bit_length())
+        terms = np.exp(lf[m] - lf[i] - lf[m - i] + i * math.log(p) + (m - i) * math.log1p(-p))
+    return min(float(terms.sum()), 1.0)
+
+
+@functools.cache
+def _log_factorials(size: int) -> np.ndarray:
+    """Read-only table of log k! for k < size; sizes are powers of two."""
+    table = np.array([math.lgamma(k + 1) for k in range(size)])
+    table.flags.writeable = False
+    return table
 
 
 def plan_for_m(m: int, scenario: TransmissionScenario) -> PlanResult:
@@ -175,11 +191,11 @@ def detect_nonmonotonicity(scenario: TransmissionScenario, m_range) -> list:
 
     Adding states does not always help: a larger m can move the advantageous
     set unfavourably.  Returns every m (except the last of the range) whose
-    successor has strictly lower confidence.
+    successor's confidence is lower by more than ``DESCENT_TOL``.
     """
     ms = sorted(set(m_range))
     confs = {m: plan_for_m(m, scenario).confidence for m in ms}
-    return [m for m, m_next in zip(ms, ms[1:]) if confs[m_next] < confs[m]]
+    return [m for m, m_next in zip(ms, ms[1:]) if confs[m] - confs[m_next] > DESCENT_TOL]
 
 
 def transmission_speed(bits: int, seconds: float) -> float:

@@ -161,6 +161,9 @@ CLOSED_FORM_CASES = {
     .replace("aligned = 1.0", "aligned = 0.6\northogonal = 0.4"),
     # q1 = tr(e1 rho_q) is the weight on the configured projector
     "filter-projector-1": FILTER_CONFIG.replace("k = 1.0", "k = 1.0\nprojector = 1"),
+    # 100 steps recorded every 30: both grids end with the final step at t = 1
+    "binary-record-grid-ends-at-duration": BINARY_CONFIG
+    .replace("duration = 2.0", "duration = 1.0").replace("record_every = 50", "record_every = 30"),
 }
 
 
@@ -226,6 +229,60 @@ def test_plan_reports_absence(tmp_path, capsys):
                  "--m-max", "40", "--output", str(tmp_path / "p.csv")])
     assert code == EXIT_OK
     assert "no m <= 40 reaches confidence 0.99" in capsys.readouterr().out
+
+
+PLAN_FLAGS = ["--rho1", "0.8", "--eff", "0.9", "--accuracy", "0.05", "--confidence", "0.6"]
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--margin", "nan", "margin must be positive and finite"),
+    ("--accuracy", "nan", "accuracy must be positive and finite"),
+    ("--margin", "1e-310", "too small"),  # 1 / (2 margin) overflows
+])
+def test_non_finite_plan_flags_exit_1(capsys, flag, value, message):
+    assert main(["plan", *PLAN_FLAGS, f"{flag}={value}", "--output", "-"]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+# Plan flag fuzz: a scenario drawn mostly valid (the decoding interval inside
+# [0, 1], the margin at most the accuracy), with up to two flags replaced by
+# a zero, negative, non-finite, tiny or garbage value.
+BAD_PLAN_VALUES = ["0", "-1", "2", "nan", "inf", "-inf", "1e-300", "5e-324", "abc", ""]
+
+
+@st.composite
+def plan_flags(draw):
+    rho1 = draw(st.floats(0.1, 0.9))
+    accuracy = draw(st.floats(0.01, min(rho1, 1 - rho1)))
+    flags = {"rho1": rho1, "eff": draw(st.floats(0.1, 1)), "accuracy": accuracy,
+             "confidence": draw(st.floats(0.01, 0.99)), "margin": draw(st.floats(0.005, accuracy))}
+    if draw(st.booleans()):
+        del flags["margin"]  # eff * accuracy
+    flags = {name: repr(value) for name, value in flags.items()}
+    for _ in range(draw(st.integers(0, 2))):
+        flags[draw(st.sampled_from(sorted(flags)))] = draw(st.sampled_from(BAD_PLAN_VALUES))
+    return [f"--{name}={value}" for name, value in flags.items()]
+
+
+@given(flags=plan_flags(), m_max=st.integers(100, 1000) | st.integers(-5, 99))
+@settings(max_examples=100, deadline=None)
+def test_any_plan_flags_exit_0_or_1(tmp_path_factory, flags, m_max):
+    out = tmp_path_factory.mktemp("plan") / "plan.csv"
+    code = main(["plan", *flags, f"--m-max={m_max}", "--output", str(out)])
+    assert code in (EXIT_OK, EXIT_USAGE)
+    if code == EXIT_OK:
+        _, _, rows = read_csv(out)
+        # an empty advantageous set leaves set_lo and set_hi blank
+        assert np.isfinite([float(v) for row in rows for v in row if v]).all()
+
+
+@pytest.mark.parametrize("command", ["simulate", "efficiency", "validate", "plan"])
+def test_unwritable_output_exits_1(tmp_path, capsys, command):
+    config = ["--config", write(tmp_path, "binary.ini", BINARY_CONFIG)]
+    flags = {"simulate": config, "efficiency": config, "validate": [], "plan": PLAN_FLAGS}
+    target = tmp_path / "missing" / "out.csv"
+    assert main([command, *flags[command], "--output", str(target)]) == EXIT_USAGE
+    assert f"error: cannot write {target}: " in capsys.readouterr().err
 
 
 def test_reproduce_reports_known_truncated_row(capsys):

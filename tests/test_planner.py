@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eeqt.planner import (
+    DESCENT_TOL,
     TransmissionScenario,
     advantageous_set,
     confidence,
@@ -134,6 +136,17 @@ class TestConfidence:
             assert confidence(m, p, advantageous_set(m, SCENARIO)) == \
                 pytest.approx(direct, abs=1e-10)
 
+    @pytest.mark.parametrize("scenario", [SCENARIO, LOW_EFF], ids=["p=0.72", "p=0.36"])
+    @pytest.mark.parametrize("m", [64, 65, 1000])
+    def test_matches_exact_rational_sum_at_large_m(self, m, scenario):
+        # the same float p = num / den, summed in exact rational arithmetic
+        p = scenario.success_probability
+        counts = advantageous_set(m, scenario)
+        num, den = p.as_integer_ratio()
+        exact = Fraction(sum(math.comb(m, i) * num ** i * (den - num) ** (m - i)
+                             for i in counts), den ** m)
+        assert confidence(m, p, counts) == pytest.approx(float(exact), rel=0, abs=1e-10)
+
     @given(st.integers(1, 30), st.floats(0.05, 0.95),
            st.integers(0, 30), st.integers(0, 30))
     @settings(max_examples=60)
@@ -193,10 +206,11 @@ class TestNonmonotonicity:
     def test_constant_certainty_has_no_descents(self):
         wide = TransmissionScenario(rho1=0.5, eta_det=1.0, accuracy=0.5,
                                     confidence_target=0.6, margin=0.5)
-        # margin 0.5 makes the advantageous set the full range for every m
-        for m in range(1, 8):
+        # margin 0.5 makes the advantageous set the full range for every m;
+        # the confidence is 1 up to rounding, which is not a descent
+        for m in range(1, 65):
             assert len(advantageous_set(m, wide)) == m + 1
-        assert detect_nonmonotonicity(wide, range(1, 8)) == []
+        assert detect_nonmonotonicity(wide, range(1, 65)) == []
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25)
@@ -211,7 +225,7 @@ class TestNonmonotonicity:
         ms = range(10, 25)
         confs = [confidence(m, scenario.success_probability,
                             advantageous_set(m, scenario)) for m in ms]
-        expected = [m for m, c0, c1 in zip(ms, confs, confs[1:]) if c1 < c0]
+        expected = [m for m, c0, c1 in zip(ms, confs, confs[1:]) if c0 - c1 > DESCENT_TOL]
         assert detect_nonmonotonicity(scenario, ms) == expected
 
 
@@ -228,6 +242,15 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             TransmissionScenario(rho1=0.8, eta_det=0.9, accuracy=0.05,
                                  confidence_target=0.6, margin=0.06)
+
+    @pytest.mark.parametrize("field, value", [
+        ("accuracy", math.nan), ("accuracy", math.inf),
+        ("margin", math.nan), ("margin", 5e-324),
+    ])
+    def test_non_finite_accuracy_and_margin_rejected(self, field, value):
+        kwargs = dict(rho1=0.8, eta_det=0.9, accuracy=0.05, confidence_target=0.6)
+        with pytest.raises(ValueError, match=field):
+            TransmissionScenario(**{**kwargs, field: value})
 
     def test_with_margin_returns_new_scenario(self):
         widened = LOW_EFF.with_margin(0.02)
