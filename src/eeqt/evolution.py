@@ -5,12 +5,22 @@ Integrates the Liouville equation
     drho/dt = -i[H, rho] + sum_i Vi* rho Vi - 1/2 {sum_i Vi Vi*, rho}
 
 blockwise for block-diagonal states, with a fixed-step classical RK4
-integrator and a post-hoc trace-drift guard.  Coupling operators are block
-matrices over classical index pairs whose entries are quantum operators.  A
-``Generator`` validates and stacks a Hamiltonian and couplings once; the
-right-hand side, the integrator, the rate equations and the structural
+integrator.  Coupling operators are block matrices over classical index
+pairs whose entries are quantum operators.  A ``Generator`` validates and
+stacks a Hamiltonian and couplings once; the right-hand side, the dense
+Liouvillian, the integrator, the rate equations and the structural
 complete-positivity check all work from it.  The CP check is exact: it reads
 the block pattern of each coupling instead of sampling probe operators.
+
+The generator L is linear and constant in time, so one RK4 step of size h is
+exactly the matrix polynomial T4(hL) = I + hL + (hL)^2/2 + (hL)^3/6 +
+(hL)^4/24.  ``evolve`` applies RK4 in one of two ways, chosen by operation
+count (with a memory ceiling): it forms T4(hL) once from the dense N x N
+Liouvillian, N = (n+1) d^2, and makes one matrix-vector product per step; or,
+for large generators and short runs, it makes the four right-hand-side calls
+per step matrix-free.  Both agree with the RK4 loop to rounding.  Every
+recorded state is checked as it is recorded: a non-finite entry or a total
+trace more than ``trace_tol`` from 1 stops the run with TraceDriftError.
 """
 
 from __future__ import annotations
@@ -23,6 +33,13 @@ import numpy as np
 from .states import HERMITICITY_TOL, HybridState, block_eigenvalues
 
 BLOCK_ZERO_TOL = 1e-10
+# EvolutionConfig refuses more steps than this: even the smallest system
+# takes about a microsecond per step, and a step count near 1e200 would never
+# end while its records fill memory.
+MAX_STEPS = 10 ** 7
+# The dense path holds three N x N complex arrays at once (L, T4 and a
+# product); it is never taken when they would need more bytes than this.
+DENSE_MEMORY_CEILING = 64 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -106,6 +123,9 @@ class EvolutionConfig:
     def __post_init__(self):
         if not 0 < self.step <= self.duration < math.inf:
             raise ValueError("step and duration must satisfy 0 < step <= duration < inf")
+        if self.duration / self.step > MAX_STEPS + 0.5:
+            raise ValueError(f"{self.duration / self.step:.3g} steps exceed the limit "
+                             f"of {MAX_STEPS} (MAX_STEPS)")
         # relative tolerance: 0.12 / 0.002 is 59.99999999999999
         if abs(math.remainder(self.duration, self.step)) > 1e-9 * self.duration:
             raise ValueError(
@@ -114,11 +134,14 @@ class EvolutionConfig:
         if self.record_every < 1:
             raise ValueError("record_every must be a positive integer")
 
+    @property
+    def n_steps(self) -> int:
+        return round(self.duration / self.step)
+
     def record_steps(self):
         """Yield the recorded step numbers: 0, every ``record_every``-th, and the last."""
-        n_steps = round(self.duration / self.step)
-        yield from range(0, n_steps, self.record_every)
-        yield n_steps
+        yield from range(0, self.n_steps, self.record_every)
+        yield self.n_steps
 
 
 @dataclass(frozen=True)
@@ -133,11 +156,14 @@ class Generator:
         Coupling operators stacked to shape (m, n+1, n+1, d, d).
     gain : np.ndarray | None
         Diagonal blocks of sum_i Vi Vi*, shape (n+1, d, d).
+    dims : tuple | None
+        (n+1, d), from the state, the couplings or the Hamiltonian.
     """
 
     h: np.ndarray | None = field(repr=False)
     vs: np.ndarray | None = field(repr=False)
     gain: np.ndarray | None = field(repr=False)
+    dims: tuple | None
 
     @classmethod
     def prepare(cls, couplings=(), hamiltonian=None,
@@ -157,8 +183,11 @@ class Generator:
             dev = np.max(np.abs(h - h.conj().transpose(0, 2, 1)))
             if dev > HERMITICITY_TOL:
                 raise ValueError(f"Hamiltonian block not Hermitian: max dev {dev:.3g}")
+        dims = None if vs is None else (vs.shape[1], vs.shape[3])
+        if dims is None and h is not None:
+            dims = h.shape[:2]
         if state is not None:
-            n, d = state.classical_dim, state.quantum_dim
+            n, d = dims = state.classical_dim, state.quantum_dim
             if h is not None and h.shape != (n, d, d):
                 raise ValueError(
                     f"Hamiltonian shape {h.shape} does not match state ({n}, {d}, {d})"
@@ -169,7 +198,7 @@ class Generator:
                 )
         # G[alpha] = sum_{i, gamma} V[i, alpha, gamma] V[i, alpha, gamma]^dagger
         gain = None if vs is None else np.einsum("iagxz,iagwz->axw", vs, vs.conj())
-        return cls(h, vs, gain)
+        return cls(h, vs, gain, dims)
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
         """Time derivative of the (n+1, d, d) block array `rho`."""
@@ -178,9 +207,34 @@ class Generator:
         if h is not None:
             out += -1j * (h @ rho - rho @ h)
         if vs is not None:
-            # sum_{i, gamma} V[i, gamma, alpha]^dagger rho[gamma] V[i, gamma, alpha]
-            out += np.einsum("igaxm,gxz,igazw->amw", vs.conj(), rho, vs)
+            out += _sandwich(vs, rho)
             out -= 0.5 * (gain @ rho + rho @ gain)
+        return out
+
+    def liouvillian(self) -> np.ndarray:
+        """Dense N x N generator L, N = (n+1) d^2: L @ rho.ravel() == rhs(rho).ravel().
+
+        Rows and columns run over (alpha, m, w) in the C order of the block
+        array.  The couplings give
+        L[(a, m, w), (g, x, z)] = sum_i conj(V[i, g, a, x, m]) V[i, g, a, z, w];
+        each diagonal block adds kron(K, 1) + kron(1, conj(K)) with
+        K = -iH - G/2, since -i[H, rho] - {G, rho}/2 = K rho + rho K^dagger.
+        """
+        n1, d = self.dims
+        size = n1 * d * d
+        if self.vs is None:
+            out = np.zeros((size, size), dtype=complex)
+        else:
+            out = np.einsum("igaxm,igazw->amwgxz", self.vs.conj(), self.vs).reshape(size, size)
+        k = np.zeros((n1, d, d), dtype=complex)
+        if self.h is not None:
+            k -= 1j * self.h
+        if self.gain is not None:
+            k -= 0.5 * self.gain
+        eye = np.eye(d)
+        blocks = out.reshape(n1, d * d, n1, d * d)  # a view of out
+        for a in range(n1):
+            blocks[a, :, a] += np.kron(k[a], eye) + np.kron(eye, k[a].conj())
         return out
 
     def cp_report(self, tol: float = BLOCK_ZERO_TOL) -> "CPReport":
@@ -220,6 +274,15 @@ class Generator:
             violations=tuple(violations),
             tol=tol,
         )
+
+
+def _sandwich(vs: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_{i, gamma} V[i, gamma, alpha]^dagger rho[gamma] V[i, gamma, alpha], per alpha.
+
+    Two batched d x d products per coupling block, instead of the d^4 cost
+    of one unordered three-operand einsum.
+    """
+    return (vs.conj().swapaxes(-1, -2) @ rho[None, :, None] @ vs).sum(axis=(0, 1))
 
 
 def liouville_rhs(state: HybridState, hamiltonian=None, couplings=()) -> np.ndarray:
@@ -268,10 +331,12 @@ def evolve(
 ) -> Trajectory:
     """Integrate the Liouville equation with fixed-step RK4.
 
-    The first recorded entry is the initial state.  Raises TraceDriftError
-    if the total trace drifts beyond ``config.trace_tol`` or is not finite
-    (step too large) and ValueError if the couplings fail the structural CP
-    check.
+    The first recorded entry is the initial state.  RK4 is applied as the
+    precomputed propagator T4(hL) or matrix-free, whichever costs fewer
+    operations (``_dense_pays``).  Raises TraceDriftError at the first record
+    whose total trace drifts beyond ``config.trace_tol`` or that is not
+    finite (step too large), and ValueError if the couplings fail the
+    structural CP check.
     """
     if config is None:
         raise ValueError("an EvolutionConfig is required")
@@ -280,28 +345,89 @@ def evolve(
         report = gen.cp_report()
         if not report.ok:
             raise ValueError(f"coupling operators fail CP conditions: {report.summary()}")
+    # an unstable step overflows to inf and NaN; the record check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        stepper = _dense_step if _dense_pays(gen, config.n_steps) else _matrix_free_step
+        return _integrate(stepper(gen, config.step), state.blocks, config)
 
-    dt = config.step
-    rho = state.blocks.copy()
-    records, times = [], []
+
+def _dense_pays(gen: Generator, n_steps: int) -> bool:
+    """Whether T4(hL) costs fewer complex multiply-adds than RK4 on ``rhs``.
+
+    Dense: m N^2 to build L, 3 N^3 for the three products of T4's Horner form
+    and N^2 per step.  Matrix-free: four ``rhs`` calls per step, each two d x d
+    products per coupling block (m (n+1)^2 of them) and per classical block
+    for the gain and for the Hamiltonian.  The dense path is never taken
+    above ``DENSE_MEMORY_CEILING``.
+    """
+    n1, d = gen.dims
+    size = n1 * d * d
+    if 3 * 16 * size ** 2 > DENSE_MEMORY_CEILING:
+        return False
+    m = 0 if gen.vs is None else len(gen.vs)
+    blocks = m * n1 ** 2 + n1 * ((gen.gain is not None) + (gen.h is not None))
+    dense = m * size ** 2 + 3 * size ** 3 + n_steps * size ** 2
+    return dense < n_steps * 4 * blocks * 2 * d ** 3
+
+
+def _dense_step(gen: Generator, dt: float):
+    """One RK4 step of the flat state as v + (T4(dt L) - I) @ v.
+
+    T4 - I = A (I + A/2 (I + A/3 (I + A/4))) with A = dt L is the RK4 update
+    for a linear right-hand side.  Adding v back keeps the identity part
+    exact, as RK4's own rho + dt/6 (...) does, so rounding does not build up
+    over many steps.  Three N x N arrays are alive at once.
+    """
+    a = gen.liouvillian()
+    a *= dt
+    t = a / 4
+    for k in (3, 2, 1):
+        t.flat[::len(t) + 1] += 1  # t = I + t
+        t = a @ t
+        t /= k
+    return lambda v: v + t.dot(v)
+
+
+def _matrix_free_step(gen: Generator, dt: float):
+    """One classical RK4 step of the flat state, four ``rhs`` calls."""
+    n1, d = gen.dims
+    shape = (n1, d, d)
+
+    def advance(v):
+        rho = v.reshape(shape)
+        k1 = gen.rhs(rho)
+        k2 = gen.rhs(rho + 0.5 * dt * k1)
+        k3 = gen.rhs(rho + 0.5 * dt * k2)
+        k4 = gen.rhs(rho + dt * k3)
+        return (rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).reshape(-1)
+
+    return advance
+
+
+def _integrate(advance, rho: np.ndarray, config: EvolutionConfig) -> Trajectory:
+    """Apply `advance` to the flattened `rho` and record on ``config.record_steps()``.
+
+    Each record is checked before it is stored; the first whose total trace
+    is more than ``trace_tol`` from 1, or not finite, raises TraceDriftError.
+    """
+    n1, d = rho.shape[:2]
+    steps = np.fromiter(config.record_steps(), dtype=int)
+    records = np.empty((len(steps), rho.size), dtype=complex)
+    # The total trace as one dot product.  Its zero weights on off-diagonal
+    # entries make it NaN when any entry is inf or NaN (0 * inf is NaN).
+    trace = np.tile(np.eye(d, dtype=complex).ravel(), n1)
+    v = rho.ravel().copy()
     done = 0
-    for step in config.record_steps():
+    for k, step in enumerate(steps):
         for _ in range(step - done):
-            k1 = gen.rhs(rho)
-            k2 = gen.rhs(rho + 0.5 * dt * k1)
-            k3 = gen.rhs(rho + 0.5 * dt * k2)
-            k4 = gen.rhs(rho + dt * k3)
-            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        records.append(rho.copy())
-        times.append(step * dt)
+            v = advance(v)
+        drift = abs((trace @ v).real - 1.0)
+        if not drift <= config.trace_tol:  # also catches NaN
+            raise TraceDriftError(f"trace drift {drift:.3g} at t={step * config.step:g} "
+                                  f"exceeds {config.trace_tol:.3g}; reduce step")
+        records[k] = v
         done = step
-    traj = Trajectory(times=np.asarray(times), blocks=np.stack(records))
-    drift = traj.trace_drift().max()
-    if not drift <= config.trace_tol:  # also catches a NaN drift
-        raise TraceDriftError(
-            f"trace drift {drift:.3g} exceeds {config.trace_tol:.3g}; reduce step"
-        )
-    return traj
+    return Trajectory(times=steps * config.step, blocks=records.reshape(-1, n1, d, d))
 
 
 @dataclass(frozen=True)
@@ -355,7 +481,7 @@ def classical_rate_equations(state: HybridState, couplings) -> np.ndarray:
         return np.zeros(state.classical_dim)
     rho = state.blocks
     # gain into alpha from gamma minus loss out of alpha
-    rates = np.einsum("igaxm,gxz,igazm->a", gen.vs.conj(), rho, gen.vs).real
+    rates = np.trace(_sandwich(gen.vs, rho), axis1=1, axis2=2).real
     rates -= np.einsum("axz,azx->a", gen.gain, rho).real
     return rates
 

@@ -1,6 +1,7 @@
 import configparser
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -112,12 +113,20 @@ def test_simulate_writes_trajectory_csv(tmp_path):
     assert last[2] == pytest.approx(1.0 - math.exp(-2.0), abs=1e-6)
 
 
+# A filter at dim 36 has N = 2592: evolve takes the matrix-free path there
+# and the precomputed propagator on the other configs.
+LARGE_FILTER_CONFIG = FILTER_CONFIG.replace("dim = 2", "dim = 36").replace(
+    "duration = 2.0", "duration = 0.1").replace("record_every = 100", "record_every = 5")
+
+
 def test_simulate_is_deterministic(tmp_path):
-    config = write(tmp_path, "binary.ini", BINARY_CONFIG)
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    main(["simulate", "--config", config, "--output", str(out1)])
-    main(["simulate", "--config", config, "--output", str(out2)])
-    assert out1.read_bytes() == out2.read_bytes()
+    texts = [BINARY_CONFIG, LARGE_FILTER_CONFIG] + [path.read_text() for path in SHIPPED_CONFIGS]
+    for n, text in enumerate(texts):
+        config = write(tmp_path, f"case{n}.ini", text)
+        out1, out2 = tmp_path / f"a{n}.csv", tmp_path / f"b{n}.csv"
+        assert main(["simulate", "--config", config, "--output", str(out1)]) == EXIT_OK
+        assert main(["simulate", "--config", config, "--output", str(out2)]) == EXIT_OK
+        assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_simulate_without_couplings_is_constant(tmp_path):
@@ -338,6 +347,11 @@ BAD_CONFIGS = [
                  id="non-hermitian-signal"),
     pytest.param("simulate", FILTER_CONFIG.replace("0.7,0.3", "1.5,-0.5"),
                  id="non-positive-signal"),
+    # about 1e202 steps: beyond MAX_STEPS, so refused instead of run without end
+    pytest.param("simulate", BINARY_CONFIG.replace("duration = 2.0", "duration = 1e200"),
+                 id="endless-duration"),
+    pytest.param("simulate", BINARY_CONFIG.replace("step = 0.01", "step = 1e-200"),
+                 id="vanishing-step"),
 ]
 
 
@@ -374,12 +388,18 @@ def test_trace_drift_guard_exits_3(tmp_path, capsys):
 
 def test_nan_trace_drift_exits_3(tmp_path, capsys):
     # an unstable step drives the records to NaN; NaN drift must still trip
-    # the guard instead of producing an exit-0 CSV of NaN rows
+    # the guard instead of producing an exit-0 CSV of NaN rows, with no numpy
+    # overflow or invalid-value warning on the way
     config = write(tmp_path, "unstable.ini", BINARY_CONFIG.replace(
         "step = 0.01", "step = 0.5").replace("duration = 2.0", "duration = 400.0")
         .replace("k1 = 1.0", "k1 = 30.0"))
-    assert main(["simulate", "--config", config, "--output", "-"]) == EXIT_NUMERIC
-    assert "numerical guard" in capsys.readouterr().err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", config, "--output", "-"]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "numerical guard" in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("text", [
@@ -399,10 +419,9 @@ def test_unrepresentable_closed_form_exits_3(tmp_path, capsys, text):
 # replaced by a negative, zero, extreme, non-finite or garbage one, or
 # removed.  At most 50 steps keep each example cheap.
 BAD_VALUES = ["-1", "0", "1e200", "1e-200", "inf", "nan", "abc", "", None]
-# The step grid never draws 1e-200, 1e200 or a missing value: a step count
-# such as 1e202 is accepted and runs without bound, and the defaults take up
-# to 2000 steps.
-BAD_GRID_VALUES = ["-1", "0", "inf", "nan", "abc", "", "0.123"]
+# The step grid never draws a missing value: the defaults take up to 2000
+# steps.  A step count above MAX_STEPS, such as 1e202, is a config error.
+BAD_GRID_VALUES = ["-1", "0", "1e200", "1e-200", "inf", "nan", "abc", "", "0.123"]
 CONSTANTS = st.floats(0.1, 2.0).map(repr)
 
 

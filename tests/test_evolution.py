@@ -1,13 +1,22 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eeqt import cli
+from eeqt.detectors import FilterSpec, NStateDetectorSpec
 from eeqt.evolution import (
+    MAX_STEPS,
     CouplingOperator,
     EvolutionConfig,
+    Generator,
     TraceDriftError,
+    _dense_pays,
+    _dense_step,
+    _integrate,
+    _matrix_free_step,
     check_cp_conditions,
     classical_rate_equations,
     evolve,
@@ -130,6 +139,16 @@ def test_config_rejects_a_step_grid_that_misses_the_duration(step, duration):
     # run early, late or never
     with pytest.raises(ValueError):
         EvolutionConfig(step=step, duration=duration)
+
+
+@pytest.mark.parametrize("step, duration", [
+    (1.0, MAX_STEPS + 1.0), (0.01, 1e200), (1e-200, 1.0), (5e-324, 1.0),
+])
+def test_config_rejects_more_than_max_steps(step, duration):
+    # a step count near 1e200 would integrate without end
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        EvolutionConfig(step=step, duration=duration)
+    assert EvolutionConfig(step=1.0, duration=float(MAX_STEPS)).n_steps == MAX_STEPS
 
 
 def test_config_accepts_whole_multiples_up_to_rounding():
@@ -330,3 +349,119 @@ def test_coupling_from_grid_and_support():
     assert empty.support() == frozenset()
     with pytest.raises(ValueError):
         CouplingOperator.from_grid([[None, None], [None, None]])
+
+
+SHIPPED_CONFIGS = pathlib.Path(__file__).parents[1] / "configs"
+FAMILY_CONFIGS = {path.stem: path.read_text() for path in SHIPPED_CONFIGS.glob("*.ini")}
+FAMILY_CONFIGS["none"] = "[detector]\nfamily = none\ndim = 2\nclassical_dim = 3\n"
+
+
+def family_system(family):
+    """Generator and initial state that cli.FAMILIES builds for a config of `family`."""
+    config = cli._Config()
+    config.read_string(FAMILY_CONFIGS[family])
+    _, system, state = cli._build_system(config)
+    return Generator.prepare(system.couplings, state=state), state
+
+
+def hamiltonian_system():
+    """Random Hermitian Hamiltonian and random (not CP) couplings, n+1 = 3, d = 3."""
+    rng = np.random.default_rng(7)
+    n, d = 3, 3
+    a = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    h = 0.5 * (a + a.conj().transpose(0, 2, 1))
+    vs = [CouplingOperator(0.5 * (rng.normal(size=(n, n, d, d))
+                                  + 1j * rng.normal(size=(n, n, d, d)))) for _ in range(2)]
+    state = random_hybrid_state(n, d, rng)
+    return Generator.prepare(vs, h, state), state
+
+
+def reference_rk4(gen, rho, config):
+    """Records of the classical RK4 loop on the unordered three-operand einsum."""
+    def rhs(r):
+        out = np.zeros_like(r)
+        if gen.h is not None:
+            out += -1j * (gen.h @ r - r @ gen.h)
+        if gen.vs is not None:
+            out += np.einsum("igaxm,gxz,igazw->amw", gen.vs.conj(), r, gen.vs)
+            out -= 0.5 * (gen.gain @ r + r @ gen.gain)
+        return out
+
+    dt, records, done = config.step, [], 0
+    for step in config.record_steps():
+        for _ in range(step - done):
+            k1 = rhs(rho)
+            k2 = rhs(rho + 0.5 * dt * k1)
+            k3 = rhs(rho + 0.5 * dt * k2)
+            k4 = rhs(rho + dt * k3)
+            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        records.append(rho)
+        done = step
+    return np.stack(records)
+
+
+# every detector family as the CLI builds it, plus a Hamiltonian case
+SYSTEMS = {**{family: lambda family=family: family_system(family) for family in cli.FAMILIES},
+           "hamiltonian": hamiltonian_system}
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_liouvillian_matches_rhs(name, rng):
+    gen, state = SYSTEMS[name]()
+    rho = random_hybrid_state(state.classical_dim, state.quantum_dim, rng).blocks
+    lv = gen.liouvillian()
+    assert lv.shape == (rho.size, rho.size)
+    np.testing.assert_allclose(lv @ rho.ravel(), gen.rhs(rho).ravel(), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("stepper", [_dense_step, _matrix_free_step])
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_both_paths_match_the_reference_rk4_loop(name, stepper):
+    gen, state = SYSTEMS[name]()
+    config = EvolutionConfig(step=0.01, duration=2.0, record_every=10)
+    traj = _integrate(stepper(gen, config.step), state.blocks, config)
+    np.testing.assert_allclose(traj.blocks, reference_rk4(gen, state.blocks, config),
+                               rtol=0, atol=1e-13)
+    assert traj.times.tolist() == [step * 0.01 for step in config.record_steps()]
+
+
+# The large-dim benchmark shapes (family, quantum dim, channels, steps): a
+# dense N x N propagator would cost more operations or memory there.
+LARGE_SHAPES = [("n_state", 8, 3, 60), ("n_state", 12, 4, 20),
+                ("filter", 24, 1, 30), ("filter", 36, 1, 10)]
+
+
+@pytest.mark.parametrize("family, dim, channels, steps", LARGE_SHAPES)
+def test_path_rule_takes_matrix_free_for_large_generators(family, dim, channels, steps):
+    if family == "n_state":
+        couplings = NStateDetectorSpec(1.0, tuple(basis_projector(dim, i)
+                                                  for i in range(channels))).couplings()
+    else:
+        couplings = [FilterSpec(1.0, basis_projector(dim, 0)).coupling()]
+    state = product_state(basis_projector(dim, 0), [1.0] + [0.0] * channels)
+    assert not _dense_pays(Generator.prepare(couplings, state=state), steps)
+
+
+@pytest.mark.parametrize("path", sorted(SHIPPED_CONFIGS.glob("*.ini")), ids=lambda p: p.stem)
+def test_path_rule_takes_the_propagator_for_shipped_configs(path):
+    _, _, system, state, config = cli._load_system(str(path))
+    gen = Generator.prepare(system.couplings, state=state)
+    assert _dense_pays(gen, config.n_steps)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_integration_stops_at_the_first_non_finite_record(bad):
+    # an off-diagonal entry leaves the trace alone; it must still be caught
+    state = product_state(basis_projector(2, 0), [1.0, 0.0])
+    calls = []
+
+    def advance(v):
+        calls.append(v)
+        v = v.copy()
+        if len(calls) == 3:
+            v[1] = bad  # block 0, row 0, column 1
+        return v
+
+    with np.errstate(invalid="ignore"), pytest.raises(TraceDriftError, match="t=0.3"):
+        _integrate(advance, state.blocks, EvolutionConfig(step=0.1, duration=100.0))
+    assert len(calls) == 3
