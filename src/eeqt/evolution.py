@@ -40,6 +40,9 @@ MAX_STEPS = 10 ** 7
 # The dense path holds three N x N complex arrays at once (L, T4 and a
 # product); it is never taken when they would need more bytes than this.
 DENSE_MEMORY_CEILING = 64 * 2 ** 20
+# evolve refuses a run whose records, kept as complex (n+1, d, d) arrays,
+# would need more bytes than this; MAX_STEPS alone still allows 10^7 records.
+MAX_RECORD_BYTES = 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -138,6 +141,10 @@ class EvolutionConfig:
     def n_steps(self) -> int:
         return round(self.duration / self.step)
 
+    @property
+    def n_records(self) -> int:
+        return len(range(0, self.n_steps, self.record_every)) + 1
+
     def record_steps(self):
         """Yield the recorded step numbers: 0, every ``record_every``-th, and the last."""
         yield from range(0, self.n_steps, self.record_every)
@@ -156,14 +163,11 @@ class Generator:
         Coupling operators stacked to shape (m, n+1, n+1, d, d).
     gain : np.ndarray | None
         Diagonal blocks of sum_i Vi Vi*, shape (n+1, d, d).
-    dims : tuple | None
-        (n+1, d), from the state, the couplings or the Hamiltonian.
     """
 
     h: np.ndarray | None = field(repr=False)
     vs: np.ndarray | None = field(repr=False)
     gain: np.ndarray | None = field(repr=False)
-    dims: tuple | None
 
     @classmethod
     def prepare(cls, couplings=(), hamiltonian=None,
@@ -183,11 +187,8 @@ class Generator:
             dev = np.max(np.abs(h - h.conj().transpose(0, 2, 1)))
             if dev > HERMITICITY_TOL:
                 raise ValueError(f"Hamiltonian block not Hermitian: max dev {dev:.3g}")
-        dims = None if vs is None else (vs.shape[1], vs.shape[3])
-        if dims is None and h is not None:
-            dims = h.shape[:2]
         if state is not None:
-            n, d = dims = state.classical_dim, state.quantum_dim
+            n, d = state.classical_dim, state.quantum_dim
             if h is not None and h.shape != (n, d, d):
                 raise ValueError(
                     f"Hamiltonian shape {h.shape} does not match state ({n}, {d}, {d})"
@@ -198,7 +199,7 @@ class Generator:
                 )
         # G[alpha] = sum_{i, gamma} V[i, alpha, gamma] V[i, alpha, gamma]^dagger
         gain = None if vs is None else np.einsum("iagxz,iagwz->axw", vs, vs.conj())
-        return cls(h, vs, gain, dims)
+        return cls(h, vs, gain)
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
         """Time derivative of the (n+1, d, d) block array `rho`."""
@@ -211,8 +212,10 @@ class Generator:
             out -= 0.5 * (gain @ rho + rho @ gain)
         return out
 
-    def liouvillian(self) -> np.ndarray:
-        """Dense N x N generator L, N = (n+1) d^2: L @ rho.ravel() == rhs(rho).ravel().
+    def liouvillian(self, shape: tuple) -> np.ndarray:
+        """Dense N x N generator L on (n+1, d, d) blocks `shape`, N = (n+1) d^2.
+
+        L @ rho.ravel() == rhs(rho).ravel() for every rho of that shape.
 
         Rows and columns run over (alpha, m, w) in the C order of the block
         array.  The couplings give
@@ -220,7 +223,7 @@ class Generator:
         each diagonal block adds kron(K, 1) + kron(1, conj(K)) with
         K = -iH - G/2, since -i[H, rho] - {G, rho}/2 = K rho + rho K^dagger.
         """
-        n1, d = self.dims
+        n1, d = shape[:2]
         size = n1 * d * d
         if self.vs is None:
             out = np.zeros((size, size), dtype=complex)
@@ -336,10 +339,17 @@ def evolve(
     operations (``_dense_pays``).  Raises TraceDriftError at the first record
     whose total trace drifts beyond ``config.trace_tol`` or that is not
     finite (step too large), and ValueError if the couplings fail the
-    structural CP check.
+    structural CP check or the records would need more than
+    ``MAX_RECORD_BYTES``.
     """
     if config is None:
         raise ValueError("an EvolutionConfig is required")
+    shape = state.blocks.shape
+    need = config.n_records * state.blocks.nbytes
+    if need > MAX_RECORD_BYTES:
+        raise ValueError(f"{config.n_records} records of shape {shape} need "
+                         f"{need / 2 ** 30:.3g} GiB, above the {MAX_RECORD_BYTES / 2 ** 30:g} "
+                         f"GiB limit (MAX_RECORD_BYTES); raise record_every")
     gen = Generator.prepare(couplings, hamiltonian, state)
     if check_cp:
         report = gen.cp_report()
@@ -347,20 +357,21 @@ def evolve(
             raise ValueError(f"coupling operators fail CP conditions: {report.summary()}")
     # an unstable step overflows to inf and NaN; the record check reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        stepper = _dense_step if _dense_pays(gen, config.n_steps) else _matrix_free_step
-        return _integrate(stepper(gen, config.step), state.blocks, config)
+        stepper = _dense_step if _dense_pays(gen, shape, config.n_steps) else _matrix_free_step
+        return _integrate(stepper(gen, shape, config.step), state.blocks, config)
 
 
-def _dense_pays(gen: Generator, n_steps: int) -> bool:
+def _dense_pays(gen: Generator, shape: tuple, n_steps: int) -> bool:
     """Whether T4(hL) costs fewer complex multiply-adds than RK4 on ``rhs``.
 
-    Dense: m N^2 to build L, 3 N^3 for the three products of T4's Horner form
-    and N^2 per step.  Matrix-free: four ``rhs`` calls per step, each two d x d
-    products per coupling block (m (n+1)^2 of them) and per classical block
-    for the gain and for the Hamiltonian.  The dense path is never taken
-    above ``DENSE_MEMORY_CEILING``.
+    `shape` is the (n+1, d, d) shape of the state's blocks.  Dense: m N^2 to
+    build L, 3 N^3 for the three products of T4's Horner form and N^2 per
+    step.  Matrix-free: four ``rhs`` calls per step, each two d x d products
+    per coupling block (m (n+1)^2 of them) and per classical block for the
+    gain and for the Hamiltonian.  The dense path is never taken above
+    ``DENSE_MEMORY_CEILING``.
     """
-    n1, d = gen.dims
+    n1, d = shape[:2]
     size = n1 * d * d
     if 3 * 16 * size ** 2 > DENSE_MEMORY_CEILING:
         return False
@@ -370,7 +381,7 @@ def _dense_pays(gen: Generator, n_steps: int) -> bool:
     return dense < n_steps * 4 * blocks * 2 * d ** 3
 
 
-def _dense_step(gen: Generator, dt: float):
+def _dense_step(gen: Generator, shape: tuple, dt: float):
     """One RK4 step of the flat state as v + (T4(dt L) - I) @ v.
 
     T4 - I = A (I + A/2 (I + A/3 (I + A/4))) with A = dt L is the RK4 update
@@ -378,7 +389,7 @@ def _dense_step(gen: Generator, dt: float):
     exact, as RK4's own rho + dt/6 (...) does, so rounding does not build up
     over many steps.  Three N x N arrays are alive at once.
     """
-    a = gen.liouvillian()
+    a = gen.liouvillian(shape)
     a *= dt
     t = a / 4
     for k in (3, 2, 1):
@@ -388,11 +399,8 @@ def _dense_step(gen: Generator, dt: float):
     return lambda v: v + t.dot(v)
 
 
-def _matrix_free_step(gen: Generator, dt: float):
+def _matrix_free_step(gen: Generator, shape: tuple, dt: float):
     """One classical RK4 step of the flat state, four ``rhs`` calls."""
-    n1, d = gen.dims
-    shape = (n1, d, d)
-
     def advance(v):
         rho = v.reshape(shape)
         k1 = gen.rhs(rho)

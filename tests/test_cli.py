@@ -352,6 +352,10 @@ BAD_CONFIGS = [
                  id="endless-duration"),
     pytest.param("simulate", BINARY_CONFIG.replace("step = 0.01", "step = 1e-200"),
                  id="vanishing-step"),
+    # 10^7 steps, each recorded: about 386 GiB of records, refused before any step
+    pytest.param("simulate", LARGE_FILTER_CONFIG.replace("step = 0.01", "step = 1e-6")
+                 .replace("duration = 0.1", "duration = 10.0")
+                 .replace("record_every = 5", "record_every = 1"), id="records-beyond-memory"),
 ]
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from eeqt import cli
 from eeqt.detectors import FilterSpec, NStateDetectorSpec
+from eeqt import evolution
 from eeqt.evolution import (
     MAX_STEPS,
     CouplingOperator,
@@ -149,6 +150,27 @@ def test_config_rejects_more_than_max_steps(step, duration):
     with pytest.raises(ValueError, match="MAX_STEPS"):
         EvolutionConfig(step=step, duration=duration)
     assert EvolutionConfig(step=1.0, duration=float(MAX_STEPS)).n_steps == MAX_STEPS
+
+
+@pytest.mark.parametrize("step, duration, every", [
+    (0.01, 1.0, 1), (0.01, 1.0, 30), (0.01, 1.0, 100), (0.01, 1.0, 150), (1.0, 1.0, 1),
+])
+def test_config_counts_its_records(step, duration, every):
+    config = EvolutionConfig(step=step, duration=duration, record_every=every)
+    assert config.n_records == len(list(config.record_steps()))
+
+
+def test_evolve_refuses_records_beyond_max_record_bytes(monkeypatch):
+    # 101 records of 8 complex entries take 101 * 128 bytes; a run over the
+    # bound is refused before any step is taken or any record allocated
+    state = product_state(basis_projector(2, 0), [1.0, 0.0])
+    couplings = [binary_coupling(1.0, 0.0, basis_projector(2, 0))]
+    config = EvolutionConfig(step=0.01, duration=1.0)
+    monkeypatch.setattr(evolution, "MAX_RECORD_BYTES", 101 * 128)
+    assert len(evolve(state, couplings=couplings, config=config)) == 101
+    monkeypatch.setattr(evolution, "MAX_RECORD_BYTES", 101 * 128 - 1)
+    with pytest.raises(ValueError, match="MAX_RECORD_BYTES"):
+        evolve(state, couplings=couplings, config=config)
 
 
 def test_config_accepts_whole_multiples_up_to_rounding():
@@ -409,7 +431,7 @@ SYSTEMS = {**{family: lambda family=family: family_system(family) for family in 
 def test_liouvillian_matches_rhs(name, rng):
     gen, state = SYSTEMS[name]()
     rho = random_hybrid_state(state.classical_dim, state.quantum_dim, rng).blocks
-    lv = gen.liouvillian()
+    lv = gen.liouvillian(rho.shape)
     assert lv.shape == (rho.size, rho.size)
     np.testing.assert_allclose(lv @ rho.ravel(), gen.rhs(rho).ravel(), rtol=0, atol=1e-14)
 
@@ -419,7 +441,7 @@ def test_liouvillian_matches_rhs(name, rng):
 def test_both_paths_match_the_reference_rk4_loop(name, stepper):
     gen, state = SYSTEMS[name]()
     config = EvolutionConfig(step=0.01, duration=2.0, record_every=10)
-    traj = _integrate(stepper(gen, config.step), state.blocks, config)
+    traj = _integrate(stepper(gen, state.blocks.shape, config.step), state.blocks, config)
     np.testing.assert_allclose(traj.blocks, reference_rk4(gen, state.blocks, config),
                                rtol=0, atol=1e-13)
     assert traj.times.tolist() == [step * 0.01 for step in config.record_steps()]
@@ -439,14 +461,28 @@ def test_path_rule_takes_matrix_free_for_large_generators(family, dim, channels,
     else:
         couplings = [FilterSpec(1.0, basis_projector(dim, 0)).coupling()]
     state = product_state(basis_projector(dim, 0), [1.0] + [0.0] * channels)
-    assert not _dense_pays(Generator.prepare(couplings, state=state), steps)
+    gen = Generator.prepare(couplings, state=state)
+    assert not _dense_pays(gen, state.blocks.shape, steps)
+
+
+def test_path_rule_keeps_the_dense_path_under_its_memory_ceiling(monkeypatch):
+    # n_state, d = 12, 11 channels, 1000 steps: N = 1728, where T4 costs fewer
+    # operations, but its three N x N arrays would take about 137 MiB
+    dim, channels, steps = 12, 11, 1000
+    couplings = NStateDetectorSpec(1.0, tuple(basis_projector(dim, i)
+                                              for i in range(channels))).couplings()
+    state = product_state(basis_projector(dim, 0), [1.0] + [0.0] * channels)
+    gen = Generator.prepare(couplings, state=state)
+    assert not _dense_pays(gen, state.blocks.shape, steps)
+    monkeypatch.setattr(evolution, "DENSE_MEMORY_CEILING", math.inf)
+    assert _dense_pays(gen, state.blocks.shape, steps)
 
 
 @pytest.mark.parametrize("path", sorted(SHIPPED_CONFIGS.glob("*.ini")), ids=lambda p: p.stem)
 def test_path_rule_takes_the_propagator_for_shipped_configs(path):
     _, _, system, state, config = cli._load_system(str(path))
     gen = Generator.prepare(system.couplings, state=state)
-    assert _dense_pays(gen, config.n_steps)
+    assert _dense_pays(gen, state.blocks.shape, config.n_steps)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
