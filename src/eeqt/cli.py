@@ -56,13 +56,7 @@ from .planner import (
     plan_for_m,
     scan_plan,
 )
-from .shapes import (
-    ShapeTag3x3,
-    admissible_2x2,
-    admissible_3x3,
-    classify_topology,
-    enumerate_admissible_patterns,
-)
+from .shapes import TOPOLOGY_BY_TAG, admissible_2x2, admissible_3x3, enumerate_admissible_patterns
 from .states import basis_projector, offdiagonal_element, product_state, validate_state
 
 DEFAULT_SEED = 0
@@ -320,16 +314,8 @@ def _cmd_validate(args):
         for pattern in enumerate_admissible_patterns(dim):
             coupling = pattern.instantiate(_orthogonal_entries(pattern, rng))
             cp = check_cp_conditions([coupling])
-            if dim == 2:
-                cls = admissible_2x2(coupling)
-                topology = ""
-            else:
-                cls = admissible_3x3(coupling)
-                topology = (classify_topology(cls.tag).value
-                            if cls.tag in ShapeTag3x3.__members__.values()
-                            and cls.tag not in (ShapeTag3x3.DIAGONAL,
-                                                ShapeTag3x3.INADMISSIBLE)
-                            else "")
+            cls = (admissible_2x2 if dim == 2 else admissible_3x3)(coupling)
+            topology = TOPOLOGY_BY_TAG[cls.tag].value if cls.tag in TOPOLOGY_BY_TAG else ""
             support = ";".join(f"{a}{b}" for a, b in sorted(pattern.support))
             rows.append((dim, pattern.label, support,
                          cls.tag.name if cls.tag else "REJECTED",

@@ -13,6 +13,7 @@ rebuilt from the decay structure of its listed special cases.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -35,15 +36,12 @@ class BinaryDetectorSpec:
             raise ValueError("coupling constants must be non-negative")
         if self.k1 + self.k2 == 0:
             raise ValueError("at least one coupling constant must be positive")
-        check_projector(self.e)
+        object.__setattr__(self, "e", check_projector(self.e))
 
     def coupling(self) -> CouplingOperator:
         """Antidiagonal coupling operator over a 2-event classical space."""
-        d = self.e.shape[0]
-        blocks = np.zeros((2, 2, d, d), dtype=complex)
-        blocks[0, 1] = self.k1 * self.e
-        blocks[1, 0] = self.k2 * self.e
-        return CouplingOperator(blocks)
+        return CouplingOperator.from_entries(2, {(0, 1): self.k1 * self.e,
+                                                 (1, 0): self.k2 * self.e})
 
 
 @dataclass(frozen=True)
@@ -97,6 +95,15 @@ def balance_residual(spec: BinaryDetectorSpec, state: HybridState) -> float:
     return spec.k2 ** 2 * tr1 - spec.k1 ** 2 * tr0
 
 
+def _check_orthogonal(projectors: dict) -> None:
+    """Raise ValueError unless tr(ei ej) vanishes for every pair of named projectors."""
+    for (a, ea), (b, eb) in itertools.combinations(projectors.items(), 2):
+        overlap = abs(np.trace(ea @ eb))
+        if overlap > 1e-10:
+            raise ValueError(f"projectors {a} and {b} are not orthogonal: "
+                             f"|tr({a} {b})| = {overlap:.3g}")
+
+
 @dataclass(frozen=True)
 class TwoStateDetectorSpec:
     """Detector distinguishing two signals via orthogonal projectors e2, e3."""
@@ -114,22 +121,18 @@ class TwoStateDetectorSpec:
                 raise ValueError("coupling constants must be non-negative")
         if self.k1 + self.k2 == 0 and self.n1 + self.n2 == 0:
             raise ValueError("at least one channel must have a positive constant")
-        check_projector(self.e2)
-        check_projector(self.e3)
-        overlap = abs(np.trace(self.e2 @ self.e3))
-        if overlap > 1e-10:
-            raise ValueError(f"e2 and e3 are not orthogonal: |tr(e2 e3)| = {overlap:.3g}")
+        object.__setattr__(self, "e2", check_projector(self.e2))
+        object.__setattr__(self, "e3", check_projector(self.e3))
+        _check_orthogonal({"e2": self.e2, "e3": self.e3})
 
     def couplings(self) -> list:
         """The pair of single-focus coupling operators over 3 classical events."""
-        d = self.e2.shape[0]
-        v1 = np.zeros((3, 3, d, d), dtype=complex)
-        v1[0, 1] = self.k1 * self.e2
-        v1[1, 0] = self.k2 * self.e2
-        v2 = np.zeros((3, 3, d, d), dtype=complex)
-        v2[0, 2] = self.n1 * self.e3
-        v2[2, 0] = self.n2 * self.e3
-        return [CouplingOperator(v1), CouplingOperator(v2)]
+        return [
+            CouplingOperator.from_entries(3, {(0, 1): self.k1 * self.e2,
+                                              (1, 0): self.k2 * self.e2}),
+            CouplingOperator.from_entries(3, {(0, 2): self.n1 * self.e3,
+                                              (2, 0): self.n2 * self.e3}),
+        ]
 
 
 def _channel(weight: float, gain: float, loss: float, t: float, name: str) -> float:
@@ -175,14 +178,8 @@ class NStateDetectorSpec:
     def __post_init__(self):
         if self.k <= 0:
             raise ValueError("coupling constant k must be positive")
-        projectors = tuple(np.asarray(e, dtype=complex) for e in self.projectors)
-        for e in projectors:
-            check_projector(e)
-        for i, ei in enumerate(projectors):
-            for ej in projectors[i + 1:]:
-                overlap = abs(np.trace(ei @ ej))
-                if overlap > 1e-10:
-                    raise ValueError("n-state projectors must be mutually orthogonal")
+        projectors = tuple(check_projector(e) for e in self.projectors)
+        _check_orthogonal({f"e{i}": e for i, e in enumerate(projectors, start=1)})
         object.__setattr__(self, "projectors", projectors)
 
     @property
@@ -191,15 +188,9 @@ class NStateDetectorSpec:
 
     def couplings(self) -> list:
         """One coupling per channel: sqrt(k) e_i in block (0, i)."""
-        d = self.projectors[0].shape[0]
-        n = self.n_channels + 1
         root_k = math.sqrt(self.k)
-        out = []
-        for i, e in enumerate(self.projectors, start=1):
-            v = np.zeros((n, n, d, d), dtype=complex)
-            v[0, i] = root_k * e
-            out.append(CouplingOperator(v))
-        return out
+        return [CouplingOperator.from_entries(self.n_channels + 1, {(0, i): root_k * e})
+                for i, e in enumerate(self.projectors, start=1)]
 
 
 def n_state_trajectory(spec: NStateDetectorSpec, j: int, t: float) -> np.ndarray:
@@ -229,16 +220,13 @@ class FilterSpec:
     def __post_init__(self):
         if self.k <= 0:
             raise ValueError("coupling constant k must be positive")
-        check_projector(self.e1)
+        object.__setattr__(self, "e1", check_projector(self.e1))
 
     def coupling(self) -> CouplingOperator:
         """Antidiagonal coupling sqrt(k) * e1 on both off-diagonal blocks."""
-        d = self.e1.shape[0]
         root_k = math.sqrt(self.k)
-        blocks = np.zeros((2, 2, d, d), dtype=complex)
-        blocks[0, 1] = root_k * self.e1
-        blocks[1, 0] = root_k * self.e1
-        return CouplingOperator(blocks)
+        return CouplingOperator.from_entries(2, {(0, 1): root_k * self.e1,
+                                                 (1, 0): root_k * self.e1})
 
 
 def filter_quantum_output(diagonal_weights, offdiagonal_weights, spec: FilterSpec,

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import HERMITICITY_TOL, HybridState, block_eigenvalues
+from .states import HERMITICITY_TOL, HybridState, block_eigenvalues, operator_array
 
 BLOCK_ZERO_TOL = 1e-10
 # EvolutionConfig refuses more steps than this: even the smallest system
@@ -59,17 +59,7 @@ class CouplingOperator:
     blocks: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        blocks = np.asarray(self.blocks, dtype=complex)
-        if blocks.ndim != 4 or blocks.shape[0] != blocks.shape[1] \
-                or blocks.shape[2] != blocks.shape[3]:
-            raise ValueError(
-                f"blocks must have shape (n+1, n+1, d, d), got {blocks.shape}"
-            )
-        if not np.all(np.isfinite(blocks.view(float))):
-            raise ValueError("coupling blocks contain non-finite entries")
-        blocks = blocks.copy()
-        blocks.setflags(write=False)
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", operator_array(self.blocks, "coupling blocks", 4))
 
     @property
     def classical_dim(self) -> int:
@@ -80,28 +70,38 @@ class CouplingOperator:
         return self.blocks.shape[2]
 
     @classmethod
+    def from_entries(cls, classical_dim: int, entries,
+                     quantum_dim: int | None = None) -> "CouplingOperator":
+        """Build from a mapping {(alpha, beta): d x d operator}; unlisted blocks are zero.
+
+        Raises ValueError for a position outside [0, classical_dim) and for an
+        entry that is not d x d.  An all-zero coupling needs `quantum_dim`.
+        """
+        entries = {pos: operator_array(op, f"coupling entry {pos}", 2)
+                   for pos, op in entries.items()}
+        if quantum_dim is None:
+            if not entries:
+                raise ValueError("an all-zero coupling needs an explicit quantum_dim")
+            quantum_dim = len(next(iter(entries.values())))
+        n, d = classical_dim, quantum_dim
+        blocks = np.zeros((n, n, d, d), dtype=complex)
+        for (a, b), op in entries.items():
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"block position {(a, b)} outside [0, {n})")
+            if op.shape != (d, d):
+                raise ValueError(f"coupling entry {(a, b)} has shape {op.shape}, "
+                                 f"expected {(d, d)}")
+            blocks[a, b] = op
+        return cls(blocks)
+
+    @classmethod
     def from_grid(cls, grid, quantum_dim: int | None = None) -> "CouplingOperator":
         """Build from a nested sequence of matrices, with None meaning zero."""
-        n = len(grid)
-        d = quantum_dim
-        if d is None:
-            for row in grid:
-                for entry in row:
-                    if entry is not None:
-                        d = np.asarray(entry).shape[0]
-                        break
-                if d is not None:
-                    break
-        if d is None:
-            raise ValueError("all-zero grid needs an explicit quantum_dim")
-        blocks = np.zeros((n, n, d, d), dtype=complex)
-        for a, row in enumerate(grid):
-            if len(row) != n:
-                raise ValueError("coupling grid must be square")
-            for b, entry in enumerate(row):
-                if entry is not None:
-                    blocks[a, b] = np.asarray(entry, dtype=complex)
-        return cls(blocks)
+        if any(len(row) != len(grid) for row in grid):
+            raise ValueError("coupling grid must be square")
+        entries = {(a, b): entry for a, row in enumerate(grid)
+                   for b, entry in enumerate(row) if entry is not None}
+        return cls.from_entries(len(grid), entries, quantum_dim)
 
     def support(self, tol: float = 1e-12) -> frozenset:
         """Set of (alpha, beta) classical index pairs with an entry above `tol`."""
@@ -158,7 +158,7 @@ class Generator:
     Attributes
     ----------
     h : np.ndarray | None
-        Hermitian Hamiltonian blocks, shape (n+1, d, d).
+        Read-only copy of the Hermitian Hamiltonian blocks, shape (n+1, d, d).
     vs : np.ndarray | None
         Coupling operators stacked to shape (m, n+1, n+1, d, d).
     gain : np.ndarray | None
@@ -181,9 +181,7 @@ class Generator:
             vs = np.stack([v.blocks for v in couplings])
         h = None
         if hamiltonian is not None:
-            h = np.asarray(hamiltonian, dtype=complex)
-            if h.ndim != 3 or h.shape[1] != h.shape[2]:
-                raise ValueError(f"Hamiltonian blocks must be (n+1, d, d), got {h.shape}")
+            h = operator_array(hamiltonian, "Hamiltonian blocks", 3)
             dev = np.max(np.abs(h - h.conj().transpose(0, 2, 1)))
             if dev > HERMITICITY_TOL:
                 raise ValueError(f"Hamiltonian block not Hermitian: max dev {dev:.3g}")

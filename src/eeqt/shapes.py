@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .evolution import CouplingOperator
 
 PATTERN_ZERO_TOL = 1e-12
@@ -217,14 +215,10 @@ class CataloguePattern:
         ``entries`` maps each support position to a matrix, or is a single
         sequence of matrices assigned to the sorted support positions.
         """
-        positions = sorted(self.support)
         if not isinstance(entries, dict):
-            entries = dict(zip(positions, entries))
-        d = np.asarray(next(iter(entries.values()))).shape[0]
-        blocks = np.zeros((self.classical_dim, self.classical_dim, d, d), dtype=complex)
-        for pos in positions:
-            blocks[pos[0], pos[1]] = np.asarray(entries[pos], dtype=complex)
-        return CouplingOperator(blocks)
+            entries = dict(zip(sorted(self.support), entries))
+        return CouplingOperator.from_entries(
+            self.classical_dim, {pos: entries[pos] for pos in self.support})
 
 
 def enumerate_admissible_patterns(classical_dim: int) -> list:

@@ -20,13 +20,24 @@ POSITIVITY_TOL = 1e-9
 TRACE_TOL = 1e-9
 
 
-def _as_complex_matrix(a, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
+def operator_array(a, name: str, ndim: int) -> np.ndarray:
+    """Read-only complex copy of `a`, an array of square operators.
+
+    Raises ValueError, naming the array `name`, unless `a` has `ndim` axes,
+    none of them empty, square last two axes (with four axes, square first
+    two as well) and only finite entries.  State and coupling blocks,
+    Hamiltonians and projectors are all built here.
+    """
+    out = np.array(a, dtype=complex)
+    shape = out.shape
+    if (out.ndim != ndim or 0 in shape or shape[-1] != shape[-2]
+            or (ndim == 4 and shape[0] != shape[1])):
+        layout = "(" + "n+1, " * (ndim - 2) + "d, d)"
+        raise ValueError(f"{name} must have shape {layout}, got {shape}")
+    if not np.all(np.isfinite(out.view(float))):
         raise ValueError(f"{name} contains non-finite entries")
-    return a
+    out.setflags(write=False)
+    return out
 
 
 def basis_projector(dim: int, index: int) -> np.ndarray:
@@ -68,9 +79,12 @@ def random_projector(dim: int, rng: np.random.Generator) -> np.ndarray:
     return vector_projector(v)
 
 
-def check_projector(e, tol: float = IDEMPOTENCY_TOL) -> None:
-    """Raise ValueError unless `e` is a Hermitian, idempotent, trace-1 matrix."""
-    e = _as_complex_matrix(e, "projector")
+def check_projector(e, tol: float = IDEMPOTENCY_TOL) -> np.ndarray:
+    """Return `e` as a read-only complex matrix after checking it.
+
+    Raises ValueError unless `e` is a Hermitian, idempotent, trace-1 matrix.
+    """
+    e = operator_array(e, "projector", 2)
     herm = np.max(np.abs(e - e.conj().T))
     if herm > tol:
         raise ValueError(f"projector not Hermitian: max |e - e*| = {herm:.3g}")
@@ -80,6 +94,7 @@ def check_projector(e, tol: float = IDEMPOTENCY_TOL) -> None:
     tr = abs(np.trace(e) - 1.0)
     if tr > tol:
         raise ValueError(f"projector not normalized: |tr(e) - 1| = {tr:.3g}")
+    return e
 
 
 @dataclass(frozen=True)
@@ -97,18 +112,7 @@ class HybridState:
     blocks: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        blocks = np.asarray(self.blocks, dtype=complex)
-        if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
-            raise ValueError(
-                f"blocks must have shape (n+1, d, d), got {blocks.shape}"
-            )
-        if blocks.shape[0] < 1 or blocks.shape[1] < 1:
-            raise ValueError("need at least one classical event and dim >= 1")
-        if not np.all(np.isfinite(blocks.view(float))):
-            raise ValueError("blocks contain non-finite entries")
-        blocks = blocks.copy()
-        blocks.setflags(write=False)
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", operator_array(self.blocks, "state blocks", 3))
 
     @property
     def classical_dim(self) -> int:
@@ -187,7 +191,7 @@ def product_state(w, p) -> HybridState:
     p : array_like
         Classical probability vector.
     """
-    w = _as_complex_matrix(w, "quantum state")
+    w = operator_array(w, "quantum state", 2)
     tr = np.trace(w).real
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"quantum state has trace {tr:.12g}, expected 1")

@@ -257,6 +257,23 @@ class TestFilter:
                                        atol=1e-7)
 
 
+def test_specs_keep_read_only_copies_of_their_projectors():
+    e, f = basis_projector(3, 0), basis_projector(3, 1)
+    specs = [BinaryDetectorSpec(1.0, 0.5, e), TwoStateDetectorSpec(1.0, 0.5, 1.0, 0.5, e, f),
+             NStateDetectorSpec(1.0, (e, f)), FilterSpec(1.0, e)]
+
+    def blocks(spec):
+        couplings = spec.couplings() if hasattr(spec, "couplings") else [spec.coupling()]
+        return [v.blocks for v in couplings]
+
+    before = [blocks(spec) for spec in specs]
+    e[0, 0] = f[1, 1] = 0.0
+    for spec, old in zip(specs, before):
+        for new, expected in zip(blocks(spec), old, strict=True):
+            np.testing.assert_array_equal(new, expected)
+    assert not specs[0].e.flags.writeable
+
+
 def test_oracle_equivalence_small_sample(rng):
     # light version of the 50-draw comparison in the acceptance suite
     for _ in range(5):

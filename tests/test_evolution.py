@@ -1,5 +1,6 @@
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,28 @@ def test_rhs_dimension_mismatch(rng):
         liouville_rhs(state, hamiltonian=np.zeros((3, 2, 2)))
     with pytest.raises(ValueError):
         liouville_rhs(state, couplings=[binary_coupling(1.0, 0.0, np.eye(3))])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_hamiltonian_is_rejected_without_warning(bad, rng):
+    state = random_hybrid_state(2, 2, rng)
+    h = np.zeros((2, 2, 2), dtype=complex)
+    h[1, 0, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="non-finite"):
+            Generator.prepare([], h)
+        with pytest.raises(ValueError, match="non-finite"):
+            liouville_rhs(state, hamiltonian=h)
+
+
+def test_generator_keeps_a_read_only_copy_of_the_hamiltonian(rng):
+    h = np.stack([random_density(2, rng) for _ in range(2)])
+    expected = h.copy()
+    gen = Generator.prepare([], h)
+    h[0, 0, 0] = 5.0
+    np.testing.assert_array_equal(gen.h, expected)
+    assert not gen.h.flags.writeable
 
 
 def test_evolve_constant_without_couplings(rng):
@@ -367,10 +390,31 @@ def test_coupling_from_grid_and_support():
     e = basis_projector(2, 0)
     coupling = CouplingOperator.from_grid([[None, e], [2.0 * e, None]])
     assert coupling.support() == {(0, 1), (1, 0)}
+    placed = CouplingOperator.from_entries(3, {(0, 2): e, (2, 1): 2.0 * e})
+    expected = np.zeros((3, 3, 2, 2), dtype=complex)
+    expected[0, 2], expected[2, 1] = e, 2.0 * e
+    np.testing.assert_array_equal(placed.blocks, expected)
     empty = CouplingOperator.from_grid([[None, None], [None, None]], quantum_dim=2)
     assert empty.support() == frozenset()
+    assert CouplingOperator.from_entries(2, {}, quantum_dim=3).blocks.shape == (2, 2, 3, 3)
     with pytest.raises(ValueError):
         CouplingOperator.from_grid([[None, None], [None, None]])
+    with pytest.raises(ValueError):
+        CouplingOperator.from_entries(2, {})
+    with pytest.raises(ValueError, match="square"):
+        CouplingOperator.from_grid([[None, e]])
+
+
+@pytest.mark.parametrize("entries", [
+    {(-1, 0): basis_projector(2, 0)},
+    {(2, 0): basis_projector(2, 0)},
+    {(0, 1): 2.0},
+    {(0, 1): np.ones((2, 3))},
+    {(0, 1): basis_projector(2, 0), (1, 0): basis_projector(3, 0)},
+], ids=["negative-row", "row-past-end", "scalar", "non-square", "mismatched-dim"])
+def test_from_entries_rejects_entries_outside_the_block_layout(entries):
+    with pytest.raises(ValueError):
+        CouplingOperator.from_entries(2, entries)
 
 
 SHIPPED_CONFIGS = pathlib.Path(__file__).parents[1] / "configs"

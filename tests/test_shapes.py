@@ -210,3 +210,9 @@ def test_instantiate_assigns_entries_in_sorted_position_order(rng):
     cls = admissible_3x3(coupling)
     assert isinstance(cls, Classification3x3)
     assert cls.tag is ShapeTag3x3.W9
+
+
+def test_instantiate_rejects_support_outside_the_classical_space():
+    pattern = CataloguePattern("bad", 2, frozenset({(-1, 0)}), ShapeTag2x2.LOWER_ONLY)
+    with pytest.raises(ValueError):
+        pattern.instantiate([basis_projector(2, 0)])

@@ -9,6 +9,7 @@ from eeqt.states import (
     check_projector,
     classical_marginal,
     offdiagonal_element,
+    operator_array,
     product_state,
     quantum_marginal,
     random_projector,
@@ -99,7 +100,10 @@ def test_validate_state_flags_non_hermitian_block():
 
 
 def test_projector_constructors_satisfy_projector_checks(rng):
-    check_projector(basis_projector(4, 2))
+    e = basis_projector(4, 2)
+    checked = check_projector(e)
+    np.testing.assert_array_equal(checked, e)
+    assert not checked.flags.writeable
     check_projector(vector_projector([1.0, 1.0j, 0.0]))
     for _ in range(20):
         check_projector(random_projector(5, rng))
@@ -127,3 +131,16 @@ def test_hybrid_state_blocks_are_write_protected(rng):
     state = random_hybrid_state(2, 2, rng)
     with pytest.raises(ValueError):
         state.blocks[0, 0, 0] = 5.0
+
+
+@pytest.mark.parametrize("a, ndim", [
+    (np.eye(2)[None], 2),
+    (np.zeros((0, 2, 2)), 3),
+    (np.zeros((2, 2, 3)), 3),
+    (np.zeros((2, 3, 2, 2)), 4),
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), 2),
+    (np.array([[1.0, 0.0], [np.inf, 1.0]]), 2),
+], ids=["axes", "empty-axis", "non-square", "non-square-block-grid", "nan", "inf"])
+def test_operator_array_rejects_malformed_operators(a, ndim):
+    with pytest.raises(ValueError, match="thing"):
+        operator_array(a, "thing", ndim)
