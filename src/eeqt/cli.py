@@ -75,21 +75,25 @@ class OutputError(Exception):
     """The ``--output`` file cannot be written; a usage error."""
 
 
-def _write_csv(path, header, rows, meta):
+def _write_csv(args, header, rows, digest=None, meta=()):
+    """CSV to ``args.output`` after the metadata: tool, command, digest (if any), seed, `meta`."""
+    meta = [("tool", f"eeqt {__version__}"), ("command", args.command),
+            *([] if digest is None else [("config_sha256", digest)]),
+            ("seed", args.seed), *meta]
     lines = [f"# {key}: {value}" for key, value in meta]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, (int, float, np.floating)) else str(v)
                               for v in row))
     text = "\n".join(lines) + "\n"
-    if path == "-":
+    if args.output == "-":
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w") as fh:
+        with open(args.output, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise OutputError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
 
 
 class _Config(configparser.ConfigParser):
@@ -267,9 +271,7 @@ def _load_system(path):
 def _write_system_csv(args, digest, family, system, rows, columns=(), meta=()):
     """CSV of t, p_0..p_n and `columns`, with the metadata of simulate and efficiency."""
     header = ["t"] + [f"p_{i}" for i in range(system.classical_dim)] + list(columns)
-    _write_csv(args.output, header, rows,
-               [("tool", f"eeqt {__version__}"), ("command", args.command),
-                ("config_sha256", digest), ("seed", args.seed), ("family", family), *meta])
+    _write_csv(args, header, rows, digest, [("family", family), *meta])
 
 
 def _cmd_simulate(args):
@@ -326,11 +328,9 @@ def _cmd_validate(args):
                 f"topology={topology or '-':<24} cp={'pass' if cp.ok else 'FAIL'}"
                 + (f" duplicate of {pattern.duplicate_of}" if pattern.duplicate_of else "")
             )
-    meta = [("tool", f"eeqt {__version__}"), ("command", "validate"),
-            ("seed", args.seed)]
     header = ["classical_dim", "pattern", "support", "tag", "topology", "cp_pass",
               "duplicate_of"]
-    _write_csv(args.output, header, rows, meta)
+    _write_csv(args, header, rows)
     print("\n".join(report_lines))
     return EXIT_OK
 
@@ -357,10 +357,8 @@ def _cmd_plan(args):
                    f"accuracy={_fmt(scenario.accuracy)} margin={_fmt(scenario.margin)} "
                    f"confidence={_fmt(scenario.confidence_target)} m_max={args.m_max}")
     digest = hashlib.sha256(flag_string.encode()).hexdigest()[:16]
-    meta = [("tool", f"eeqt {__version__}"), ("command", "plan"),
-            ("config_sha256", digest), ("seed", args.seed), ("scenario", flag_string)]
     header = ["m", "i_minus", "i_plus", "set_lo", "set_hi", "confidence"]
-    _write_csv(args.output, header, rows, meta)
+    _write_csv(args, header, rows, digest, [("scenario", flag_string)])
     if first is None:
         print(f"no m <= {args.m_max} reaches confidence "
               f"{scenario.confidence_target:g} (minimal m = {minimal_m(scenario)})")

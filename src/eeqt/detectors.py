@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evolution import CouplingOperator
-from .states import HybridState, check_projector
+from .states import HybridState, check_projector, operator_array
 
 
 @dataclass(frozen=True)
@@ -256,12 +256,17 @@ def filter_quantum_marginal(rho_q: np.ndarray, spec: FilterSpec, t: float) -> np
 
     rho_q(t) = rho_q + (exp(-k t / 2) - 1) ({e1, rho_q} - 2 e1 rho_q e1):
     the e1-diagonal and fully orthogonal parts are untouched while the
-    cross terms decay.
+    cross terms decay.  Raises ValueError for a negative time, for a
+    `rho_q` that is not a finite square matrix and for one whose dimension
+    differs from the projector's.
     """
     if t < 0:
         raise ValueError("time must be non-negative")
     e = spec.e1
-    rho_q = np.asarray(rho_q, dtype=complex)
+    rho_q = operator_array(rho_q, "quantum input", 2)
+    if rho_q.shape != e.shape:
+        raise ValueError(f"quantum input has shape {rho_q.shape}, "
+                         f"but the filter projector has {e.shape}")
     anti = e @ rho_q + rho_q @ e
     return rho_q + (math.exp(-0.5 * spec.k * t) - 1.0) * (anti - 2.0 * (e @ rho_q @ e))
 

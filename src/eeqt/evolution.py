@@ -3,14 +3,17 @@
 Integrates the Liouville equation
 
     drho/dt = -i[H, rho] + sum_i Vi* rho Vi - 1/2 {sum_i Vi Vi*, rho}
+            = K rho + rho K^dagger + sum_i Vi* rho Vi,   K = -iH - G/2,
 
 blockwise for block-diagonal states, with a fixed-step classical RK4
-integrator.  Coupling operators are block matrices over classical index
-pairs whose entries are quantum operators.  A ``Generator`` validates and
-stacks a Hamiltonian and couplings once; the right-hand side, the dense
-Liouvillian, the integrator, the rate equations and the structural
-complete-positivity check all work from it.  The CP check is exact: it reads
-the block pattern of each coupling instead of sampling probe operators.
+integrator; G holds the diagonal blocks of sum_i Vi Vi*.  Coupling operators
+are block matrices over classical index pairs whose entries are quantum
+operators.  A ``Generator`` validates a Hamiltonian and couplings once and
+keeps two arrays, the blocks of K and the coupling stack; the right-hand
+side, the dense Liouvillian, the integrator, the rate equations and the
+structural complete-positivity check all work from it.  The CP check is
+exact: it reads the block pattern of each coupling instead of sampling probe
+operators.
 
 The generator L is linear and constant in time, so one RK4 step of size h is
 exactly the matrix polynomial T4(hL) = I + hL + (hL)^2/2 + (hL)^3/6 +
@@ -155,87 +158,80 @@ class EvolutionConfig:
 class Generator:
     """Validated Hamiltonian and couplings, prepared once for repeated use.
 
+    The Liouville equation is stored in the form of Blanchard and Jadczyk,
+
+        drho/dt = K rho + rho K^dagger + sum_i Vi* rho Vi,  K = -iH - G/2,
+
+    where G holds the diagonal blocks of sum_i Vi Vi*.
+
     Attributes
     ----------
-    h : np.ndarray | None
-        Read-only copy of the Hermitian Hamiltonian blocks, shape (n+1, d, d).
-    vs : np.ndarray | None
-        Coupling operators stacked to shape (m, n+1, n+1, d, d).
-    gain : np.ndarray | None
-        Diagonal blocks of sum_i Vi Vi*, shape (n+1, d, d).
+    k : np.ndarray
+        Read-only blocks of K, shape (n+1, d, d); zero when there is neither
+        a Hamiltonian nor a coupling.
+    vs : np.ndarray
+        Read-only coupling operators stacked to shape (m, n+1, n+1, d, d);
+        m may be 0.
     """
 
-    h: np.ndarray | None = field(repr=False)
-    vs: np.ndarray | None = field(repr=False)
-    gain: np.ndarray | None = field(repr=False)
+    k: np.ndarray = field(repr=False)
+    vs: np.ndarray = field(repr=False)
 
     @classmethod
     def prepare(cls, couplings=(), hamiltonian=None,
                 state: HybridState | None = None) -> "Generator":
-        """Stack and validate; with `state`, also check its (n+1, d)."""
+        """Stack and validate.
+
+        The couplings, the Hamiltonian and the state must agree on (n+1, d),
+        which is taken from whichever of them is given.  Raises ValueError
+        when they disagree or none is given.
+        """
         couplings = list(couplings)
-        vs = None
-        if couplings:
-            if len({v.blocks.shape for v in couplings}) != 1:
-                raise ValueError("coupling operators have mismatched shapes")
-            vs = np.stack([v.blocks for v in couplings])
-        h = None
+        shapes = {f"coupling {i}": v.blocks.shape[1:3] for i, v in enumerate(couplings)}
         if hamiltonian is not None:
             h = operator_array(hamiltonian, "Hamiltonian blocks", 3)
             dev = np.max(np.abs(h - h.conj().transpose(0, 2, 1)))
             if dev > HERMITICITY_TOL:
                 raise ValueError(f"Hamiltonian block not Hermitian: max dev {dev:.3g}")
+            shapes["Hamiltonian"] = h.shape[:2]
         if state is not None:
-            n, d = state.classical_dim, state.quantum_dim
-            if h is not None and h.shape != (n, d, d):
-                raise ValueError(
-                    f"Hamiltonian shape {h.shape} does not match state ({n}, {d}, {d})"
-                )
-            if vs is not None and vs.shape[1:] != (n, n, d, d):
-                raise ValueError(
-                    f"coupling shape {vs.shape[1:]} does not match state ({n}, {n}, {d}, {d})"
-                )
+            shapes["state"] = state.blocks.shape[:2]
+        if len(set(shapes.values())) != 1:
+            raise ValueError("couplings, Hamiltonian and state disagree on (n+1, d): "
+                             + (", ".join(f"{name} {s}" for name, s in shapes.items())
+                                or "none of them is given"))
+        n1, d = next(iter(shapes.values()))
+        vs = np.array([v.blocks for v in couplings], dtype=complex).reshape(-1, n1, n1, d, d)
         # G[alpha] = sum_{i, gamma} V[i, alpha, gamma] V[i, alpha, gamma]^dagger
-        gain = None if vs is None else np.einsum("iagxz,iagwz->axw", vs, vs.conj())
-        return cls(h, vs, gain)
+        k = -0.5 * np.einsum("iagxz,iagwz->axw", vs, vs.conj())
+        if hamiltonian is not None:
+            k -= 1j * h
+        vs.setflags(write=False)
+        k.setflags(write=False)
+        return cls(k, vs)
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
         """Time derivative of the (n+1, d, d) block array `rho`."""
-        h, vs, gain = self.h, self.vs, self.gain
-        out = np.zeros_like(rho)
-        if h is not None:
-            out += -1j * (h @ rho - rho @ h)
-        if vs is not None:
-            out += _sandwich(vs, rho)
-            out -= 0.5 * (gain @ rho + rho @ gain)
-        return out
+        return self.k @ rho + rho @ self.k.conj().swapaxes(-1, -2) + _sandwich(self.vs, rho)
 
-    def liouvillian(self, shape: tuple) -> np.ndarray:
-        """Dense N x N generator L on (n+1, d, d) blocks `shape`, N = (n+1) d^2.
+    def liouvillian(self) -> np.ndarray:
+        """Dense N x N generator L on (n+1, d, d) blocks, N = (n+1) d^2.
 
         L @ rho.ravel() == rhs(rho).ravel() for every rho of that shape.
 
         Rows and columns run over (alpha, m, w) in the C order of the block
         array.  The couplings give
         L[(a, m, w), (g, x, z)] = sum_i conj(V[i, g, a, x, m]) V[i, g, a, z, w];
-        each diagonal block adds kron(K, 1) + kron(1, conj(K)) with
-        K = -iH - G/2, since -i[H, rho] - {G, rho}/2 = K rho + rho K^dagger.
+        each diagonal block adds kron(K, 1) + kron(1, conj(K)), the matrix of
+        rho -> K rho + rho K^dagger.
         """
-        n1, d = shape[:2]
+        n1, d = self.k.shape[:2]
         size = n1 * d * d
-        if self.vs is None:
-            out = np.zeros((size, size), dtype=complex)
-        else:
-            out = np.einsum("igaxm,igazw->amwgxz", self.vs.conj(), self.vs).reshape(size, size)
-        k = np.zeros((n1, d, d), dtype=complex)
-        if self.h is not None:
-            k -= 1j * self.h
-        if self.gain is not None:
-            k -= 0.5 * self.gain
+        out = np.einsum("igaxm,igazw->amwgxz", self.vs.conj(), self.vs).reshape(size, size)
         eye = np.eye(d)
         blocks = out.reshape(n1, d * d, n1, d * d)  # a view of out
-        for a in range(n1):
-            blocks[a, :, a] += np.kron(k[a], eye) + np.kron(eye, k[a].conj())
+        for a, k in enumerate(self.k):
+            blocks[a, :, a] += np.kron(k, eye) + np.kron(eye, k.conj())
         return out
 
     def cp_report(self, tol: float = BLOCK_ZERO_TOL) -> "CPReport":
@@ -249,29 +245,24 @@ class Generator:
         sum_gamma |Vi[gamma, alpha]|_F |Vi[gamma, beta]|_F bounds the
         off-diagonal block for every A whose blocks have unit norm.
         """
-        if self.vs is None:
-            return CPReport(0.0, 0.0, (), tol)
         vs = self.vs
-        n = vs.shape[1]
-        offdiag = ~np.eye(n, dtype=bool)
+        offdiag = ~np.eye(vs.shape[1], dtype=bool)
         violations = []
 
         # war1: off-diagonal blocks of sum_i Vi Vi*
         gain_full = np.einsum("iagxz,ibgwz->abxw", vs, vs.conj())
         gain_mags = np.max(np.abs(gain_full), axis=(2, 3))
-        gain_worst = float(gain_mags[offdiag].max()) if n > 1 else 0.0
         for a, b in zip(*np.nonzero((gain_mags > tol) & offdiag)):
             violations.append(("gain", None, int(a), int(b), float(gain_mags[a, b])))
 
         # war2: two nonzero blocks in one block row of some Vi
         norms = np.linalg.norm(vs, axis=(3, 4))
         leak = np.einsum("iga,igb->iab", norms, norms)
-        sandwich_worst = float(leak[:, offdiag].max()) if n > 1 else 0.0
         for i, a, b in zip(*np.nonzero((leak > tol) & offdiag)):
             violations.append(("sandwich", int(i), int(a), int(b), float(leak[i, a, b])))
         return CPReport(
-            gain_offdiag=gain_worst,
-            sandwich_offdiag=sandwich_worst,
+            gain_offdiag=float(gain_mags[offdiag].max(initial=0.0)),
+            sandwich_offdiag=float(leak[:, offdiag].max(initial=0.0)),
             violations=tuple(violations),
             tol=tol,
         )
@@ -342,10 +333,9 @@ def evolve(
     """
     if config is None:
         raise ValueError("an EvolutionConfig is required")
-    shape = state.blocks.shape
     need = config.n_records * state.blocks.nbytes
     if need > MAX_RECORD_BYTES:
-        raise ValueError(f"{config.n_records} records of shape {shape} need "
+        raise ValueError(f"{config.n_records} records of shape {state.blocks.shape} need "
                          f"{need / 2 ** 30:.3g} GiB, above the {MAX_RECORD_BYTES / 2 ** 30:g} "
                          f"GiB limit (MAX_RECORD_BYTES); raise record_every")
     gen = Generator.prepare(couplings, hamiltonian, state)
@@ -355,31 +345,29 @@ def evolve(
             raise ValueError(f"coupling operators fail CP conditions: {report.summary()}")
     # an unstable step overflows to inf and NaN; the record check reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        stepper = _dense_step if _dense_pays(gen, shape, config.n_steps) else _matrix_free_step
-        return _integrate(stepper(gen, shape, config.step), state.blocks, config)
+        stepper = _dense_step if _dense_pays(gen, config.n_steps) else _matrix_free_step
+        return _integrate(stepper(gen, config.step), state.blocks, config)
 
 
-def _dense_pays(gen: Generator, shape: tuple, n_steps: int) -> bool:
+def _dense_pays(gen: Generator, n_steps: int) -> bool:
     """Whether T4(hL) costs fewer complex multiply-adds than RK4 on ``rhs``.
 
-    `shape` is the (n+1, d, d) shape of the state's blocks.  Dense: m N^2 to
-    build L, 3 N^3 for the three products of T4's Horner form and N^2 per
-    step.  Matrix-free: four ``rhs`` calls per step, each two d x d products
-    per coupling block (m (n+1)^2 of them) and per classical block for the
-    gain and for the Hamiltonian.  The dense path is never taken above
+    Dense: m N^2 to build L, 3 N^3 for the three products of T4's Horner
+    form and N^2 per step.  Matrix-free: four ``rhs`` calls per step, each
+    two d x d products per coupling block (m (n+1)^2 of them) and one K
+    product pair per classical block.  The dense path is never taken above
     ``DENSE_MEMORY_CEILING``.
     """
-    n1, d = shape[:2]
+    m, n1, _, d, _ = gen.vs.shape
     size = n1 * d * d
     if 3 * 16 * size ** 2 > DENSE_MEMORY_CEILING:
         return False
-    m = 0 if gen.vs is None else len(gen.vs)
-    blocks = m * n1 ** 2 + n1 * ((gen.gain is not None) + (gen.h is not None))
+    blocks = m * n1 ** 2 + n1
     dense = m * size ** 2 + 3 * size ** 3 + n_steps * size ** 2
     return dense < n_steps * 4 * blocks * 2 * d ** 3
 
 
-def _dense_step(gen: Generator, shape: tuple, dt: float):
+def _dense_step(gen: Generator, dt: float):
     """One RK4 step of the flat state as v + (T4(dt L) - I) @ v.
 
     T4 - I = A (I + A/2 (I + A/3 (I + A/4))) with A = dt L is the RK4 update
@@ -387,7 +375,7 @@ def _dense_step(gen: Generator, shape: tuple, dt: float):
     exact, as RK4's own rho + dt/6 (...) does, so rounding does not build up
     over many steps.  Three N x N arrays are alive at once.
     """
-    a = gen.liouvillian(shape)
+    a = gen.liouvillian()
     a *= dt
     t = a / 4
     for k in (3, 2, 1):
@@ -397,10 +385,10 @@ def _dense_step(gen: Generator, shape: tuple, dt: float):
     return lambda v: v + t.dot(v)
 
 
-def _matrix_free_step(gen: Generator, shape: tuple, dt: float):
+def _matrix_free_step(gen: Generator, dt: float):
     """One classical RK4 step of the flat state, four ``rhs`` calls."""
     def advance(v):
-        rho = v.reshape(shape)
+        rho = v.reshape(gen.k.shape)
         k1 = gen.rhs(rho)
         k2 = gen.rhs(rho + 0.5 * dt * k1)
         k3 = gen.rhs(rho + 0.5 * dt * k2)
@@ -472,6 +460,9 @@ def check_cp_conditions(couplings, probes=(), tol: float = BLOCK_ZERO_TOL) -> CP
     for compatibility and ignored: no probe operator can reveal more than the
     block-row test already decides.
     """
+    couplings = list(couplings)
+    if not couplings:
+        return CPReport(0.0, 0.0, (), tol)
     return Generator.prepare(couplings).cp_report(tol)
 
 
@@ -482,14 +473,7 @@ def classical_rate_equations(state: HybridState, couplings) -> np.ndarray:
     commutator is traceless so only the couplings contribute.  The returned
     derivatives sum to zero.
     """
-    gen = Generator.prepare(couplings, state=state)
-    if gen.vs is None:
-        return np.zeros(state.classical_dim)
-    rho = state.blocks
-    # gain into alpha from gamma minus loss out of alpha
-    rates = np.trace(_sandwich(gen.vs, rho), axis1=1, axis2=2).real
-    rates -= np.einsum("axz,azx->a", gen.gain, rho).real
-    return rates
+    return np.trace(liouville_rhs(state, couplings=couplings), axis1=1, axis2=2).real
 
 
 def trajectory_rows(traj: Trajectory):

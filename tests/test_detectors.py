@@ -256,6 +256,15 @@ class TestFilter:
             np.testing.assert_allclose(quantum_marginal(traj.state(k)), predicted,
                                        atol=1e-7)
 
+    @pytest.mark.parametrize("rho_q, match", [
+        (np.full((2, 2), np.nan), "non-finite"),
+        (np.array([0.5, 0.5]), "shape"),
+        (np.eye(3) / 3, "projector"),
+    ], ids=["nan", "one-dimensional", "wrong-dimension"])
+    def test_quantum_marginal_rejects_malformed_input(self, rho_q, match):
+        with pytest.raises(ValueError, match=match):
+            filter_quantum_marginal(rho_q, FilterSpec(1.0, E0), 1.0)
+
 
 def test_specs_keep_read_only_copies_of_their_projectors():
     e, f = basis_projector(3, 0), basis_projector(3, 1)

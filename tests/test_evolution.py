@@ -101,11 +101,24 @@ def test_non_finite_hamiltonian_is_rejected_without_warning(bad, rng):
 
 def test_generator_keeps_a_read_only_copy_of_the_hamiltonian(rng):
     h = np.stack([random_density(2, rng) for _ in range(2)])
-    expected = h.copy()
+    expected = -1j * h
     gen = Generator.prepare([], h)
     h[0, 0, 0] = 5.0
-    np.testing.assert_array_equal(gen.h, expected)
-    assert not gen.h.flags.writeable
+    np.testing.assert_array_equal(gen.k, expected)
+    assert not gen.k.flags.writeable
+    assert gen.vs.shape == (0, 2, 2, 2, 2)
+    assert not gen.vs.flags.writeable
+
+
+def test_generator_refuses_disagreeing_shapes():
+    # an H of one block must not be broadcast over two-event couplings
+    couplings = [binary_coupling(1.0, 0.5, basis_projector(2, 0))]
+    with pytest.raises(ValueError, match="disagree"):
+        Generator.prepare(couplings, np.zeros((1, 2, 2)))
+    with pytest.raises(ValueError, match="disagree"):
+        Generator.prepare(couplings + [binary_coupling(1.0, 0.5, basis_projector(3, 0))])
+    with pytest.raises(ValueError, match="none of them"):
+        Generator.prepare()
 
 
 def test_evolve_constant_without_couplings(rng):
@@ -423,11 +436,12 @@ FAMILY_CONFIGS["none"] = "[detector]\nfamily = none\ndim = 2\nclassical_dim = 3\
 
 
 def family_system(family):
-    """Generator and initial state that cli.FAMILIES builds for a config of `family`."""
+    """Generator, initial state, Hamiltonian (None) and couplings that
+    cli.FAMILIES builds for a config of `family`."""
     config = cli._Config()
     config.read_string(FAMILY_CONFIGS[family])
     _, system, state = cli._build_system(config)
-    return Generator.prepare(system.couplings, state=state), state
+    return Generator.prepare(system.couplings, state=state), state, None, system.couplings
 
 
 def hamiltonian_system():
@@ -439,19 +453,27 @@ def hamiltonian_system():
     vs = [CouplingOperator(0.5 * (rng.normal(size=(n, n, d, d))
                                   + 1j * rng.normal(size=(n, n, d, d)))) for _ in range(2)]
     state = random_hybrid_state(n, d, rng)
-    return Generator.prepare(vs, h, state), state
+    return Generator.prepare(vs, h, state), state, h, vs
 
 
-def reference_rk4(gen, rho, config):
-    """Records of the classical RK4 loop on the unordered three-operand einsum."""
+def reference_rk4(hamiltonian, couplings, rho, config):
+    """Records of the classical RK4 loop on the unordered three-operand einsum.
+
+    Built from the raw Hamiltonian and couplings, not from a Generator: the
+    gain is the diagonal blocks of sum_i Vi Vi*, each Vi a dense (n+1) d
+    square matrix.
+    """
+    n1, d = rho.shape[:2]
+    h = np.zeros(rho.shape) if hamiltonian is None else hamiltonian
+    vs = np.array([v.blocks for v in couplings]).reshape(-1, n1, n1, d, d)
+    dense = vs.transpose(0, 1, 3, 2, 4).reshape(len(vs), n1 * d, n1 * d)
+    full = (dense @ dense.conj().swapaxes(1, 2)).sum(axis=0).reshape(n1, d, n1, d)
+    gain = np.stack([full[a, :, a] for a in range(n1)])
+
     def rhs(r):
-        out = np.zeros_like(r)
-        if gen.h is not None:
-            out += -1j * (gen.h @ r - r @ gen.h)
-        if gen.vs is not None:
-            out += np.einsum("igaxm,gxz,igazw->amw", gen.vs.conj(), r, gen.vs)
-            out -= 0.5 * (gen.gain @ r + r @ gen.gain)
-        return out
+        return (-1j * (h @ r - r @ h)
+                + np.einsum("igaxm,gxz,igazw->amw", vs.conj(), r, vs)
+                - 0.5 * (gain @ r + r @ gain))
 
     dt, records, done = config.step, [], 0
     for step in config.record_steps():
@@ -473,9 +495,9 @@ SYSTEMS = {**{family: lambda family=family: family_system(family) for family in 
 
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_liouvillian_matches_rhs(name, rng):
-    gen, state = SYSTEMS[name]()
+    gen, state, _, _ = SYSTEMS[name]()
     rho = random_hybrid_state(state.classical_dim, state.quantum_dim, rng).blocks
-    lv = gen.liouvillian(rho.shape)
+    lv = gen.liouvillian()
     assert lv.shape == (rho.size, rho.size)
     np.testing.assert_allclose(lv @ rho.ravel(), gen.rhs(rho).ravel(), rtol=0, atol=1e-14)
 
@@ -483,11 +505,11 @@ def test_liouvillian_matches_rhs(name, rng):
 @pytest.mark.parametrize("stepper", [_dense_step, _matrix_free_step])
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_both_paths_match_the_reference_rk4_loop(name, stepper):
-    gen, state = SYSTEMS[name]()
+    gen, state, hamiltonian, couplings = SYSTEMS[name]()
     config = EvolutionConfig(step=0.01, duration=2.0, record_every=10)
-    traj = _integrate(stepper(gen, state.blocks.shape, config.step), state.blocks, config)
-    np.testing.assert_allclose(traj.blocks, reference_rk4(gen, state.blocks, config),
-                               rtol=0, atol=1e-13)
+    traj = _integrate(stepper(gen, config.step), state.blocks, config)
+    reference = reference_rk4(hamiltonian, couplings, state.blocks, config)
+    np.testing.assert_allclose(traj.blocks, reference, rtol=0, atol=1e-13)
     assert traj.times.tolist() == [step * 0.01 for step in config.record_steps()]
 
 
@@ -506,7 +528,7 @@ def test_path_rule_takes_matrix_free_for_large_generators(family, dim, channels,
         couplings = [FilterSpec(1.0, basis_projector(dim, 0)).coupling()]
     state = product_state(basis_projector(dim, 0), [1.0] + [0.0] * channels)
     gen = Generator.prepare(couplings, state=state)
-    assert not _dense_pays(gen, state.blocks.shape, steps)
+    assert not _dense_pays(gen, steps)
 
 
 def test_path_rule_keeps_the_dense_path_under_its_memory_ceiling(monkeypatch):
@@ -517,16 +539,16 @@ def test_path_rule_keeps_the_dense_path_under_its_memory_ceiling(monkeypatch):
                                               for i in range(channels))).couplings()
     state = product_state(basis_projector(dim, 0), [1.0] + [0.0] * channels)
     gen = Generator.prepare(couplings, state=state)
-    assert not _dense_pays(gen, state.blocks.shape, steps)
+    assert not _dense_pays(gen, steps)
     monkeypatch.setattr(evolution, "DENSE_MEMORY_CEILING", math.inf)
-    assert _dense_pays(gen, state.blocks.shape, steps)
+    assert _dense_pays(gen, steps)
 
 
 @pytest.mark.parametrize("path", sorted(SHIPPED_CONFIGS.glob("*.ini")), ids=lambda p: p.stem)
 def test_path_rule_takes_the_propagator_for_shipped_configs(path):
     _, _, system, state, config = cli._load_system(str(path))
     gen = Generator.prepare(system.couplings, state=state)
-    assert _dense_pays(gen, state.blocks.shape, config.n_steps)
+    assert _dense_pays(gen, config.n_steps)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
