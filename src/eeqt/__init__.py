@@ -55,12 +55,10 @@ from .detectors import (
 from .planner import (
     PlanResult,
     TransmissionScenario,
-    advantageous_set,
     confidence,
     detect_nonmonotonicity,
     di_confirmation_count,
     intelligibility,
-    interval_expectations,
     minimal_m,
     plan_for_m,
     scan_plan,

@@ -163,8 +163,8 @@ def two_state_asymptotic(spec: TwoStateDetectorSpec, a0: float, b0: float):
     The total efficiency reaches one exactly when k2 = n2 = 0 and a0 + b0 = 1.
     """
     SignalDecomposition(a0, b0)
-    p1 = _channel(a0, spec.k1, spec.k2, math.inf, "e2") if a0 or spec.k1 + spec.k2 else 0.0
-    p2 = _channel(b0, spec.n1, spec.n2, math.inf, "e3") if b0 or spec.n1 + spec.n2 else 0.0
+    p1 = _channel(a0, spec.k1, spec.k2, math.inf, "e2")
+    p2 = _channel(b0, spec.n1, spec.n2, math.inf, "e3")
     return p1, p2, p1 + p2
 
 

@@ -36,6 +36,7 @@ import numpy as np
 from .states import HERMITICITY_TOL, HybridState, block_eigenvalues, operator_array
 
 BLOCK_ZERO_TOL = 1e-10
+PATTERN_ZERO_TOL = 1e-12
 # EvolutionConfig refuses more steps than this: even the smallest system
 # takes about a microsecond per step, and a step count near 1e200 would never
 # end while its records fill memory.
@@ -106,14 +107,14 @@ class CouplingOperator:
                    for b, entry in enumerate(row) if entry is not None}
         return cls.from_entries(len(grid), entries, quantum_dim)
 
-    def support(self, tol: float = 1e-12) -> frozenset:
-        """Set of (alpha, beta) classical index pairs with an entry above `tol`."""
+    def support(self) -> frozenset:
+        """Set of (alpha, beta) classical index pairs with an entry above PATTERN_ZERO_TOL."""
         mags = np.max(np.abs(self.blocks), axis=(2, 3))
         return frozenset(
             (a, b)
             for a in range(self.classical_dim)
             for b in range(self.classical_dim)
-            if mags[a, b] > tol
+            if mags[a, b] > PATTERN_ZERO_TOL
         )
 
 
@@ -234,7 +235,7 @@ class Generator:
             blocks[a, :, a] += np.kron(k, eye) + np.kron(eye, k.conj())
         return out
 
-    def cp_report(self, tol: float = BLOCK_ZERO_TOL) -> "CPReport":
+    def cp_report(self) -> "CPReport":
         """Exact structural complete-positivity check of the couplings.
 
         (i) sum_i Vi Vi* must be block-diagonal.  (ii) Vi* A Vi must be
@@ -252,19 +253,18 @@ class Generator:
         # war1: off-diagonal blocks of sum_i Vi Vi*
         gain_full = np.einsum("iagxz,ibgwz->abxw", vs, vs.conj())
         gain_mags = np.max(np.abs(gain_full), axis=(2, 3))
-        for a, b in zip(*np.nonzero((gain_mags > tol) & offdiag)):
+        for a, b in zip(*np.nonzero((gain_mags > BLOCK_ZERO_TOL) & offdiag)):
             violations.append(("gain", None, int(a), int(b), float(gain_mags[a, b])))
 
         # war2: two nonzero blocks in one block row of some Vi
         norms = np.linalg.norm(vs, axis=(3, 4))
         leak = np.einsum("iga,igb->iab", norms, norms)
-        for i, a, b in zip(*np.nonzero((leak > tol) & offdiag)):
+        for i, a, b in zip(*np.nonzero((leak > BLOCK_ZERO_TOL) & offdiag)):
             violations.append(("sandwich", int(i), int(a), int(b), float(leak[i, a, b])))
         return CPReport(
             gain_offdiag=float(gain_mags[offdiag].max(initial=0.0)),
             sandwich_offdiag=float(leak[:, offdiag].max(initial=0.0)),
             violations=tuple(violations),
-            tol=tol,
         )
 
 
@@ -318,7 +318,8 @@ def evolve(
     state: HybridState,
     hamiltonian=None,
     couplings=(),
-    config: EvolutionConfig | None = None,
+    *,
+    config: EvolutionConfig,
     check_cp: bool = True,
 ) -> Trajectory:
     """Integrate the Liouville equation with fixed-step RK4.
@@ -331,8 +332,6 @@ def evolve(
     structural CP check or the records would need more than
     ``MAX_RECORD_BYTES``.
     """
-    if config is None:
-        raise ValueError("an EvolutionConfig is required")
     need = config.n_records * state.blocks.nbytes
     if need > MAX_RECORD_BYTES:
         raise ValueError(f"{config.n_records} records of shape {state.blocks.shape} need "
@@ -437,7 +436,6 @@ class CPReport:
     gain_offdiag: float
     sandwich_offdiag: float
     violations: tuple
-    tol: float
 
     @property
     def ok(self) -> bool:
@@ -453,7 +451,7 @@ class CPReport:
         )
 
 
-def check_cp_conditions(couplings, probes=(), tol: float = BLOCK_ZERO_TOL) -> CPReport:
+def check_cp_conditions(couplings, probes=()) -> CPReport:
     """Verify that the couplings map block-diagonal operators to block-diagonal.
 
     The check is exact; see ``Generator.cp_report``.  ``probes`` is accepted
@@ -462,8 +460,8 @@ def check_cp_conditions(couplings, probes=(), tol: float = BLOCK_ZERO_TOL) -> CP
     """
     couplings = list(couplings)
     if not couplings:
-        return CPReport(0.0, 0.0, (), tol)
-    return Generator.prepare(couplings).cp_report(tol)
+        return CPReport(0.0, 0.0, ())
+    return Generator.prepare(couplings).cp_report()
 
 
 def classical_rate_equations(state: HybridState, couplings) -> np.ndarray:

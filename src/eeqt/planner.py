@@ -8,18 +8,19 @@ the registered count falls in the decoding interval with the target
 confidence.  Counts are evaluated with exact binomial sums; the normal
 approximation is deliberately avoided at these sample sizes.
 
-Every binomial term takes one path: log C(m, i) + i log p + (m-i) log(1-p),
-with the coefficient read from a shared table of log k!, all terms of a sum
-in one numpy expression.  Only p = 0 and p = 1, where log p or log(1-p) is
-not finite, are handled apart.  The sums agree with exact rational arithmetic
-to about 1e-12, so ``detect_nonmonotonicity`` reports a descent only when the
-confidence drops by more than ``DESCENT_TOL`` = 1e-10.
+One kernel makes every plan: for an array of m, one vectorized pass forms the
+interval ends, the advantageous bounds lo..hi and the confidences.  Each term
+is log C(m, i) + i log p + (m-i) log(1-p) over a shared table of log k!, with
+p = 0 and p = 1 apart.  Sums run in padded blocks of about len(ms) terms and
+equal a single plan's up to rounding, and exact rational sums to about 1e-12,
+so ``detect_nonmonotonicity`` reports only drops above ``DESCENT_TOL`` = 1e-10.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -107,38 +108,16 @@ def di_confirmation_count(p_reg: float, confidence_target: float) -> int:
     return n
 
 
-def interval_expectations(m: int, scenario: TransmissionScenario):
-    """Expected-count interval ends (i_minus, i_plus) for m generated states."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    center = m * scenario.success_probability
-    half = scenario.margin * m
-    return center - half, center + half
-
-
 def minimal_m(scenario: TransmissionScenario) -> int:
     """Smallest m whose expected-count interval is at least one unit wide."""
     return max(1, math.ceil(1.0 / (2.0 * scenario.margin) - 1e-12))
 
 
-def advantageous_set(m: int, scenario: TransmissionScenario) -> range:
-    """Integer counts inside the expected interval, clipped to [0, m].
-
-    Integer interval ends are included; the range is empty when no integer
-    falls inside the interval.
-    """
-    i_minus, i_plus = interval_expectations(m, scenario)
-    lo = max(0, math.ceil(i_minus - 1e-9))
-    hi = min(m, math.floor(i_plus + 1e-9))
-    return range(lo, hi + 1) if lo <= hi else range(lo, lo)
-
-
 def confidence(m: int, p: float, counts) -> float:
     """Binomial probability of registering a count inside ``counts``.
 
-    Sum over i of C(m, i) p^i (1-p)^(m-i), with every term evaluated in the
-    log domain from one shared log-factorial table in a single numpy
-    expression.  ``counts`` is any iterable of ints in [0, m].
+    Sum over i of C(m, i) p^i (1-p)^(m-i), one ``_terms`` expression over
+    all counts.  ``counts`` is any iterable of ints in [0, m].
     """
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
@@ -146,12 +125,15 @@ def confidence(m: int, p: float, counts) -> float:
     outside = (i < 0) | (i > m)
     if outside.any():
         raise ValueError(f"count {i[outside][0]} outside [0, {m}]")
+    return min(float(_terms(m, i, p).sum()), 1.0)
+
+
+def _terms(m, i, p: float) -> np.ndarray:
+    """Terms C(m, i) p^i (1-p)^(m-i), elementwise over integer arrays m and i."""
     if p in (0.0, 1.0):  # log 0 is not finite: the whole mass sits on count m * p
-        terms = (i == m * p).astype(float)
-    else:
-        lf = _log_factorials(1 << m.bit_length())
-        terms = np.exp(lf[m] - lf[i] - lf[m - i] + i * math.log(p) + (m - i) * math.log1p(-p))
-    return min(float(terms.sum()), 1.0)
+        return (i == m * p).astype(float)
+    lf = _log_factorials(1 << int(np.max(m)).bit_length())
+    return np.exp(lf[m] - lf[i] - lf[m - i] + i * math.log(p) + (m - i) * math.log1p(-p))
 
 
 @functools.cache
@@ -162,12 +144,33 @@ def _log_factorials(size: int) -> np.ndarray:
     return table
 
 
+def _plans(ms, scenario: TransmissionScenario) -> list:
+    """Plans for every m in the iterable of integers ``ms``, in one vectorized pass.
+
+    Confidences are summed in blocks of len(ms) // widest rows, each padded to
+    its widest set, so a block holds about len(ms) terms (one set if wider):
+    memory follows the output and the block size needs no constant.
+    """
+    ms = np.fromiter(map(operator.index, ms), dtype=np.int64)  # TypeError unless integers
+    if ms.size and ms.min() < 1:
+        raise ValueError("m must be at least 1")
+    p = scenario.success_probability
+    center, half = ms * p, scenario.margin * ms
+    lo = np.maximum(0, np.ceil(center - half - 1e-9)).astype(np.int64)
+    hi = np.minimum(ms, np.floor(center + half + 1e-9)).astype(np.int64)  # lo - 1 when empty
+    rows = max(1, ms.size // max(1, (hi - lo + 1).max(initial=0)))
+    conf = np.empty(ms.size)
+    for b in range(0, ms.size, rows):
+        m, low, top = ms[b:b + rows, None], lo[b:b + rows, None], hi[b:b + rows, None]
+        i = low + np.arange((top - low).max() + 1)
+        conf[b:b + rows] = np.where(i <= top, _terms(m, np.minimum(i, top), p), 0.0).sum(axis=1)
+    return [PlanResult(m, i0, i1, range(j0, j1 + 1), min(c, 1.0)) for m, i0, i1, j0, j1, c
+            in zip(*(x.tolist() for x in (ms, center - half, center + half, lo, hi, conf)))]
+
+
 def plan_for_m(m: int, scenario: TransmissionScenario) -> PlanResult:
     """Interval, advantageous set and confidence for a fixed m."""
-    i_minus, i_plus = interval_expectations(m, scenario)
-    counts = advantageous_set(m, scenario)
-    conf = confidence(m, scenario.success_probability, counts)
-    return PlanResult(m, i_minus, i_plus, counts, conf)
+    return _plans([m], scenario)[0]
 
 
 def scan_plan(scenario: TransmissionScenario, m_max: int):
@@ -179,7 +182,7 @@ def scan_plan(scenario: TransmissionScenario, m_max: int):
     m_lo = minimal_m(scenario)
     if m_max < m_lo:
         raise ValueError(f"m_max = {m_max} below minimal m = {m_lo}")
-    results = [plan_for_m(m, scenario) for m in range(m_lo, m_max + 1)]
+    results = _plans(range(m_lo, m_max + 1), scenario)
     first = next(
         (r.m for r in results if r.confidence >= scenario.confidence_target), None
     )
@@ -193,9 +196,8 @@ def detect_nonmonotonicity(scenario: TransmissionScenario, m_range) -> list:
     set unfavourably.  Returns every m (except the last of the range) whose
     successor's confidence is lower by more than ``DESCENT_TOL``.
     """
-    ms = sorted(set(m_range))
-    confs = {m: plan_for_m(m, scenario).confidence for m in ms}
-    return [m for m, m_next in zip(ms, ms[1:]) if confs[m] - confs[m_next] > DESCENT_TOL]
+    plans = _plans(sorted(set(m_range)), scenario)
+    return [r.m for r, s in zip(plans, plans[1:]) if r.confidence - s.confidence > DESCENT_TOL]
 
 
 def transmission_speed(bits: int, seconds: float) -> float:

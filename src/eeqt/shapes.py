@@ -17,8 +17,6 @@ from enum import Enum
 
 from .evolution import CouplingOperator
 
-PATTERN_ZERO_TOL = 1e-12
-
 
 class ShapeTag2x2(Enum):
     ANTIDIAGONAL = "antidiagonal"
@@ -150,7 +148,7 @@ def admissible_2x2(coupling: CouplingOperator) -> Classification2x2:
     """Classify a 2-event coupling against the six catalogued patterns."""
     if coupling.classical_dim != 2:
         raise ValueError("admissible_2x2 requires classical_dim == 2")
-    support = coupling.support(PATTERN_ZERO_TOL)
+    support = coupling.support()
     violated = _violated_conjuncts(support, _CONJUNCTS_2X2)
     if violated:
         return Classification2x2(None, False, violated, support)
@@ -177,7 +175,7 @@ def admissible_3x3(coupling: CouplingOperator) -> Classification3x3:
     """
     if coupling.classical_dim != 3:
         raise ValueError("admissible_3x3 requires classical_dim == 3")
-    support = coupling.support(PATTERN_ZERO_TOL)
+    support = coupling.support()
     violated = structural_condition_3x3(support)
     admissible = not violated
     diagonal_part = {pos for pos in support if pos[0] == pos[1]}

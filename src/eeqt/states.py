@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Default numerical tolerances (double precision with integrator headroom).
+# Numerical tolerances (double precision with integrator headroom).
 HERMITICITY_TOL = 1e-10
 IDEMPOTENCY_TOL = 1e-10
 POSITIVITY_TOL = 1e-9
@@ -79,20 +79,20 @@ def random_projector(dim: int, rng: np.random.Generator) -> np.ndarray:
     return vector_projector(v)
 
 
-def check_projector(e, tol: float = IDEMPOTENCY_TOL) -> np.ndarray:
+def check_projector(e) -> np.ndarray:
     """Return `e` as a read-only complex matrix after checking it.
 
     Raises ValueError unless `e` is a Hermitian, idempotent, trace-1 matrix.
     """
     e = operator_array(e, "projector", 2)
     herm = np.max(np.abs(e - e.conj().T))
-    if herm > tol:
+    if herm > IDEMPOTENCY_TOL:
         raise ValueError(f"projector not Hermitian: max |e - e*| = {herm:.3g}")
     idem = np.max(np.abs(e @ e - e))
-    if idem > tol:
+    if idem > IDEMPOTENCY_TOL:
         raise ValueError(f"projector not idempotent: max |e^2 - e| = {idem:.3g}")
     tr = abs(np.trace(e) - 1.0)
-    if tr > tol:
+    if tr > IDEMPOTENCY_TOL:
         raise ValueError(f"projector not normalized: |tr(e) - 1| = {tr:.3g}")
     return e
 
@@ -145,12 +145,7 @@ class StateReport:
         return self.hermitian_ok and self.positive_ok and self.trace_ok
 
 
-def validate_state(
-    state: HybridState,
-    hermiticity_tol: float = HERMITICITY_TOL,
-    positivity_tol: float = POSITIVITY_TOL,
-    trace_tol: float = TRACE_TOL,
-) -> StateReport:
+def validate_state(state: HybridState) -> StateReport:
     """Check Hermiticity, positivity and normalization of every block."""
     blocks = state.blocks
     herm = float(np.max(np.abs(blocks - blocks.conj().transpose(0, 2, 1))))
@@ -163,20 +158,20 @@ def validate_state(
         min_eigenvalue=min_eig,
         total_trace_deviation=trace_dev,
         block_traces=tuple(float(t) for t in traces),
-        hermitian_ok=herm <= hermiticity_tol,
-        positive_ok=min_eig >= -positivity_tol,
-        trace_ok=trace_dev <= trace_tol,
+        hermitian_ok=herm <= HERMITICITY_TOL,
+        positive_ok=min_eig >= -POSITIVITY_TOL,
+        trace_ok=trace_dev <= TRACE_TOL,
     )
 
 
-def check_probability_vector(p, tol: float = TRACE_TOL) -> np.ndarray:
+def check_probability_vector(p) -> np.ndarray:
     """Validate and return a classical probability vector."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise ValueError("probability vector must be a non-empty 1-d sequence")
-    if np.any(p < -tol):
+    if np.any(p < -TRACE_TOL):
         raise ValueError(f"negative probability: min p = {p.min():.3g}")
-    if abs(p.sum() - 1.0) > tol:
+    if abs(p.sum() - 1.0) > TRACE_TOL:
         raise ValueError(f"probabilities sum to {p.sum():.12g}, expected 1")
     return p
 

@@ -29,7 +29,6 @@ from eeqt.detectors import (
 from eeqt.evolution import EvolutionConfig, check_cp_conditions, evolve
 from eeqt.planner import (
     TransmissionScenario,
-    advantageous_set,
     confidence,
     detect_nonmonotonicity,
     di_confirmation_count,
@@ -247,7 +246,7 @@ def test_criterion_7_brute_force_oracle():
                                         margin=float(rng.uniform(0.02, 0.1)))
         p = scenario.success_probability
         for m in range(1, 17):
-            counts = set(advantageous_set(m, scenario))
+            counts = set(plan_for_m(m, scenario).advantageous)
             pw_hit = [p ** i for i in range(m + 1)]
             pw_miss = [(1.0 - p) ** i for i in range(m + 1)]
             brute = 0.0

@@ -10,6 +10,7 @@ from eeqt import cli
 from eeqt.detectors import FilterSpec, NStateDetectorSpec
 from eeqt import evolution
 from eeqt.evolution import (
+    BLOCK_ZERO_TOL,
     MAX_STEPS,
     CouplingOperator,
     EvolutionConfig,
@@ -316,7 +317,7 @@ def test_exact_cp_check_matches_brute_force_sandwich(seed, n, d):
                     mag = np.abs(sandwich[alpha * d:(alpha + 1) * d,
                                           beta * d:(beta + 1) * d]).max()
                     worst = max(worst, mag)
-                    if mag > report.tol:
+                    if mag > BLOCK_ZERO_TOL:
                         leaks.add((i, alpha, beta))
     assert {v[1:4] for v in report.violations if v[0] == "sandwich"} == leaks
     assert worst <= report.sandwich_offdiag * (1 + 1e-12)

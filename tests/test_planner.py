@@ -7,12 +7,10 @@ from hypothesis import given, settings, strategies as st
 from eeqt.planner import (
     DESCENT_TOL,
     TransmissionScenario,
-    advantageous_set,
     confidence,
     detect_nonmonotonicity,
     di_confirmation_count,
     intelligibility,
-    interval_expectations,
     minimal_m,
     plan_for_m,
     scan_plan,
@@ -66,14 +64,14 @@ class TestConfirmationCount:
 
 class TestIntervals:
     def test_reference_interval_m12(self):
-        i_minus, i_plus = interval_expectations(12, SCENARIO)
-        assert i_minus == pytest.approx(8.1, abs=1e-9)
-        assert i_plus == pytest.approx(9.18, abs=1e-9)
+        plan = plan_for_m(12, SCENARIO)
+        assert plan.i_minus == pytest.approx(8.1, abs=1e-9)
+        assert plan.i_plus == pytest.approx(9.18, abs=1e-9)
 
     def test_interval_m62_covers_the_reference_set(self):
-        i_minus, i_plus = interval_expectations(62, SCENARIO)
-        assert (i_minus, i_plus) == pytest.approx((41.85, 47.43))
-        assert list(advantageous_set(62, SCENARIO)) == list(range(42, 48))
+        plan = plan_for_m(62, SCENARIO)
+        assert (plan.i_minus, plan.i_plus) == pytest.approx((41.85, 47.43))
+        assert list(plan.advantageous) == list(range(42, 48))
 
     def test_minimal_m_reference_and_derived_margin(self):
         assert minimal_m(SCENARIO) == 12
@@ -97,14 +95,14 @@ class TestIntervals:
             assert 2.0 * margin * (m - 1) < 1.0 + 1e-9
 
     def test_advantageous_set_reference_values(self):
-        assert list(advantageous_set(12, SCENARIO)) == [9]
-        assert list(advantageous_set(66, LOW_EFF)) == list(range(21, 27))
+        assert list(plan_for_m(12, SCENARIO).advantageous) == [9]
+        assert list(plan_for_m(66, LOW_EFF).advantageous) == list(range(21, 27))
 
     def test_advantageous_set_can_be_empty(self):
         narrow = TransmissionScenario(rho1=1.0 / math.pi, eta_det=1.0,
                                       accuracy=0.05, confidence_target=0.5,
                                       margin=1e-4)
-        counts = advantageous_set(1, narrow)
+        counts = plan_for_m(1, narrow).advantageous
         assert len(counts) == 0
         assert confidence(1, narrow.success_probability, counts) == 0.0
 
@@ -122,7 +120,7 @@ class TestConfidence:
 
     def test_matches_brute_force_enumeration(self):
         for m in (5, 11, 18, 20):
-            counts = advantageous_set(m, SCENARIO)
+            counts = plan_for_m(m, SCENARIO).advantageous
             exact = brute_force_confidence(m, SCENARIO.success_probability, counts)
             assert confidence(m, SCENARIO.success_probability, counts) == \
                 pytest.approx(exact, abs=1e-10)
@@ -132,8 +130,8 @@ class TestConfidence:
         for m in (10, 63, 64, 65, 100):
             p = 0.72
             direct = sum(math.comb(m, i) * p ** i * (1.0 - p) ** (m - i)
-                         for i in advantageous_set(m, SCENARIO))
-            assert confidence(m, p, advantageous_set(m, SCENARIO)) == \
+                         for i in plan_for_m(m, SCENARIO).advantageous)
+            assert confidence(m, p, plan_for_m(m, SCENARIO).advantageous) == \
                 pytest.approx(direct, abs=1e-10)
 
     @pytest.mark.parametrize("scenario", [SCENARIO, LOW_EFF], ids=["p=0.72", "p=0.36"])
@@ -141,7 +139,7 @@ class TestConfidence:
     def test_matches_exact_rational_sum_at_large_m(self, m, scenario):
         # the same float p = num / den, summed in exact rational arithmetic
         p = scenario.success_probability
-        counts = advantageous_set(m, scenario)
+        counts = plan_for_m(m, scenario).advantageous
         num, den = p.as_integer_ratio()
         exact = Fraction(sum(math.comb(m, i) * num ** i * (den - num) ** (m - i)
                              for i in counts), den ** m)
@@ -189,6 +187,39 @@ class TestScan:
         with pytest.raises(ValueError):
             scan_plan(SCENARIO, 5)
 
+    @pytest.mark.parametrize("scenario", [
+        # eta_det = 0: p = 0 takes the one-hot branch inside padded blocks
+        TransmissionScenario(rho1=0.5, eta_det=0.0, accuracy=0.1,
+                             confidence_target=0.6, margin=0.05),
+        # margin 0.5: every set is the full range 0..m, the widest padding
+        TransmissionScenario(rho1=0.5, eta_det=1.0, accuracy=0.5,
+                             confidence_target=0.6, margin=0.5),
+        # below minimal m = 125 the interval is narrower than one count, so
+        # the descent scan over 1..299 pads blocks that hold empty sets
+        TransmissionScenario(rho1=1.0 / math.pi, eta_det=1.0, accuracy=0.05,
+                             confidence_target=0.5, margin=0.004),
+    ], ids=["p=0", "full-range", "narrow"])
+    def test_scan_rows_equal_single_plans(self, scenario):
+        p = scenario.success_probability
+        for r in scan_plan(scenario, 300)[0]:
+            single = plan_for_m(r.m, scenario)
+            assert (r.m, r.i_minus, r.i_plus, r.advantageous) == \
+                (single.m, single.i_minus, single.i_plus, single.advantageous)
+            # padding regroups numpy's pairwise sum: rounding differences only
+            assert r.confidence == pytest.approx(single.confidence, rel=0, abs=1e-15)
+            assert r.confidence == pytest.approx(confidence(r.m, p, r.advantageous),
+                                                 rel=0, abs=1e-15)
+        ms = range(1, 300)
+        confs = [confidence(m, p, plan_for_m(m, scenario).advantageous) for m in ms]
+        expected = [m for m, c0, c1 in zip(ms, confs, confs[1:]) if c0 - c1 > DESCENT_TOL]
+        assert detect_nonmonotonicity(scenario, ms) == expected
+
+    def test_non_integer_m_rejected(self):
+        with pytest.raises(TypeError):
+            plan_for_m(12.5, SCENARIO)
+        with pytest.raises(TypeError):
+            detect_nonmonotonicity(SCENARIO, [12.5, 13])
+
     def test_plan_results_are_self_consistent(self):
         for r in scan_plan(SCENARIO, 30)[0]:
             assert set(r.advantageous) <= set(range(0, r.m + 1))
@@ -209,8 +240,19 @@ class TestNonmonotonicity:
         # margin 0.5 makes the advantageous set the full range for every m;
         # the confidence is 1 up to rounding, which is not a descent
         for m in range(1, 65):
-            assert len(advantageous_set(m, wide)) == m + 1
+            assert len(plan_for_m(m, wide).advantageous) == m + 1
         assert detect_nonmonotonicity(wide, range(1, 65)) == []
+
+    def test_empty_single_and_unsorted_ranges(self):
+        assert detect_nonmonotonicity(SCENARIO, range(0)) == []
+        assert detect_nonmonotonicity(SCENARIO, [15]) == []
+        ms = [400, 3, 77, 78, 5, 200, 201, 202]
+        order = sorted(ms)
+        confs = [confidence(m, SCENARIO.success_probability,
+                            plan_for_m(m, SCENARIO).advantageous) for m in order]
+        expected = [m for m, c0, c1 in zip(order, confs, confs[1:]) if c0 - c1 > DESCENT_TOL]
+        assert expected
+        assert detect_nonmonotonicity(SCENARIO, ms) == expected
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25)
@@ -224,7 +266,7 @@ class TestNonmonotonicity:
                                         margin=float(rng.uniform(0.02, 0.1)))
         ms = range(10, 25)
         confs = [confidence(m, scenario.success_probability,
-                            advantageous_set(m, scenario)) for m in ms]
+                            plan_for_m(m, scenario).advantageous) for m in ms]
         expected = [m for m, c0, c1 in zip(ms, confs, confs[1:]) if c0 - c1 > DESCENT_TOL]
         assert detect_nonmonotonicity(scenario, ms) == expected
 
