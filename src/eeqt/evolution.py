@@ -44,8 +44,9 @@ MAX_STEPS = 10 ** 7
 # The dense path holds three N x N complex arrays at once (L, T4 and a
 # product); it is never taken when they would need more bytes than this.
 DENSE_MEMORY_CEILING = 64 * 2 ** 20
-# evolve refuses a run whose records, kept as complex (n+1, d, d) arrays,
-# would need more bytes than this; MAX_STEPS alone still allows 10^7 records.
+# check_record_memory refuses a run whose records, kept as complex (n+1, d, d)
+# arrays, would need more bytes than this; MAX_STEPS alone still allows 10^7
+# records.  evolve applies it, and so does the CLI's efficiency command.
 MAX_RECORD_BYTES = 2 ** 30
 
 
@@ -332,11 +333,7 @@ def evolve(
     structural CP check or the records would need more than
     ``MAX_RECORD_BYTES``.
     """
-    need = config.n_records * state.blocks.nbytes
-    if need > MAX_RECORD_BYTES:
-        raise ValueError(f"{config.n_records} records of shape {state.blocks.shape} need "
-                         f"{need / 2 ** 30:.3g} GiB, above the {MAX_RECORD_BYTES / 2 ** 30:g} "
-                         f"GiB limit (MAX_RECORD_BYTES); raise record_every")
+    check_record_memory(state, config)
     gen = Generator.prepare(couplings, hamiltonian, state)
     if check_cp:
         report = gen.cp_report()
@@ -346,6 +343,15 @@ def evolve(
     with np.errstate(over="ignore", invalid="ignore"):
         stepper = _dense_step if _dense_pays(gen, config.n_steps) else _matrix_free_step
         return _integrate(stepper(gen, config.step), state.blocks, config)
+
+
+def check_record_memory(state: HybridState, config: EvolutionConfig) -> None:
+    """Raise ValueError when recording `state` on config's grid needs more than MAX_RECORD_BYTES."""
+    need = config.n_records * state.blocks.nbytes
+    if need > MAX_RECORD_BYTES:
+        raise ValueError(f"{config.n_records} records of shape {state.blocks.shape} need "
+                         f"{need / 2 ** 30:.3g} GiB, above the {MAX_RECORD_BYTES / 2 ** 30:g} "
+                         f"GiB limit (MAX_RECORD_BYTES); raise record_every")
 
 
 def _dense_pays(gen: Generator, n_steps: int) -> bool:
@@ -474,11 +480,11 @@ def classical_rate_equations(state: HybridState, couplings) -> np.ndarray:
     return np.trace(liouville_rhs(state, couplings=couplings), axis1=1, axis2=2).real
 
 
-def trajectory_rows(traj: Trajectory):
-    """Rows (t, p_0..p_n, trace_drift, min_eigenvalue) for CSV export."""
-    probs = traj.probabilities()
-    drift = traj.trace_drift()
-    mins = traj.min_eigenvalues()
-    for k in range(len(traj)):
-        yield (traj.times[k], *probs[k], drift[k], mins[k])
+def trajectory_rows(traj: Trajectory) -> np.ndarray:
+    """Rows (t, p_0..p_n, trace_drift, min_eigenvalue) for CSV export, one per record.
 
+    One (len(traj), n+4) float array; the probabilities are computed once.
+    """
+    probs = traj.probabilities()
+    drift = np.abs(probs.sum(axis=1) - 1.0)  # traj.trace_drift() without a second trace
+    return np.column_stack((traj.times, probs, drift, traj.min_eigenvalues()))

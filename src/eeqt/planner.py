@@ -28,6 +28,11 @@ import numpy as np
 # Smallest confidence drop reported as a descent; a smaller one, such as
 # 1.0 -> 1 - 1e-16 on a set holding every count, is rounding.
 DESCENT_TOL = 1e-10
+# Largest m planned.  A scan to m sums about margin * m^2 binomial terms and
+# builds a log-factorial table of the next power of two above m; one to 10^5
+# at margin 0.03 takes seconds and about 85 MB, and one to 10^9 would
+# exhaust memory, so a larger m is refused before anything is allocated.
+MAX_M = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -144,6 +149,11 @@ def _log_factorials(size: int) -> np.ndarray:
     return table
 
 
+def _check_m_max(m: int) -> None:
+    if m > MAX_M:
+        raise ValueError(f"m = {m} exceeds the limit of {MAX_M} (MAX_M)")
+
+
 def _plans(ms, scenario: TransmissionScenario) -> list:
     """Plans for every m in the iterable of integers ``ms``, in one vectorized pass.
 
@@ -154,6 +164,7 @@ def _plans(ms, scenario: TransmissionScenario) -> list:
     ms = np.fromiter(map(operator.index, ms), dtype=np.int64)  # TypeError unless integers
     if ms.size and ms.min() < 1:
         raise ValueError("m must be at least 1")
+    _check_m_max(int(ms.max(initial=0)))
     p = scenario.success_probability
     center, half = ms * p, scenario.margin * ms
     lo = np.maximum(0, np.ceil(center - half - 1e-9)).astype(np.int64)
@@ -182,6 +193,7 @@ def scan_plan(scenario: TransmissionScenario, m_max: int):
     m_lo = minimal_m(scenario)
     if m_max < m_lo:
         raise ValueError(f"m_max = {m_max} below minimal m = {m_lo}")
+    _check_m_max(m_max)  # before range(m_lo, m_max + 1) becomes an array
     results = _plans(range(m_lo, m_max + 1), scenario)
     first = next(
         (r.m for r in results if r.confidence >= scenario.confidence_target), None

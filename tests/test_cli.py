@@ -1,4 +1,7 @@
+import argparse
 import configparser
+import contextlib
+import io
 import math
 import pathlib
 import warnings
@@ -7,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eeqt import cli
 from eeqt.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, FAMILIES, main
 
 SHIPPED_CONFIGS = sorted((pathlib.Path(__file__).parents[1] / "configs").glob("*.ini"))
@@ -281,8 +285,17 @@ def test_any_plan_flags_exit_0_or_1(tmp_path_factory, flags, m_max):
     assert code in (EXIT_OK, EXIT_USAGE)
     if code == EXIT_OK:
         _, _, rows = read_csv(out)
-        # an empty advantageous set leaves set_lo and set_hi blank
-        assert np.isfinite([float(v) for row in rows for v in row if v]).all()
+        # every scanned advantageous set is non-empty, so no cell is blank
+        assert np.isfinite(np.array(rows, dtype=float)).all()
+
+
+def test_plan_beyond_max_m_exits_1(tmp_path, capsys):
+    out = tmp_path / "plan.csv"
+    code = main(["plan", "--rho1", "0.5", "--eff", "0.8", "--accuracy", "0.05",
+                 "--confidence", "0.9", "--m-max", "1000000000", "--output", str(out)])
+    assert code == EXIT_USAGE
+    assert "error: m = 1000000000 exceeds the limit" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "efficiency", "validate", "plan"])
@@ -356,6 +369,11 @@ BAD_CONFIGS = [
     pytest.param("simulate", LARGE_FILTER_CONFIG.replace("step = 0.01", "step = 1e-6")
                  .replace("duration = 0.1", "duration = 10.0")
                  .replace("record_every = 5", "record_every = 1"), id="records-beyond-memory"),
+    # the same grid: 10^7 closed-form rows are refused by the same bound
+    pytest.param("efficiency", LARGE_FILTER_CONFIG.replace("step = 0.01", "step = 1e-6")
+                 .replace("duration = 0.1", "duration = 10.0")
+                 .replace("record_every = 5", "record_every = 1"),
+                 id="efficiency-records-beyond-memory"),
 ]
 
 
@@ -417,6 +435,65 @@ def test_unrepresentable_closed_form_exits_3(tmp_path, capsys, text):
     assert main(["efficiency", "--config", config, "--output", str(out)]) == EXIT_NUMERIC
     assert "numerical guard" in capsys.readouterr().err
     assert not out.exists()
+
+
+def csv_body(header, rows, text=()):
+    """The CSV after its metadata, as ``cli._write_csv`` writes it to stdout."""
+    args = argparse.Namespace(output="-", command="test", seed=0)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write_csv(args, header, rows, text=text)
+    return out.getvalue().split("\n", 3)[3]  # after tool, command and seed
+
+
+def per_value_body(header, rows):
+    """The CSV body formatted value by value, with ``cli._fmt`` on every number."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(cli._fmt(v) if isinstance(v, (int, float, np.floating)) else str(v)
+                              for v in row))
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_FLOATS = st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, 1e12,
+                                  0.1, 1.0 / 3.0])
+FLOATS = SPECIAL_FLOATS | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@given(cols=st.integers(1, 5), cells=st.lists(FLOATS, max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_writer_matches_per_value_formatting_on_float_arrays(cols, cells):
+    array = np.array(cells[:len(cells) // cols * cols], dtype=float).reshape(-1, cols)
+    header = [f"c{j}" for j in range(cols)]
+    assert csv_body(header, array) == per_value_body(header, array)
+    # the traced CLI hands over a generator of 1-D arrays instead
+    assert csv_body(header, (row for row in array)) == per_value_body(header, array)
+
+
+@given(st.lists(st.tuples(st.integers(-2 ** 60, 2 ** 60), st.integers(0, 10 ** 13)), max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_writer_matches_per_value_formatting_on_integers(rows):
+    header = ["a", "b"]
+    expected = per_value_body(header, rows)
+    assert csv_body(header, rows) == expected
+    assert csv_body(header, np.array(rows, dtype=np.int64).reshape(-1, 2)) == expected
+
+
+@given(st.lists(st.tuples(FLOATS, st.text(alphabet="abcXYZ;_- 0123456789"), st.integers(0, 9)),
+                max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_writer_formats_text_columns_with_str(rows):
+    header = ["x", "label", "n"]
+    assert csv_body(header, rows, text=["label"]) == per_value_body(header, rows)
+
+
+def test_writer_reads_arrays_in_blocks(monkeypatch):
+    array = np.random.default_rng(3).normal(size=(2 * cli.CSV_BLOCK_ROWS + 3, 4)) ** 9
+    header = ["a", "b", "c", "d"]
+    expected = per_value_body(header, array)
+    assert csv_body(header, array) == expected
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)
+    assert csv_body(header, array) == expected
 
 
 # Config fuzz: a valid config of a random family, with up to two values

@@ -400,6 +400,20 @@ def test_trajectory_rows_shape_and_drift():
         assert min_eig >= -1e-7
 
 
+def test_trajectory_rows_is_one_array_of_the_trajectory_columns():
+    spec = NStateDetectorSpec(1.0, tuple(basis_projector(3, i) for i in range(2)))
+    state = product_state(random_density(3, np.random.default_rng(5)), [1.0, 0.0, 0.0])
+    traj = evolve(state, couplings=spec.couplings(),
+                  config=EvolutionConfig(step=0.01, duration=0.5, record_every=3))
+    rows = trajectory_rows(traj)
+    # t, three probabilities (n = 2), trace_drift and min_eigenvalue
+    assert isinstance(rows, np.ndarray) and rows.shape == (len(traj), 2 + 4)
+    np.testing.assert_array_equal(rows[:, 0], traj.times)
+    np.testing.assert_array_equal(rows[:, 1:4], traj.probabilities())
+    np.testing.assert_array_equal(rows[:, 4], traj.trace_drift())
+    np.testing.assert_array_equal(rows[:, 5], traj.min_eigenvalues())
+
+
 def test_coupling_from_grid_and_support():
     e = basis_projector(2, 0)
     coupling = CouplingOperator.from_grid([[None, e], [2.0 * e, None]])

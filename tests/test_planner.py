@@ -2,10 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eeqt.planner import (
     DESCENT_TOL,
+    MAX_M,
     TransmissionScenario,
     confidence,
     detect_nonmonotonicity,
@@ -213,6 +214,36 @@ class TestScan:
         confs = [confidence(m, p, plan_for_m(m, scenario).advantageous) for m in ms]
         expected = [m for m, c0, c1 in zip(ms, confs, confs[1:]) if c0 - c1 > DESCENT_TOL]
         assert detect_nonmonotonicity(scenario, ms) == expected
+
+    # Scans start at minimal_m, where the interval m (p +- margin) is at least
+    # one count wide, so every scanned set holds a count.  The ends 0 and 1
+    # of the position and efficiency draws give p = 0 and p = 1 - accuracy.
+    # The examples put both ends of a one-count-wide interval on integers
+    # (p = margin = 1 / (2 minimal_m)), where only the bounds' slack keeps
+    # the two counts in the set.
+    @given(st.sampled_from([0.5, 0.25, 0.1, 0.05]) | st.floats(0.005, 0.5),
+           st.sampled_from([0.0, 1.0]) | st.floats(0, 1),
+           st.sampled_from([0.0, 1.0]) | st.floats(0, 1),
+           st.sampled_from([0.0, 1.0]) | st.floats(0, 1), st.integers(0, 200))
+    @example(0.25, 0.0, 0.0, 1.0, 0)
+    @example(0.1, 0.0, 0.0, 1.0, 3)
+    @settings(max_examples=150, deadline=None)
+    def test_every_scanned_set_is_non_empty(self, margin, widen, position, eff, extra):
+        accuracy = margin + widen * (0.5 - margin)
+        scenario = TransmissionScenario(rho1=accuracy + position * (1.0 - 2.0 * accuracy),
+                                        eta_det=eff, accuracy=accuracy,
+                                        confidence_target=0.5, margin=margin)
+        results, _ = scan_plan(scenario, minimal_m(scenario) + extra)
+        assert all(len(r.advantageous) > 0 for r in results)
+
+    def test_m_above_max_m_is_refused(self):
+        assert plan_for_m(MAX_M, SCENARIO).m == MAX_M
+        with pytest.raises(ValueError, match="MAX_M"):
+            plan_for_m(MAX_M + 1, SCENARIO)
+        with pytest.raises(ValueError, match="MAX_M"):
+            scan_plan(SCENARIO, 10 ** 9)
+        with pytest.raises(ValueError, match="MAX_M"):
+            detect_nonmonotonicity(SCENARIO, [12, MAX_M + 1])
 
     def test_non_integer_m_rejected(self):
         with pytest.raises(TypeError):
