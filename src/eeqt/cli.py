@@ -33,42 +33,52 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import importlib
 import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .detectors import (
-    BinaryDetectorSpec,
-    FilterSpec,
-    NStateDetectorSpec,
-    SignalDecomposition,
-    TwoStateDetectorSpec,
-    binary_asymptotic,
-    binary_trajectory,
-    filter_classical_output,
-    n_state_trajectory,
-    two_state_asymptotic,
-    two_state_trajectory,
-)
-from .evolution import (
-    EvolutionConfig,
-    TraceDriftError,
-    check_cp_conditions,
-    check_record_memory,
-    evolve,
-    trajectory_rows,
-)
-from .planner import (
-    TransmissionScenario,
-    di_confirmation_count,
-    minimal_m,
-    plan_for_m,
-    scan_plan,
-)
-from .shapes import TOPOLOGY_BY_TAG, admissible_2x2, admissible_3x3, enumerate_admissible_patterns
-from .states import basis_projector, offdiagonal_element, product_state, validate_state
+
+# Library names the commands use, by module.  Each command imports only the
+# modules it runs and binds their names here with ``_library``, so ``eeqt
+# plan`` never loads the integrator and ``--version`` loads no eeqt module.
+_LIBRARY = {
+    "states": ("basis_projector", "offdiagonal_element", "product_state", "validate_state"),
+    "evolution": ("EvolutionConfig", "check_cp_conditions", "check_record_memory", "evolve",
+                  "trajectory_rows"),
+    "detectors": ("BinaryDetectorSpec", "FilterSpec", "NStateDetectorSpec",
+                  "SignalDecomposition", "TwoStateDetectorSpec", "binary_asymptotic",
+                  "binary_trajectory", "filter_classical_output", "n_state_trajectory",
+                  "two_state_asymptotic", "two_state_trajectory"),
+    "shapes": ("TOPOLOGY_BY_TAG", "admissible_2x2", "admissible_3x3",
+               "enumerate_admissible_patterns"),
+    "planner": ("TransmissionScenario", "di_confirmation_count", "minimal_m", "plan_for_m",
+                "scan_rows"),
+}
+
+
+def _library(*modules):
+    """Import `modules` and bind their ``_LIBRARY`` names in this module.
+
+    A name that is already bound keeps its value, so a wrapper set on this
+    module from outside (``cli.evolve = traced``) is what the commands call.
+    """
+    for module in modules:
+        source = importlib.import_module(f".{module}", __package__)
+        for name in _LIBRARY[module]:
+            globals().setdefault(name, getattr(source, name))
+
+
+def __getattr__(name):
+    """A library name read from outside before a command has bound it."""
+    for module, names in _LIBRARY.items():
+        if name in names:
+            _library(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 DEFAULT_SEED = 0
 
@@ -251,6 +261,9 @@ def _none(config, dim):
     return System([], _weighted_signal(config, dim, [1.0]), classical_dim, None)
 
 
+# The modules that build and run a configured system (simulate, efficiency).
+_SYSTEM_MODULES = ("states", "evolution", "detectors")
+
 # Detector family -> builder(config, quantum dim) -> System.  A family's
 # config keys are read in its builder and nowhere else.
 FAMILIES = {
@@ -264,6 +277,7 @@ FAMILIES = {
 
 def _build_system(config):
     """Detector family, its System and the initial hybrid state of a config."""
+    _library(*_SYSTEM_MODULES)
     family = config.value("detector", "family", str)
     if family not in FAMILIES:
         raise ValueError(f"unknown detector family '{family}'")
@@ -303,6 +317,7 @@ def _write_system_csv(args, digest, family, system, rows, columns=(), meta=()):
 
 
 def _cmd_simulate(args):
+    _library(*_SYSTEM_MODULES)
     digest, family, system, state, cfg = _load_system(args.config)
     traj = evolve(state, couplings=system.couplings, config=cfg)
     _write_system_csv(args, digest, family, system, trajectory_rows(traj),
@@ -311,6 +326,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_efficiency(args):
+    _library(*_SYSTEM_MODULES)
     digest, family, system, state, cfg = _load_system(args.config)
     if system.closed_form is None:
         raise ValueError(f"family '{family}' has no closed form")
@@ -338,6 +354,7 @@ def _orthogonal_entries(pattern, rng):
 
 
 def _cmd_validate(args):
+    _library("evolution", "shapes")
     rng = np.random.default_rng(args.seed)
     rows = []
     report_lines = []
@@ -375,11 +392,9 @@ def _scenario_from_args(args):
 
 
 def _cmd_plan(args):
+    _library("planner")
     scenario = _scenario_from_args(args)
-    results, first = scan_plan(scenario, args.m_max)
-    # every advantageous set is non-empty: scans start at minimal_m
-    rows = np.array([(r.m, r.i_minus, r.i_plus, r.advantageous.start, r.advantageous[-1],
-                      r.confidence) for r in results], dtype=float)
+    rows, first = scan_rows(scenario, args.m_max)  # columns as in the header below
     flag_string = (f"rho1={_fmt(scenario.rho1)} eff={_fmt(scenario.eta_det)} "
                    f"accuracy={_fmt(scenario.accuracy)} margin={_fmt(scenario.margin)} "
                    f"confidence={_fmt(scenario.confidence_target)} m_max={args.m_max}")
@@ -390,11 +405,10 @@ def _cmd_plan(args):
         print(f"no m <= {args.m_max} reaches confidence "
               f"{scenario.confidence_target:g} (minimal m = {minimal_m(scenario)})")
     else:
-        r = next(r for r in results if r.m == first)
+        m, _, _, lo, hi, conf = first.tolist()
         print(f"minimal m = {minimal_m(scenario)}; first m with confidence >= "
-              f"{scenario.confidence_target:g} is {first} "
-              f"(confidence {r.confidence:.4f}, counts "
-              f"{{{r.advantageous.start}..{r.advantageous[-1]}}})")
+              f"{scenario.confidence_target:g} is {m:.0f} "
+              f"(confidence {conf:.4f}, counts {{{lo:.0f}..{hi:.0f}}})")
     return EXIT_OK
 
 
@@ -404,6 +418,7 @@ def _reproduction_rows():
     Yields (name, computed, expected, tolerance) tuples.  Tolerances of zero
     mean exact (integer or closed-form) agreement.
     """
+    _library("planner", *_SYSTEM_MODULES)
     scenario = TransmissionScenario(rho1=0.8, eta_det=0.9, accuracy=0.05,
                                     confidence_target=0.6, margin=0.045)
     yield ("minimal_m", minimal_m(scenario), 12, 0)
@@ -525,7 +540,7 @@ def main(argv=None) -> int:
             return EXIT_USAGE
         print(f"config error: {args.config}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TraceDriftError, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # evolution.TraceDriftError among them
         print(f"numerical guard: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -311,8 +311,11 @@ class Trajectory:
         return block_eigenvalues(self.blocks).min(axis=(1, 2))
 
 
-class TraceDriftError(RuntimeError):
-    """Raised when the integrator loses probability beyond tolerance."""
+class TraceDriftError(ArithmeticError):
+    """Raised when the integrator loses probability beyond tolerance.
+
+    A numerical guard like an overflow, hence an ArithmeticError.
+    """
 
 
 def evolve(

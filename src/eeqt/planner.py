@@ -149,39 +149,63 @@ def _log_factorials(size: int) -> np.ndarray:
     return table
 
 
-def _check_m_max(m: int) -> None:
+def _checked_m(m) -> int:
+    """`m` as an int in 1..MAX_M; TypeError unless it is an integer."""
+    m = operator.index(m)
+    if m < 1:
+        raise ValueError("m must be at least 1")
     if m > MAX_M:
         raise ValueError(f"m = {m} exceeds the limit of {MAX_M} (MAX_M)")
+    return m
 
 
-def _plans(ms, scenario: TransmissionScenario) -> list:
-    """Plans for every m in the iterable of integers ``ms``, in one vectorized pass.
+def _plans(ms: np.ndarray, scenario: TransmissionScenario) -> np.ndarray:
+    """Plans for the int64 array ``ms`` (each in 1..MAX_M) in one vectorized pass.
 
+    Returns one float row per m: m, i_minus, i_plus, the advantageous bounds
+    lo and hi (hi = lo - 1 when the set is empty) and the confidence.
     Confidences are summed in blocks of len(ms) // widest rows, each padded to
     its widest set, so a block holds about len(ms) terms (one set if wider):
     memory follows the output and the block size needs no constant.
     """
-    ms = np.fromiter(map(operator.index, ms), dtype=np.int64)  # TypeError unless integers
-    if ms.size and ms.min() < 1:
-        raise ValueError("m must be at least 1")
-    _check_m_max(int(ms.max(initial=0)))
     p = scenario.success_probability
     center, half = ms * p, scenario.margin * ms
     lo = np.maximum(0, np.ceil(center - half - 1e-9)).astype(np.int64)
-    hi = np.minimum(ms, np.floor(center + half + 1e-9)).astype(np.int64)  # lo - 1 when empty
+    hi = np.minimum(ms, np.floor(center + half + 1e-9)).astype(np.int64)
     rows = max(1, ms.size // max(1, (hi - lo + 1).max(initial=0)))
     conf = np.empty(ms.size)
     for b in range(0, ms.size, rows):
         m, low, top = ms[b:b + rows, None], lo[b:b + rows, None], hi[b:b + rows, None]
         i = low + np.arange((top - low).max() + 1)
         conf[b:b + rows] = np.where(i <= top, _terms(m, np.minimum(i, top), p), 0.0).sum(axis=1)
-    return [PlanResult(m, i0, i1, range(j0, j1 + 1), min(c, 1.0)) for m, i0, i1, j0, j1, c
-            in zip(*(x.tolist() for x in (ms, center - half, center + half, lo, hi, conf)))]
+    return np.column_stack((ms, center - half, center + half, lo, hi, np.minimum(conf, 1.0)))
+
+
+def _results(plans: np.ndarray) -> list:
+    """PlanResults of the rows of ``_plans``; the sets are range(lo, hi + 1)."""
+    m, lo, end = (plans[:, [0, 3, 4]].astype(np.int64) + [0, 0, 1]).T.tolist()
+    i_minus, i_plus, conf = plans[:, [1, 2, 5]].T.tolist()
+    return list(map(PlanResult, m, i_minus, i_plus, map(range, lo, end), conf))
 
 
 def plan_for_m(m: int, scenario: TransmissionScenario) -> PlanResult:
     """Interval, advantageous set and confidence for a fixed m."""
-    return _plans([m], scenario)[0]
+    return _results(_plans(np.array([_checked_m(m)]), scenario))[0]
+
+
+def scan_rows(scenario: TransmissionScenario, m_max: int):
+    """Plans for every m from minimal_m to m_max, as rows of one float array.
+
+    The columns are m, i_minus, i_plus, the advantageous bounds lo..hi and
+    the confidence.  Returns (rows, first): `first` is the row of the first
+    m that reaches the confidence target, or None.
+    """
+    m_lo = minimal_m(scenario)
+    if m_max < m_lo:
+        raise ValueError(f"m_max = {m_max} below minimal m = {m_lo}")
+    rows = _plans(np.arange(m_lo, _checked_m(m_max) + 1), scenario)
+    passing = np.flatnonzero(rows[:, 5] >= scenario.confidence_target)
+    return rows, (rows[passing[0]] if passing.size else None)
 
 
 def scan_plan(scenario: TransmissionScenario, m_max: int):
@@ -190,15 +214,8 @@ def scan_plan(scenario: TransmissionScenario, m_max: int):
     Returns (results, first_passing_m); the second element is None when no m
     in the range reaches the confidence target.
     """
-    m_lo = minimal_m(scenario)
-    if m_max < m_lo:
-        raise ValueError(f"m_max = {m_max} below minimal m = {m_lo}")
-    _check_m_max(m_max)  # before range(m_lo, m_max + 1) becomes an array
-    results = _plans(range(m_lo, m_max + 1), scenario)
-    first = next(
-        (r.m for r in results if r.confidence >= scenario.confidence_target), None
-    )
-    return results, first
+    rows, first = scan_rows(scenario, m_max)
+    return _results(rows), (None if first is None else int(first[0]))
 
 
 def detect_nonmonotonicity(scenario: TransmissionScenario, m_range) -> list:
@@ -206,10 +223,13 @@ def detect_nonmonotonicity(scenario: TransmissionScenario, m_range) -> list:
 
     Adding states does not always help: a larger m can move the advantageous
     set unfavourably.  Returns every m (except the last of the range) whose
-    successor's confidence is lower by more than ``DESCENT_TOL``.
+    successor's confidence is lower by more than ``DESCENT_TOL``.  Each m is
+    checked as it is read, so a range past ``MAX_M`` is refused at its first
+    m above the limit.
     """
-    plans = _plans(sorted(set(m_range)), scenario)
-    return [r.m for r, s in zip(plans, plans[1:]) if r.confidence - s.confidence > DESCENT_TOL]
+    ms = np.array(sorted({_checked_m(m) for m in m_range}), dtype=np.int64)
+    m, conf = _plans(ms, scenario)[:, [0, 5]].T
+    return [int(x) for x in m[:-1][conf[:-1] - conf[1:] > DESCENT_TOL]]
 
 
 def transmission_speed(bits: int, seconds: float) -> float:

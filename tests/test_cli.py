@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from eeqt import cli
 from eeqt.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, FAMILIES, main
+from eeqt.evolution import TraceDriftError, evolve
 
 SHIPPED_CONFIGS = sorted((pathlib.Path(__file__).parents[1] / "configs").glob("*.ini"))
 
@@ -401,11 +402,16 @@ def test_usage_errors_exit_1(capsys):
 
 
 def test_trace_drift_guard_exits_3(tmp_path, capsys):
+    # main catches ArithmeticError alone; the drift guard is one
     config = write(tmp_path, "coarse.ini", BINARY_CONFIG.replace(
         "step = 0.01", "step = 2.0").replace("duration = 2.0", "duration = 20.0")
         .replace("k1 = 1.0", "k1 = 4.0"))
+    _, _, system, state, cfg = cli._load_system(config)
+    with pytest.raises(TraceDriftError) as raised:
+        evolve(state, couplings=system.couplings, config=cfg)
+    assert isinstance(raised.value, ArithmeticError)
     assert main(["simulate", "--config", config, "--output", "-"]) == EXIT_NUMERIC
-    assert "numerical guard" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", f"numerical guard: {raised.value}\n")
 
 
 def test_nan_trace_drift_exits_3(tmp_path, capsys):

@@ -1,0 +1,123 @@
+"""The import boundary: which eeqt modules each entry point loads.
+
+``import eeqt`` resolves its names lazily and each CLI command imports only
+the modules it runs; these tests pin both, in fresh interpreters.
+"""
+
+import contextlib
+import io
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import eeqt
+from eeqt import cli
+
+ROOT = pathlib.Path(__file__).parents[1]
+SRC = pathlib.Path(eeqt.__file__).parents[1]
+BINARY = str(ROOT / "configs" / "binary.ini")
+PLAN = ["plan", "--rho1", "0.8", "--eff", "0.9", "--accuracy", "0.05", "--confidence", "0.6"]
+
+# The public names of eeqt, submodules included, as the eager package listed them.
+PUBLIC = [
+    "BinaryDetectorSpec", "CouplingOperator", "EvolutionConfig", "FilterSpec", "HybridState",
+    "NStateDetectorSpec", "PlanResult", "ShapeTag2x2", "ShapeTag3x3", "SignalDecomposition",
+    "TopologyTag", "Trajectory", "TransmissionScenario", "TwoStateDetectorSpec",
+    "admissible_2x2", "admissible_3x3", "balance_residual", "basis_projector",
+    "binary_asymptotic", "binary_trajectory", "check_cp_conditions", "check_projector",
+    "classical_marginal", "classical_rate_equations", "classify_topology", "confidence",
+    "detect_nonmonotonicity", "detectors", "di_confirmation_count",
+    "enumerate_admissible_patterns", "evolution", "evolve", "filter_classical_output",
+    "filter_quantum_marginal", "filter_quantum_output", "intelligibility", "liouville_rhs",
+    "minimal_m", "n_state_trajectory", "plan_for_m", "planner", "product_state",
+    "quantum_marginal", "scan_plan", "shapes", "states", "transmission_speed",
+    "two_state_asymptotic", "two_state_trajectory", "validate_state",
+]
+
+SYSTEM = {"states", "evolution", "detectors"}
+
+
+def loaded_modules(code: str) -> set:
+    """The eeqt submodules a fresh interpreter holds after running `code`."""
+    script = (f"import sys\n{code}\n"
+              "print(' '.join(m for m in sys.modules if m.startswith('eeqt.')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=ROOT, check=True)
+    return {name.removeprefix("eeqt.") for name in proc.stdout.split()}
+
+
+def test_import_eeqt_loads_no_submodule():
+    assert loaded_modules("import eeqt; eeqt.__version__") == set()
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["--version"], set()),
+    ([], set()),                                          # usage error
+    (PLAN, {"planner"}),
+    (["simulate", "--config", BINARY], SYSTEM),
+    (["efficiency", "--config", BINARY], SYSTEM),
+    (["validate"], {"states", "evolution", "shapes"}),
+    (["reproduce"], SYSTEM | {"planner"}),
+], ids=["version", "usage", "plan", "simulate", "efficiency", "validate", "reproduce"])
+def test_each_command_loads_only_its_modules(argv, modules):
+    code = ("import contextlib, io\nfrom eeqt.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    try:\n        main({argv!r})\n    except SystemExit:\n        pass")
+    assert loaded_modules(code) == {"cli"} | modules
+
+
+def test_public_names_are_unchanged_and_resolve():
+    assert eeqt.__all__ == PUBLIC
+    for name in PUBLIC:
+        value = getattr(eeqt, name)
+        if name in ("states", "evolution", "shapes", "detectors", "planner"):
+            assert value is sys.modules[f"eeqt.{name}"]
+        else:
+            assert value is getattr(sys.modules[value.__module__], name)
+    assert set(PUBLIC) <= set(dir(eeqt))
+    with pytest.raises(AttributeError):
+        eeqt.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        from eeqt import no_such_name  # noqa: F401
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from eeqt import *", namespace)
+    assert set(PUBLIC) <= set(namespace)
+    assert namespace["evolve"] is eeqt.evolution.evolve
+
+
+def test_cli_library_names_resolve_from_outside():
+    assert cli.scan_rows is eeqt.planner.scan_rows
+    assert cli.TOPOLOGY_BY_TAG is eeqt.shapes.TOPOLOGY_BY_TAG
+    with pytest.raises(AttributeError):
+        cli.no_such_name  # noqa: B018
+
+
+def test_simulate_calls_the_evolve_and_rows_bound_on_the_module(monkeypatch):
+    # A traced benchmark run wraps these two module attributes before it
+    # calls main(); simulate must call the wrappers, not its own imports.
+    calls = []
+    evolve, trajectory_rows = cli.evolve, cli.trajectory_rows
+
+    def traced_evolve(*args, **kwargs):
+        calls.append("evolve")
+        return evolve(*args, **kwargs)
+
+    def traced_rows(traj):
+        calls.append("trajectory_rows")
+        return trajectory_rows(traj)
+
+    monkeypatch.setattr(cli, "evolve", traced_evolve)
+    monkeypatch.setattr(cli, "trajectory_rows", traced_rows)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["simulate", "--config", BINARY]) == cli.EXIT_OK
+    assert calls == ["evolve", "trajectory_rows"]
+    assert cli.evolve is traced_evolve

@@ -15,6 +15,7 @@ from eeqt.planner import (
     minimal_m,
     plan_for_m,
     scan_plan,
+    scan_rows,
     transmission_speed,
 )
 
@@ -244,6 +245,39 @@ class TestScan:
             scan_plan(SCENARIO, 10 ** 9)
         with pytest.raises(ValueError, match="MAX_M"):
             detect_nonmonotonicity(SCENARIO, [12, MAX_M + 1])
+
+    def test_descent_scan_checks_max_m_while_reading(self):
+        # the range is refused at its first m above MAX_M, not after it has
+        # been read whole (a set of 10^9 ints would exhaust memory)
+        read = 0
+
+        def bounded():
+            nonlocal read
+            for m in range(1, 10 ** 9):
+                read += 1
+                assert read <= MAX_M + 1, "read past the first m above MAX_M"
+                yield m
+
+        with pytest.raises(ValueError, match="MAX_M"):
+            detect_nonmonotonicity(SCENARIO, bounded())
+        assert read == MAX_M + 1
+        with pytest.raises(ValueError, match="MAX_M"):
+            detect_nonmonotonicity(SCENARIO, range(1, 10 ** 9))
+        with pytest.raises(ValueError, match="at least 1"):
+            detect_nonmonotonicity(SCENARIO, range(-10 ** 9, 10))
+
+    @pytest.mark.parametrize("m_max", [40, 80, 1000])
+    def test_scan_rows_are_the_scan_plan_results(self, m_max):
+        rows, first = scan_rows(SCENARIO, m_max)
+        results, first_m = scan_plan(SCENARIO, m_max)
+        assert rows.shape == (len(results), 6)
+        assert rows.tolist() == [[r.m, r.i_minus, r.i_plus, r.advantageous.start,
+                                  r.advantageous[-1], r.confidence] for r in results]
+        if first_m is None:
+            assert first is None
+        else:
+            assert first.tolist() == rows[first_m - results[0].m].tolist()
+            assert rows[:, 5][rows[:, 0] < first_m].max() < SCENARIO.confidence_target
 
     def test_non_integer_m_rejected(self):
         with pytest.raises(TypeError):
