@@ -25,9 +25,8 @@ _EXPORTS = {
                "classify_topology", "enumerate_admissible_patterns"),
     "detectors": ("BinaryDetectorSpec", "FilterSpec", "NStateDetectorSpec",
                   "SignalDecomposition", "TwoStateDetectorSpec", "balance_residual",
-                  "binary_asymptotic", "binary_trajectory", "filter_classical_output",
-                  "filter_quantum_marginal", "filter_quantum_output", "n_state_trajectory",
-                  "two_state_asymptotic", "two_state_trajectory"),
+                  "binary_trajectory", "filter_classical_output", "filter_quantum_marginal",
+                  "filter_quantum_output", "n_state_trajectory", "two_state_trajectory"),
     "planner": ("PlanResult", "TransmissionScenario", "confidence", "detect_nonmonotonicity",
                 "di_confirmation_count", "intelligibility", "minimal_m", "plan_for_m",
                 "scan_plan", "transmission_speed"),

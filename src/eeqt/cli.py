@@ -18,14 +18,15 @@ bytes are those of formatting each value with ``_fmt``.
 ``simulate`` and ``efficiency`` read an INI config whose ``[detector] family``
 names an entry of ``FAMILIES``.  That entry is the only code that reads the
 family's keys; it builds the couplings, the quantum signal, the classical
-dimension and a lazily evaluated closed form.  Every ValueError raised while
-serving a config, from a missing key to a signal that is not a density matrix
-or a duration the step does not divide, is a config error.
+dimension, a lazily evaluated closed form and the format of its t = inf
+metadata.  Every ValueError raised while serving a config, from a missing key
+to a signal that is not a density matrix or a duration the step does not
+divide, is a config error.
 
 Exit codes: 0 success, 1 usage error (including a bad ``plan`` flag, NaN
 among them, and an ``--output`` that cannot be written), 2 config error, 3
-numerical-guard or reproduction failure (including arithmetic that overflows
-or a closed form that is not finite).
+numerical-guard or reproduction failure (including arithmetic that overflows,
+a closed form that is not finite and a record that is not positive).
 """
 
 from __future__ import annotations
@@ -49,9 +50,8 @@ _LIBRARY = {
     "evolution": ("EvolutionConfig", "check_cp_conditions", "check_record_memory", "evolve",
                   "trajectory_rows"),
     "detectors": ("BinaryDetectorSpec", "FilterSpec", "NStateDetectorSpec",
-                  "SignalDecomposition", "TwoStateDetectorSpec", "binary_asymptotic",
-                  "binary_trajectory", "filter_classical_output", "n_state_trajectory",
-                  "two_state_asymptotic", "two_state_trajectory"),
+                  "SignalDecomposition", "TwoStateDetectorSpec", "binary_trajectory",
+                  "filter_classical_output", "n_state_trajectory", "two_state_trajectory"),
     "shapes": ("TOPOLOGY_BY_TAG", "admissible_2x2", "admissible_3x3",
                "enumerate_admissible_patterns"),
     "planner": ("TransmissionScenario", "di_confirmation_count", "minimal_m", "plan_for_m",
@@ -151,15 +151,17 @@ class _Config(configparser.ConfigParser):
 class System(NamedTuple):
     """What a detector family builds from a config.
 
-    ``closed_form()`` returns the asymptotic metadata (or None) and t -> p_0..p_n.
-    It is None without a closed form, and lazy: it may reject a config that
-    integrates fine.
+    ``closed_form`` maps a time array t to (p_0, ..., p_n), each shaped like
+    t; it is lazy, so it may reject a config that integrates fine.
+    ``asymptotic`` formats those values at t = inf for the metadata.  Either
+    is None when the family has none.
     """
 
     couplings: list
     rho_q: np.ndarray
     classical_dim: int
-    closed_form: Callable | None
+    closed_form: Callable | None = None
+    asymptotic: Callable | None = None
 
 
 def _binary(config, dim):
@@ -176,14 +178,9 @@ def _binary(config, dim):
     rho_q = a0 * spec.e
     if b0 > 0:
         rho_q = rho_q + b0 * basis_projector(dim, (idx + 1) % dim)
-
-    def closed_form():
-        sig = SignalDecomposition(a0, b0)
-        p0_inf, p1_inf = binary_asymptotic(spec, sig)
-        return (f"p_0={_fmt(p0_inf)} p_1={_fmt(p1_inf)}",
-                lambda t: binary_trajectory(spec, sig, t))
-
-    return System([spec.coupling()], rho_q, 2, closed_form)
+    return System([spec.coupling()], rho_q, 2,
+                  lambda t: binary_trajectory(spec, SignalDecomposition(a0, b0), t),
+                  lambda p: f"p_0={_fmt(p[0])} p_1={_fmt(p[1])}")
 
 
 def _two_state(config, dim):
@@ -202,13 +199,8 @@ def _two_state(config, dim):
         if not free:
             raise ValueError("inert weight needs quantum dim >= 3")
         rho_q = rho_q + rest * basis_projector(dim, free[-1])
-
-    def closed_form():
-        p1_inf, p2_inf, eff = two_state_asymptotic(spec, a0, b0)
-        return (f"p_1={_fmt(p1_inf)} p_2={_fmt(p2_inf)} efficiency={_fmt(eff)}",
-                lambda t: two_state_trajectory(spec, a0, b0, t))
-
-    return System(spec.couplings(), rho_q, 3, closed_form)
+    return System(spec.couplings(), rho_q, 3, lambda t: two_state_trajectory(spec, a0, b0, t),
+                  lambda p: f"p_1={_fmt(p[1])} p_2={_fmt(p[2])} efficiency={_fmt(p[1] + p[2])}")
 
 
 def _n_state(config, dim):
@@ -222,7 +214,8 @@ def _n_state(config, dim):
     if not 0 <= aligned < channels:
         raise ValueError("aligned_channel out of range")
     return System(spec.couplings(), basis_projector(dim, aligned), channels + 1,
-                  lambda: (f"p_{aligned + 1}=1", lambda t: n_state_trajectory(spec, aligned, t)))
+                  lambda t: n_state_trajectory(spec, aligned, t),
+                  lambda p: f"p_{aligned + 1}={_fmt(p[aligned + 1])}")
 
 
 def _weighted_signal(config, dim, default_weights=None):
@@ -251,14 +244,14 @@ def _filter(config, dim):
     rho_q = _weighted_signal(config, dim)
     q1 = float(np.trace(spec.e1 @ rho_q).real)  # the weight on the detector projector
     return System([spec.coupling()], rho_q, 2,
-                  lambda: (None, lambda t: filter_classical_output(1.0, 0.0, q1, spec.k, t)))
+                  lambda t: filter_classical_output(1.0, 0.0, q1, spec.k, t))
 
 
 def _none(config, dim):
     classical_dim = config.value("detector", "classical_dim", int, 2)
     if classical_dim < 1:
         raise ValueError("classical_dim must be at least 1")
-    return System([], _weighted_signal(config, dim, [1.0]), classical_dim, None)
+    return System([], _weighted_signal(config, dim, [1.0]), classical_dim)
 
 
 # The modules that build and run a configured system (simulate, efficiency).
@@ -331,14 +324,14 @@ def _cmd_efficiency(args):
     if system.closed_form is None:
         raise ValueError(f"family '{family}' has no closed form")
     check_record_memory(state, cfg)  # refuse what simulate refuses
-    asymptotic, probabilities = system.closed_form()
-    times = [step * cfg.step for step in cfg.record_steps()]  # the grid evolve records
-    rows = np.array([(t, *probabilities(t)) for t in times], dtype=float)
+    times = np.fromiter(cfg.record_steps(), int) * cfg.step  # the grid evolve records
+    rows = np.column_stack((times, *system.closed_form(times)))
     if not np.isfinite(rows).all():
         raise FloatingPointError("closed form is not finite; a constant is too large "
                                  "or too small to represent")
-    _write_system_csv(args, digest, family, system, rows,
-                      meta=[("asymptotic", asymptotic)] if asymptotic is not None else [])
+    meta = [] if system.asymptotic is None else [
+        ("asymptotic", system.asymptotic(system.closed_form(np.inf)))]
+    _write_system_csv(args, digest, family, system, rows, meta=meta)
     return EXIT_OK
 
 
@@ -540,7 +533,7 @@ def main(argv=None) -> int:
             return EXIT_USAGE
         print(f"config error: {args.config}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ArithmeticError as exc:  # evolution.TraceDriftError among them
+    except ArithmeticError as exc:  # evolution.TraceDriftError and PositivityError among them
         print(f"numerical guard: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

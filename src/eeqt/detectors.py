@@ -4,6 +4,12 @@ These evaluators solve the classical rate equations of the four detector
 families analytically.  They serve both as fast replacements for numeric
 integration and as independent oracles against it.
 
+The classical solutions take a time array t and return their n+1 channel
+values first, each shaped like t; their long-time limits are the same
+functions at t = inf.  Rates and prefactors stay Python floats, so a
+constant whose square overflows raises OverflowError, and a binary rate that
+underflows to zero raises ZeroDivisionError.
+
 Two printed solutions required correction to be consistent with their own
 asymptotics and with numeric integration of the unambiguous rate equations:
 the registered-probability prefactor of the binary time solution uses the
@@ -58,26 +64,28 @@ class SignalDecomposition:
             raise ValueError(f"a0 + b0 = {self.a0 + self.b0:.12g} exceeds 1")
 
 
-def binary_asymptotic(spec: BinaryDetectorSpec, sig: SignalDecomposition):
-    """Long-time probabilities (p0_inf, p1_inf) of the binary detector.
+def _decay(rate: float, t) -> np.ndarray:
+    """exp(-rate t) on the time array `t`; ValueError if any time is negative.
 
-    Assumes the full decomposition a0 + b0 = 1; the registered probability is
-    k1^2 / (k1^2 + k2^2) * (1 - b0).
+    An exponent that is inf * 0 gives NaN without a numpy warning.
     """
-    p1_inf = spec.k1 ** 2 / (spec.k1 ** 2 + spec.k2 ** 2) * (1.0 - sig.b0)
-    return 1.0 - p1_inf, p1_inf
+    t = np.asarray(t, dtype=float)
+    if (t < 0).any():
+        raise ValueError("time must be non-negative")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(-rate * t)
 
 
-def binary_trajectory(spec: BinaryDetectorSpec, sig: SignalDecomposition, t: float):
+def binary_trajectory(spec: BinaryDetectorSpec, sig: SignalDecomposition, t):
     """Probabilities (p0(t), p1(t)) of the binary detector.
 
     p1(t) = a0 * k1^2/(k1^2 + k2^2) * (1 - exp(-(k1^2 + k2^2) t)) and
-    p0(t) = a0 + b0 - p1(t); the orthogonal weight b0 is inert.
+    p0(t) = a0 + b0 - p1(t); the orthogonal weight b0 is inert.  At
+    t = inf the registered probability is a0 k1^2 / (k1^2 + k2^2).
     """
-    if t < 0:
-        raise ValueError("time must be non-negative")
     rate = spec.k1 ** 2 + spec.k2 ** 2
-    p1 = sig.a0 * spec.k1 ** 2 / rate * (1.0 - math.exp(-rate * t))
+    decay = _decay(rate, t)
+    p1 = sig.a0 * spec.k1 ** 2 / rate * (1.0 - decay)
     return sig.a0 + sig.b0 - p1, p1
 
 
@@ -135,37 +143,27 @@ class TwoStateDetectorSpec:
         ]
 
 
-def _channel(weight: float, gain: float, loss: float, t: float, name: str) -> float:
+def _channel(weight: float, gain: float, loss: float, t, name: str):
     rate = gain ** 2 + loss ** 2
+    decay = _decay(rate, t)
     if rate == 0:
         if weight > 0:
             raise ValueError(f"channel {name} has weight but zero coupling constants")
-        return 0.0
-    return weight * gain ** 2 / rate * (1.0 - math.exp(-rate * t))
+        return np.zeros_like(decay)[()]  # [()]: a scalar for a scalar t
+    return weight * gain ** 2 / rate * (1.0 - decay)
 
 
-def two_state_trajectory(spec: TwoStateDetectorSpec, a0: float, b0: float, t: float):
+def two_state_trajectory(spec: TwoStateDetectorSpec, a0: float, b0: float, t):
     """Probabilities (p0(t), p1(t), p2(t)) of the two-state detector.
 
-    a0 is the initial weight on e2, b0 on e3; remaining weight is inert.
+    a0 is the initial weight on e2, b0 on e3; remaining weight is inert.  At
+    t = inf the total efficiency p1 + p2 is one exactly when k2 = n2 = 0 and
+    a0 + b0 = 1.
     """
-    if t < 0:
-        raise ValueError("time must be non-negative")
     SignalDecomposition(a0, b0)  # reuse the range checks
     p1 = _channel(a0, spec.k1, spec.k2, t, "e2")
     p2 = _channel(b0, spec.n1, spec.n2, t, "e3")
     return 1.0 - p1 - p2, p1, p2
-
-
-def two_state_asymptotic(spec: TwoStateDetectorSpec, a0: float, b0: float):
-    """Long-time limits (p1_inf, p2_inf, total_efficiency).
-
-    The total efficiency reaches one exactly when k2 = n2 = 0 and a0 + b0 = 1.
-    """
-    SignalDecomposition(a0, b0)
-    p1 = _channel(a0, spec.k1, spec.k2, math.inf, "e2")
-    p2 = _channel(b0, spec.n1, spec.n2, math.inf, "e3")
-    return p1, p2, p1 + p2
 
 
 @dataclass(frozen=True)
@@ -193,18 +191,16 @@ class NStateDetectorSpec:
                 for i, e in enumerate(self.projectors, start=1)]
 
 
-def n_state_trajectory(spec: NStateDetectorSpec, j: int, t: float) -> np.ndarray:
-    """Probability vector at time t for a signal aligned with channel j.
+def n_state_trajectory(spec: NStateDetectorSpec, j: int, t) -> np.ndarray:
+    """Probabilities, shape (n+1, *t.shape), for a signal aligned with channel j.
 
     p0 = exp(-k t), p_j = 1 - exp(-k t), all other channels stay at zero;
     the registered probability does not depend on the number of channels.
     """
     if not 0 <= j < spec.n_channels:
         raise ValueError(f"channel index {j} out of range")
-    if t < 0:
-        raise ValueError("time must be non-negative")
-    p = np.zeros(spec.n_channels + 1)
-    decay = math.exp(-spec.k * t)
+    decay = _decay(spec.k, t)
+    p = np.zeros((spec.n_channels + 1, *decay.shape))
     p[0] = decay
     p[j + 1] = 1.0 - decay
     return p
@@ -238,17 +234,13 @@ def filter_quantum_output(diagonal_weights, offdiagonal_weights, spec: FilterSpe
     coherence weights.  Diagonal weights pass through unchanged; a coherence
     touching the filter channel is scaled by exp(-k t / 2), all others pass.
     """
-    if t < 0:
-        raise ValueError("time must be non-negative")
-    diagonal_weights = dict(diagonal_weights)
+    decay = _decay(0.5 * spec.k, t)
     out_off = {}
-    decay = math.exp(-0.5 * spec.k * t)
     for (i, j), w in dict(offdiagonal_weights).items():
         if i == j:
             raise ValueError("off-diagonal weights require i != j")
-        factor = decay if (i == 0 or j == 0) else 1.0
-        out_off[(i, j)] = w * factor
-    return diagonal_weights, out_off
+        out_off[(i, j)] = w * (decay if 0 in (i, j) else 1.0)
+    return dict(diagonal_weights), out_off
 
 
 def filter_quantum_marginal(rho_q: np.ndarray, spec: FilterSpec, t: float) -> np.ndarray:
@@ -260,30 +252,27 @@ def filter_quantum_marginal(rho_q: np.ndarray, spec: FilterSpec, t: float) -> np
     `rho_q` that is not a finite square matrix and for one whose dimension
     differs from the projector's.
     """
-    if t < 0:
-        raise ValueError("time must be non-negative")
+    decay = _decay(0.5 * spec.k, t)
     e = spec.e1
     rho_q = operator_array(rho_q, "quantum input", 2)
     if rho_q.shape != e.shape:
         raise ValueError(f"quantum input has shape {rho_q.shape}, "
                          f"but the filter projector has {e.shape}")
     anti = e @ rho_q + rho_q @ e
-    return rho_q + (math.exp(-0.5 * spec.k * t) - 1.0) * (anti - 2.0 * (e @ rho_q @ e))
+    return rho_q + (decay - 1.0) * (anti - 2.0 * (e @ rho_q @ e))
 
 
-def filter_classical_output(p0: float, p1: float, q1: float, k: float, t: float):
+def filter_classical_output(p0: float, p1: float, q1: float, k: float, t):
     """Classical output (p0(t), p1(t)) of the filter.
 
     q1 = tr(e1 rho_q) is the aligned weight of the quantum input; the
     imbalance (p0 - p1) q1 relaxes at rate 2k and the sum is conserved.
     """
-    if t < 0:
-        raise ValueError("time must be non-negative")
+    decay = _decay(2.0 * k, t)
     if not (0 <= q1 <= 1 + 1e-12):
         raise ValueError(f"q1 = {q1:.12g} outside [0, 1]")
     if p0 < -1e-12 or p1 < -1e-12 or abs(p0 + p1 - 1.0) > 1e-9:
         raise ValueError("p0, p1 must be a probability pair summing to 1")
-    decay = math.exp(-2.0 * k * t)
     out0 = 0.5 * (p1 - p0) * q1 + p0 + 0.5 * (p0 - p1) * q1 * decay
     out1 = 0.5 * (p0 - p1) * q1 + p1 + 0.5 * (p1 - p0) * q1 * decay
     return out0, out1

@@ -23,7 +23,8 @@ Liouvillian, N = (n+1) d^2, and makes one matrix-vector product per step; or,
 for large generators and short runs, it makes the four right-hand-side calls
 per step matrix-free.  Both agree with the RK4 loop to rounding.  Every
 recorded state is checked as it is recorded: a non-finite entry or a total
-trace more than ``trace_tol`` from 1 stops the run with TraceDriftError.
+trace more than ``trace_tol`` from 1 stops the run with TraceDriftError, and
+one with a block eigenvalue below -POSITIVITY_TOL with PositivityError.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import HERMITICITY_TOL, HybridState, block_eigenvalues, operator_array
+from .states import (HERMITICITY_TOL, POSITIVITY_TOL, HybridState, block_eigenvalues,
+                     operator_array)
 
 BLOCK_ZERO_TOL = 1e-10
 PATTERN_ZERO_TOL = 1e-12
@@ -294,6 +296,10 @@ class Trajectory:
     times: np.ndarray
     blocks: np.ndarray  # shape (n_records, n+1, d, d)
 
+    def __post_init__(self):
+        # the smallest block eigenvalue of each record, from one batched eigvalsh
+        object.__setattr__(self, "_min_eig", block_eigenvalues(self.blocks).min(axis=(1, 2)))
+
     def __len__(self) -> int:
         return self.times.size
 
@@ -308,7 +314,7 @@ class Trajectory:
         return np.abs(self.probabilities().sum(axis=1) - 1.0)
 
     def min_eigenvalues(self) -> np.ndarray:
-        return block_eigenvalues(self.blocks).min(axis=(1, 2))
+        return self._min_eig
 
 
 class TraceDriftError(ArithmeticError):
@@ -316,6 +322,10 @@ class TraceDriftError(ArithmeticError):
 
     A numerical guard like an overflow, hence an ArithmeticError.
     """
+
+
+class PositivityError(ArithmeticError):
+    """Raised when a record has a block eigenvalue below -POSITIVITY_TOL."""
 
 
 def evolve(
@@ -332,8 +342,9 @@ def evolve(
     precomputed propagator T4(hL) or matrix-free, whichever costs fewer
     operations (``_dense_pays``).  Raises TraceDriftError at the first record
     whose total trace drifts beyond ``config.trace_tol`` or that is not
-    finite (step too large), and ValueError if the couplings fail the
-    structural CP check or the records would need more than
+    finite (step too large), PositivityError at the first record with a
+    block eigenvalue below -POSITIVITY_TOL, and ValueError if the couplings
+    fail the structural CP check or the records would need more than
     ``MAX_RECORD_BYTES``.
     """
     check_record_memory(state, config)
@@ -345,7 +356,13 @@ def evolve(
     # an unstable step overflows to inf and NaN; the record check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         stepper = _dense_step if _dense_pays(gen, config.n_steps) else _matrix_free_step
-        return _integrate(stepper(gen, config.step), state.blocks, config)
+        traj = _integrate(stepper(gen, config.step), state.blocks, config)
+    min_eig = traj.min_eigenvalues()
+    k = np.argmax(min_eig < -POSITIVITY_TOL)  # the first record below, else 0
+    if min_eig[k] < -POSITIVITY_TOL:
+        raise PositivityError(f"record {k} at t={traj.times[k]:g} has block eigenvalue "
+                              f"{min_eig[k]:.3g}, below -{POSITIVITY_TOL:g}; reduce step")
+    return traj
 
 
 def check_record_memory(state: HybridState, config: EvolutionConfig) -> None:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from eeqt import cli
 from eeqt.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, FAMILIES, main
-from eeqt.evolution import TraceDriftError, evolve
+from eeqt.evolution import PositivityError, TraceDriftError, evolve
 
 SHIPPED_CONFIGS = sorted((pathlib.Path(__file__).parents[1] / "configs").glob("*.ini"))
 
@@ -412,6 +412,52 @@ def test_trace_drift_guard_exits_3(tmp_path, capsys):
     assert isinstance(raised.value, ArithmeticError)
     assert main(["simulate", "--config", config, "--output", "-"]) == EXIT_NUMERIC
     assert capsys.readouterr() == ("", f"numerical guard: {raised.value}\n")
+
+
+# k1 = 4 gives hL the eigenvalue -16 h: at h = 0.4 one RK4 step multiplies the
+# unregistered weight by T4(-6.4), about 41, while the trace stays exactly 1.
+COARSE_BINARY_CONFIG = BINARY_CONFIG.replace("k1 = 1.0", "k1 = 4.0").replace(
+    "record_every = 50", "record_every = 1")
+
+
+def test_negative_record_exits_3(tmp_path, capsys):
+    config = write(tmp_path, "coarse.ini", COARSE_BINARY_CONFIG.replace("step = 0.01", "step = 0.4"))
+    _, _, system, state, cfg = cli._load_system(config)
+    with pytest.raises(PositivityError, match=r"record 1 at t=0\.4 ") as raised:
+        evolve(state, couplings=system.couplings, config=cfg)
+    assert isinstance(raised.value, ArithmeticError)
+    out = tmp_path / "coarse.csv"
+    assert main(["simulate", "--config", config, "--output", str(out)]) == EXIT_NUMERIC
+    assert capsys.readouterr() == ("", f"numerical guard: {raised.value}\n")
+    assert not out.exists()
+
+
+@pytest.mark.xfail(strict=True, reason="RK4 at h k1^2 = 1.6 is stable but inaccurate: p_1(0.1) "
+                                       "is 0.7296 against 0.7981; exact propagation (ROADMAP "
+                                       "item 3) fixes it")
+def test_coarse_stable_step_matches_the_closed_form(tmp_path):
+    config = write(tmp_path, "coarse.ini", COARSE_BINARY_CONFIG.replace("step = 0.01", "step = 0.1"))
+    sim, eff = tmp_path / "sim.csv", tmp_path / "eff.csv"
+    assert main(["simulate", "--config", config, "--output", str(sim)]) == EXIT_OK
+    assert main(["efficiency", "--config", config, "--output", str(eff)]) == EXIT_OK
+    simulated = np.array([row[:3] for row in read_csv(sim)[2]], dtype=float)
+    np.testing.assert_allclose(simulated, np.array(read_csv(eff)[2], dtype=float), atol=1e-6)
+
+
+def test_simulate_computes_the_record_eigenvalues_once(tmp_path, monkeypatch):
+    # one eigvalsh for the signal check, one batched over every record for
+    # both the positivity guard and the min_eigenvalue column
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    config = write(tmp_path, "binary.ini", BINARY_CONFIG)
+    assert main(["simulate", "--config", config, "--output", str(tmp_path / "s.csv")]) == EXIT_OK
+    assert shapes == [(2, 2, 2), (5, 2, 2, 2)]  # the signal's blocks, then 5 records
 
 
 def test_nan_trace_drift_exits_3(tmp_path, capsys):

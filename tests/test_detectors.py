@@ -11,13 +11,11 @@ from eeqt.detectors import (
     SignalDecomposition,
     TwoStateDetectorSpec,
     balance_residual,
-    binary_asymptotic,
     binary_trajectory,
     filter_classical_output,
     filter_quantum_marginal,
     filter_quantum_output,
     n_state_trajectory,
-    two_state_asymptotic,
     two_state_trajectory,
 )
 from eeqt.evolution import EvolutionConfig, evolve
@@ -40,17 +38,17 @@ def evolve_binary(spec, sig, duration, step=0.005, record_every=100):
 class TestBinary:
     def test_perfect_detector_asymptotics(self):
         spec = BinaryDetectorSpec(1.0, 0.0, E0)
-        assert binary_asymptotic(spec, SignalDecomposition(1.0, 0.0)) == (0.0, 1.0)
+        assert binary_trajectory(spec, SignalDecomposition(1.0, 0.0), math.inf) == (0.0, 1.0)
 
     def test_balanced_constants_split_evenly(self):
         spec = BinaryDetectorSpec(0.7, 0.7, E0)
-        p0, p1 = binary_asymptotic(spec, SignalDecomposition(1.0, 0.0))
+        p0, p1 = binary_trajectory(spec, SignalDecomposition(1.0, 0.0), math.inf)
         assert p1 == pytest.approx(0.5)
         assert p0 == pytest.approx(0.5)
 
     def test_one_to_two_ratio_and_integration(self):
         spec = BinaryDetectorSpec(1.0, 2.0, E0)
-        _, p1_inf = binary_asymptotic(spec, SignalDecomposition(1.0, 0.0))
+        _, p1_inf = binary_trajectory(spec, SignalDecomposition(1.0, 0.0), math.inf)
         assert p1_inf == pytest.approx(0.2)
         traj = evolve_binary(spec, SignalDecomposition(1.0, 0.0), 20.0)
         assert traj.probabilities()[-1, 1] == pytest.approx(0.2, abs=1e-6)
@@ -68,7 +66,7 @@ class TestBinary:
         spec = BinaryDetectorSpec(1.0, 1.0, E0)
         sig = SignalDecomposition(1.0, 0.0)
         p0, p1 = binary_trajectory(spec, sig, 50.0)
-        assert (p0, p1) == pytest.approx(binary_asymptotic(spec, sig), abs=1e-12)
+        assert (p0, p1) == pytest.approx(binary_trajectory(spec, sig, math.inf), abs=1e-12)
 
     def test_orthogonal_weight_is_inert(self):
         spec = BinaryDetectorSpec(1.0, 0.0, E0)
@@ -127,22 +125,23 @@ class TestTwoState:
 
     def test_single_channel_cases(self):
         spec = self.spec(k1=1.0, k2=0.5, n1=0.8, n2=0.3)
-        p1, p2, _ = two_state_asymptotic(spec, 1.0, 0.0)
+        _, p1, p2 = two_state_trajectory(spec, 1.0, 0.0, math.inf)
         assert p2 == 0.0
         assert p1 == pytest.approx(1.0 / 1.25)
-        p1, p2, _ = two_state_asymptotic(spec, 0.0, 1.0)
+        _, p1, p2 = two_state_trajectory(spec, 0.0, 1.0, math.inf)
         assert p1 == 0.0
         assert p2 == pytest.approx(0.64 / 0.73)
 
     def test_even_split_with_lossless_channels(self):
-        p1, p2, eff = two_state_asymptotic(self.spec(), 0.5, 0.5)
+        _, p1, p2 = two_state_trajectory(self.spec(), 0.5, 0.5, math.inf)
         assert (p1, p2) == pytest.approx((0.5, 0.5))
-        assert eff == pytest.approx(1.0)
+        assert p1 + p2 == pytest.approx(1.0)
 
     def test_unit_efficiency_requires_lossless_channels(self):
-        _, _, eff = two_state_asymptotic(self.spec(k2=1.0, n2=1.0), 0.5, 0.5)
-        assert eff == pytest.approx(0.5)
-        assert two_state_asymptotic(self.spec(), 0.0, 0.0) == (0.0, 0.0, 0.0)
+        _, p1, p2 = two_state_trajectory(self.spec(k2=1.0, n2=1.0), 0.5, 0.5, math.inf)
+        assert p1 + p2 == pytest.approx(0.5)
+        _, p1, p2 = two_state_trajectory(self.spec(), 0.0, 0.0, math.inf)
+        assert (p1, p2, p1 + p2) == (0.0, 0.0, 0.0)
 
     def test_trajectory_conserves_and_matches_integration(self):
         spec = self.spec(k1=1.0, k2=0.4, n1=0.6, n2=0.9)
@@ -294,3 +293,66 @@ def test_oracle_equivalence_small_sample(rng):
         for t, row in zip(traj.times, traj.probabilities()):
             np.testing.assert_allclose(row, binary_trajectory(spec, sig, t),
                                        atol=1e-6)
+
+
+# Each classical closed form as t -> its n+1 channel values, with the
+# constants fixed; the array call must give the scalar calls' values bit for bit.
+CLOSED_FORMS = {
+    "binary": lambda t: binary_trajectory(BinaryDetectorSpec(0.9, 0.4, E0),
+                                          SignalDecomposition(0.7, 0.3), t),
+    "two_state": lambda t: two_state_trajectory(
+        TwoStateDetectorSpec(1.1, 0.3, 0.6, 0.0, basis_projector(3, 0), basis_projector(3, 1)),
+        0.45, 0.35, t),
+    "two_state-idle-channel": lambda t: two_state_trajectory(
+        TwoStateDetectorSpec(1.1, 0.3, 0.0, 0.0, basis_projector(3, 0), basis_projector(3, 1)),
+        0.6, 0.0, t),
+    "n_state": lambda t: n_state_trajectory(
+        NStateDetectorSpec(0.8, tuple(basis_projector(4, i) for i in range(3))), 1, t),
+    "filter": lambda t: filter_classical_output(0.9, 0.1, 0.7, 1.3, t),
+}
+
+
+@pytest.mark.parametrize("closed_form", CLOSED_FORMS.values(), ids=CLOSED_FORMS)
+def test_array_call_equals_scalar_calls_bitwise(closed_form):
+    times = np.concatenate([[0.0, 5e-324, math.log(2.0), 1e3, math.inf],
+                            np.random.default_rng(3).uniform(0.0, 30.0, 400)])
+    channels = np.asarray(closed_form(times))
+    assert channels.shape[1:] == times.shape
+    scalars = np.array([closed_form(t) for t in times], dtype=float).T
+    np.testing.assert_array_equal(channels, scalars)
+    assert all(isinstance(p, float) for p in closed_form(0.5))  # a scalar t gives scalars
+    grid = times[:400].reshape(20, 20)
+    np.testing.assert_array_equal(np.asarray(closed_form(grid)),
+                                  channels[:, :400].reshape(-1, 20, 20))
+
+
+@pytest.mark.parametrize("closed_form", CLOSED_FORMS.values(), ids=CLOSED_FORMS)
+def test_negative_time_anywhere_in_the_array_is_rejected(closed_form):
+    for t in (-1.0, [0.0, 1.0, -1e-300, 2.0], [[1.0, 2.0], [3.0, -4.0]]):
+        with pytest.raises(ValueError, match="non-negative"):
+            closed_form(t)
+
+
+def test_quantum_filter_outputs_reject_negative_time():
+    spec = FilterSpec(1.0, E0)
+    with pytest.raises(ValueError, match="non-negative"):
+        filter_quantum_output({0: 1.0}, {}, spec, -1.0)
+    with pytest.raises(ValueError, match="non-negative"):
+        filter_quantum_marginal(E0, spec, -1.0)
+
+
+@given(ks, ks, ks, ks, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_infinite_time_is_the_asymptotic_formula(k1, k2, n1, n2, a0, split):
+    # the long-time limits as the removed asymptotic functions wrote them
+    b0 = 1.0 - a0
+    p0, p1 = binary_trajectory(BinaryDetectorSpec(k1, k2, E0), SignalDecomposition(a0, b0),
+                               math.inf)
+    p1_inf = k1 ** 2 / (k1 ** 2 + k2 ** 2) * (1.0 - b0)
+    assert abs(p1 - p1_inf) <= 1e-15 and abs(p0 - (1.0 - p1_inf)) <= 1e-15
+    spec = TwoStateDetectorSpec(k1, k2, n1, n2, basis_projector(3, 0), basis_projector(3, 1))
+    a2, b2 = split * a0, (1.0 - split) * a0
+    _, p1, p2 = two_state_trajectory(spec, a2, b2, math.inf)
+    p1_inf = a2 * k1 ** 2 / (k1 ** 2 + k2 ** 2)
+    p2_inf = b2 * n1 ** 2 / (n1 ** 2 + n2 ** 2)
+    assert abs(p1 - p1_inf) <= 1e-15 and abs(p2 - p2_inf) <= 1e-15
+    assert abs((p1 + p2) - (p1_inf + p2_inf)) <= 1e-15
