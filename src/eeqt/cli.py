@@ -23,22 +23,29 @@ metadata.  Every ValueError raised while serving a config, from a missing key
 to a signal that is not a density matrix or a duration the step does not
 divide, is a config error.
 
+With the default ``--output -`` the CSV goes to stdout and the summaries of
+``plan`` and ``validate`` go to stderr, so stdout holds nothing but the CSV;
+with an output file they go to stdout.
+
+Only the commands import numpy and hashlib, each where it computes, so
+argparse answers ``--version``, ``--help`` and every usage error without
+loading numpy or any eeqt module.
+
 Exit codes: 0 success, 1 usage error (including a bad ``plan`` flag, NaN
-among them, and an ``--output`` that cannot be written), 2 config error, 3
-numerical-guard or reproduction failure (including arithmetic that overflows,
-a closed form that is not finite and a record that is not positive).
+among them, an ``--output`` that cannot be written and a stdout that a
+reader closed early), 2 config error, 3 numerical-guard or reproduction
+failure (including arithmetic that overflows, a closed form that is not
+finite and a record that is not positive).
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import hashlib
 import importlib
+import os
 import sys
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from . import __version__
 
@@ -94,6 +101,13 @@ EXIT_NUMERIC = 3
 CSV_BLOCK_ROWS = 1024
 
 
+def _digest(text: str) -> str:
+    """The 16-hex-digit SHA-256 prefix that names a config or a flag set in the metadata."""
+    import hashlib
+
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def _fmt(x) -> str:
     """A metadata number; ``"%.12g" % x`` gives the same text for every float and int."""
     return f"{float(x):.12g}"
@@ -109,6 +123,11 @@ class OutputError(Exception):
     """The ``--output`` file cannot be written; a usage error."""
 
 
+def _summary(args, text):
+    """Print a command's summary: on stdout, or on stderr when the CSV goes to stdout."""
+    print(text, file=sys.stderr if args.output == "-" else sys.stdout)
+
+
 def _write_csv(args, header, rows, digest=None, meta=(), text=()):
     """CSV to ``args.output`` after the metadata: tool, command, digest (if any), seed, `meta`.
 
@@ -117,6 +136,8 @@ def _write_csv(args, header, rows, digest=None, meta=(), text=()):
     rows at a time, or any iterable of rows.  The whole text is formatted
     before the file is opened.
     """
+    import numpy as np
+
     meta = [("tool", f"eeqt {__version__}"), ("command", args.command),
             *([] if digest is None else [("config_sha256", digest)]),
             ("seed", args.seed), *meta]
@@ -224,6 +245,8 @@ def _weighted_signal(config, dim, default_weights=None):
                            default_weights)
     if len(weights) > dim:
         raise ValueError(f"{len(weights)} signal weights for quantum dim {dim}")
+    import numpy as np
+
     rho_q = np.zeros((dim, dim), dtype=complex)
     for i, w in enumerate(weights):
         rho_q += w * basis_projector(dim, i)
@@ -242,7 +265,7 @@ def _filter(config, dim):
     spec = FilterSpec(config.value("detector", "k"),
                       basis_projector(dim, config.value("detector", "projector", int, 0)))
     rho_q = _weighted_signal(config, dim)
-    q1 = float(np.trace(spec.e1 @ rho_q).real)  # the weight on the detector projector
+    q1 = float((spec.e1 @ rho_q).trace().real)  # the weight on the detector projector
     return System([spec.coupling()], rho_q, 2,
                   lambda t: filter_classical_output(1.0, 0.0, q1, spec.k, t))
 
@@ -270,6 +293,8 @@ FAMILIES = {
 
 def _build_system(config):
     """Detector family, its System and the initial hybrid state of a config."""
+    import numpy as np
+
     _library(*_SYSTEM_MODULES)
     family = config.value("detector", "family", str)
     if family not in FAMILIES:
@@ -299,8 +324,7 @@ def _load_system(path):
         duration=config.value("evolution", "duration", default=10.0),
         record_every=config.value("evolution", "record_every", int, 10),
     )
-    digest = hashlib.sha256(raw.encode()).hexdigest()[:16]
-    return digest, family, system, state, evolution
+    return _digest(raw), family, system, state, evolution
 
 
 def _write_system_csv(args, digest, family, system, rows, columns=(), meta=()):
@@ -319,6 +343,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_efficiency(args):
+    import numpy as np
+
     _library(*_SYSTEM_MODULES)
     digest, family, system, state, cfg = _load_system(args.config)
     if system.closed_form is None:
@@ -337,6 +363,8 @@ def _cmd_efficiency(args):
 
 def _orthogonal_entries(pattern, rng):
     """Instantiate a catalogue pattern with orthogonal random projectors."""
+    import numpy as np
+
     dim = 4
     mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, _ = np.linalg.qr(mat)
@@ -347,6 +375,8 @@ def _orthogonal_entries(pattern, rng):
 
 
 def _cmd_validate(args):
+    import numpy as np
+
     _library("evolution", "shapes")
     rng = np.random.default_rng(args.seed)
     rows = []
@@ -370,7 +400,7 @@ def _cmd_validate(args):
     header = ["classical_dim", "pattern", "support", "tag", "topology", "cp_pass",
               "duplicate_of"]
     _write_csv(args, header, rows, text=header[1:])
-    print("\n".join(report_lines))
+    _summary(args, "\n".join(report_lines))
     return EXIT_OK
 
 
@@ -391,17 +421,16 @@ def _cmd_plan(args):
     flag_string = (f"rho1={_fmt(scenario.rho1)} eff={_fmt(scenario.eta_det)} "
                    f"accuracy={_fmt(scenario.accuracy)} margin={_fmt(scenario.margin)} "
                    f"confidence={_fmt(scenario.confidence_target)} m_max={args.m_max}")
-    digest = hashlib.sha256(flag_string.encode()).hexdigest()[:16]
     header = ["m", "i_minus", "i_plus", "set_lo", "set_hi", "confidence"]
-    _write_csv(args, header, rows, digest, [("scenario", flag_string)])
+    _write_csv(args, header, rows, _digest(flag_string), [("scenario", flag_string)])
     if first is None:
-        print(f"no m <= {args.m_max} reaches confidence "
-              f"{scenario.confidence_target:g} (minimal m = {minimal_m(scenario)})")
+        _summary(args, f"no m <= {args.m_max} reaches confidence "
+                       f"{scenario.confidence_target:g} (minimal m = {minimal_m(scenario)})")
     else:
         m, _, _, lo, hi, conf = first.tolist()
-        print(f"minimal m = {minimal_m(scenario)}; first m with confidence >= "
-              f"{scenario.confidence_target:g} is {m:.0f} "
-              f"(confidence {conf:.4f}, counts {{{lo:.0f}..{hi:.0f}}})")
+        _summary(args, f"minimal m = {minimal_m(scenario)}; first m with confidence >= "
+                       f"{scenario.confidence_target:g} is {m:.0f} "
+                       f"(confidence {conf:.4f}, counts {{{lo:.0f}..{hi:.0f}}})")
     return EXIT_OK
 
 
@@ -512,6 +541,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout():
+    """Point stdout's file descriptor at the null device after a failed write.
+
+    What is still buffered then goes nowhere, so the flush at interpreter exit
+    cannot fail a second time.  A stdout that is not a file, such as an
+    in-process capture, is left alone.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -523,7 +568,9 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed stdout early fails here, not at exit
+        return code
     except OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -536,6 +583,10 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:  # evolution.TraceDriftError and PositivityError among them
         print(f"numerical guard: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:  # writing stdout; file and config errors are wrapped above
+        _discard_stdout()
+        print(f"error: cannot write -: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,9 +1,13 @@
 import argparse
 import configparser
 import contextlib
+import csv
 import io
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -306,6 +310,36 @@ def test_unwritable_output_exits_1(tmp_path, capsys, command):
     target = tmp_path / "missing" / "out.csv"
     assert main([command, *flags[command], "--output", str(target)]) == EXIT_USAGE
     assert f"error: cannot write {target}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, summary", [
+    (["plan", *PLAN_FLAGS], "minimal m = 12"),
+    (["validate"], "duplicate of W10"),
+], ids=["plan", "validate"])
+def test_stdout_holds_only_the_csv(capsys, argv, summary):
+    assert main([*argv, "--output", "-"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    body = [line for line in out.splitlines() if not line.startswith("#")]
+    rows = list(csv.reader(body))
+    assert len(rows) > 1 and {len(row) for row in rows} == {len(rows[0])}
+    assert summary not in out and summary in err
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # more CSV than a pipe holds, so the writer is still writing when the
+    # reader closes its end
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(pathlib.Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+        if p))
+    proc = subprocess.Popen([sys.executable, "-m", "eeqt.cli", "plan", *PLAN_FLAGS,
+                             "--m-max", "5000"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"# tool: eeqt")
+    proc.stdout.close()
+    err = proc.communicate(timeout=60)[1].decode()
+    assert proc.returncode == EXIT_USAGE
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.splitlines() == ["error: cannot write -: Broken pipe"]
 
 
 def test_reproduce_reports_known_truncated_row(capsys):

@@ -1,7 +1,8 @@
-"""The import boundary: which eeqt modules each entry point loads.
+"""The import boundary: which modules each entry point loads.
 
-``import eeqt`` resolves its names lazily and each CLI command imports only
-the modules it runs; these tests pin both, in fresh interpreters.
+``import eeqt`` resolves its names lazily, each CLI command imports only
+the eeqt modules it runs, and only a command that computes imports numpy;
+these tests pin all three, in fresh interpreters.
 """
 
 import contextlib
@@ -41,36 +42,62 @@ PUBLIC = [
 SYSTEM = {"states", "evolution", "detectors"}
 
 
-def loaded_modules(code: str) -> set:
-    """The eeqt submodules a fresh interpreter holds after running `code`."""
-    script = (f"import sys\n{code}\n"
-              "print(' '.join(m for m in sys.modules if m.startswith('eeqt.')))")
+def run_fresh(code: str) -> str:
+    """Stdout of `code` run in a fresh interpreter that imports eeqt from this tree."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, cwd=ROOT, check=True)
-    return {name.removeprefix("eeqt.") for name in proc.stdout.split()}
+    return proc.stdout
+
+
+def all_loaded_modules(code: str) -> set:
+    """Every module a fresh interpreter holds after running `code`."""
+    return set(run_fresh(f"import sys\n{code}\nprint(' '.join(sys.modules))").split())
+
+
+def eeqt_modules(loaded: set) -> set:
+    """The eeqt submodules among the module names `loaded`."""
+    return {name.removeprefix("eeqt.") for name in loaded if name.startswith("eeqt.")}
 
 
 def test_import_eeqt_loads_no_submodule():
-    assert loaded_modules("import eeqt; eeqt.__version__") == set()
+    assert eeqt_modules(all_loaded_modules("import eeqt; eeqt.__version__")) == set()
 
 
-@pytest.mark.parametrize("argv, modules", [
-    (["--version"], set()),
-    ([], set()),                                          # usage error
-    (PLAN, {"planner"}),
-    (["simulate", "--config", BINARY], SYSTEM),
-    (["efficiency", "--config", BINARY], SYSTEM),
-    (["validate"], {"states", "evolution", "shapes"}),
-    (["reproduce"], SYSTEM | {"planner"}),
-], ids=["version", "usage", "plan", "simulate", "efficiency", "validate", "reproduce"])
-def test_each_command_loads_only_its_modules(argv, modules):
+# argparse alone answers --version, --help and usage errors; every command
+# imports numpy.  hashlib comes with the config or flag digest of plan,
+# simulate and efficiency; validate gets it from numpy.random, which imports
+# ``secrets``.
+@pytest.mark.parametrize("argv, modules, numpy, hashlib", [
+    (["--version"], set(), False, False),
+    ([], set(), False, False),                                # usage error
+    (["--help"], set(), False, False),
+    (["plan", "--help"], set(), False, False),
+    (["plan", "--rho1", "abc"], set(), False, False),         # argparse rejects the value
+    (PLAN, {"planner"}, True, True),
+    (["simulate", "--config", BINARY], SYSTEM, True, True),
+    (["efficiency", "--config", BINARY], SYSTEM, True, True),
+    (["validate"], {"states", "evolution", "shapes"}, True, True),
+    (["reproduce"], SYSTEM | {"planner"}, True, False),
+], ids=["version", "usage", "help", "plan-help", "plan-bad-flag", "plan", "simulate",
+        "efficiency", "validate", "reproduce"])
+def test_each_command_loads_only_its_modules(argv, modules, numpy, hashlib):
     code = ("import contextlib, io\nfrom eeqt.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()), "
             "contextlib.redirect_stderr(io.StringIO()):\n"
             f"    try:\n        main({argv!r})\n    except SystemExit:\n        pass")
-    assert loaded_modules(code) == {"cli"} | modules
+    loaded = all_loaded_modules(code)
+    assert eeqt_modules(loaded) == {"cli"} | modules
+    assert ("numpy" in loaded, "hashlib" in loaded) == (numpy, hashlib)
+
+
+def test_writer_works_before_any_command_has_run():
+    # _write_csv is the first and only cli function this interpreter calls
+    code = ("import argparse, numpy\nfrom eeqt import cli\n"
+            "args = argparse.Namespace(output='-', command='t', seed=0)\n"
+            "cli._write_csv(args, ['x', 'y'], numpy.array([[0.5, 1e-300], [2.0, -3.0]]))")
+    assert run_fresh(code).splitlines()[3:] == ["x,y", "0.5,1e-300", "2,-3"]
 
 
 def test_public_names_are_unchanged_and_resolve():
