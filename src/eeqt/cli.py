@@ -29,11 +29,13 @@ with an output file they go to stdout.
 
 Only the commands import numpy and hashlib, each where it computes, so
 argparse answers ``--version``, ``--help`` and every usage error without
-loading numpy or any eeqt module.
+loading numpy or any eeqt module.  A process runs ``console_main``, which is
+``main`` with the cyclic garbage collector off.
 
 Exit codes: 0 success, 1 usage error (including a bad ``plan`` flag, NaN
-among them, an ``--output`` that cannot be written and a stdout that a
-reader closed early), 2 config error, 3 numerical-guard or reproduction
+among them, an ``--output`` that cannot be written and a stdout that cannot
+be written, even by ``--help`` or ``--version``, or that a reader closed
+early), 2 config error, 3 numerical-guard or reproduction
 failure (including arithmetic that overflows, a closed form that is not
 finite and a record that is not positive).
 """
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import gc
 import importlib
 import os
 import sys
@@ -337,8 +340,9 @@ def _cmd_simulate(args):
     _library(*_SYSTEM_MODULES)
     digest, family, system, state, cfg = _load_system(args.config)
     traj = evolve(state, couplings=system.couplings, config=cfg)
-    _write_system_csv(args, digest, family, system, trajectory_rows(traj),
-                      ["trace_drift", "min_eigenvalue"])
+    rows = trajectory_rows(traj)
+    del traj  # the records are freed before the text is formatted
+    _write_system_csv(args, digest, family, system, rows, ["trace_drift", "min_eigenvalue"])
     return EXIT_OK
 
 
@@ -502,8 +506,21 @@ def _cmd_reproduce(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose writes raise OSError instead of swallowing it.
+
+    argparse prints help, version and usage through ``_print_message``, which
+    ignores a failed write; here the failure reaches ``main``, which reports
+    it like any other failed write to stdout.
+    """
+
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eeqt",
         description="Discrete quantum-classical detector simulation and "
                     "transmission planning.",
@@ -558,6 +575,18 @@ def _discard_stdout():
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a reader that closed stdout early fails here, not at exit
+        return code
+    except OSError as exc:  # writing stdout; _run reports file and config errors itself
+        _discard_stdout()
+        print(f"error: cannot write -: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
+
+
+def _run(argv) -> int:
+    """Parse `argv` and run its command; the exit code of everything but a failed stdout write."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -568,9 +597,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a reader that closed stdout early fails here, not at exit
-        return code
+        return args.func(args)
     except OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -583,11 +610,22 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:  # evolution.TraceDriftError and PositivityError among them
         print(f"numerical guard: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as exc:  # writing stdout; file and config errors are wrapped above
-        _discard_stdout()
-        print(f"error: cannot write -: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_USAGE
+
+
+def console_main() -> int:
+    """The process entry of ``eeqt`` and ``python -m eeqt.cli``: ``main()`` without the cyclic GC.
+
+    A CLI process is short, and reference counting frees its arrays, so the
+    cyclic collector only walks numpy's objects: during the import, during
+    the run and once more at interpreter exit.  Disabling it skips the first
+    two; freezing what is left skips the last.  ``main`` itself leaves the
+    collector alone for in-process callers.
+    """
+    gc.disable()
+    code = main()
+    gc.freeze()
+    return code
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

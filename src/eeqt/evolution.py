@@ -16,15 +16,17 @@ exact: it reads the block pattern of each coupling instead of sampling probe
 operators.
 
 The generator L is linear and constant in time, so one RK4 step of size h is
-exactly the matrix polynomial T4(hL) = I + hL + (hL)^2/2 + (hL)^3/6 +
+exactly the matrix polynomial P = T4(hL) = I + hL + (hL)^2/2 + (hL)^3/6 +
 (hL)^4/24.  ``evolve`` applies RK4 in one of two ways, chosen by operation
-count (with a memory ceiling): it forms T4(hL) once from the dense N x N
-Liouvillian, N = (n+1) d^2, and makes one matrix-vector product per step; or,
-for large generators and short runs, it makes the four right-hand-side calls
-per step matrix-free.  Both agree with the RK4 loop to rounding.  Every
-recorded state is checked as it is recorded: a non-finite entry or a total
-trace more than ``trace_tol`` from 1 stops the run with TraceDriftError, and
-one with a block eigenvalue below -POSITIVITY_TOL with PositivityError.
+count (with a memory ceiling): it forms P once from the dense N x N
+Liouvillian, N = (n+1) d^2, powers it into the record propagators
+P^(j r) - I, r = ``record_every``, and writes each chunk of records with one
+matrix-vector product; or, for large generators and short runs, it makes the
+four right-hand-side calls per step matrix-free.  Both agree with the RK4
+loop to rounding.  Every recorded state is checked as it is recorded: a
+non-finite entry or a total trace more than ``trace_tol`` from 1 stops the
+run with TraceDriftError, and one with a block eigenvalue below
+-POSITIVITY_TOL with PositivityError.
 """
 
 from __future__ import annotations
@@ -43,13 +45,24 @@ PATTERN_ZERO_TOL = 1e-12
 # takes about a microsecond per step, and a step count near 1e200 would never
 # end while its records fill memory.
 MAX_STEPS = 10 ** 7
-# The dense path holds three N x N complex arrays at once (L, T4 and a
-# product); it is never taken when they would need more bytes than this.
+# The dense path holds at most four N x N complex arrays at once (the RK4
+# update, a scratch product and two record propagators while powering), and
+# its stack adds at most STACK_BYTES beyond them; it is never taken when the
+# four would need more bytes than this.
 DENSE_MEMORY_CEILING = 64 * 2 ** 20
+# The dense path's stack of record propagators P^(jr) - I, j = 1..b, takes at
+# most this many bytes, or one N x N array when that is larger: on long runs
+# b = 256 at N = 8 and b = 22 at N = 27.  Each chunk of b records is one
+# matrix-vector product.
+STACK_BYTES = 256 * 2 ** 10
 # check_record_memory refuses a run whose records, kept as complex (n+1, d, d)
 # arrays, would need more bytes than this; MAX_STEPS alone still allows 10^7
 # records.  evolve applies it, and so does the CLI's efficiency command.
 MAX_RECORD_BYTES = 2 ** 30
+# Trajectory computes the smallest block eigenvalue this many records at a
+# time: one batched eigvalsh over every record would hold temporaries about
+# twice the size of the records.
+EIG_BLOCK_RECORDS = 1024
 
 
 @dataclass(frozen=True)
@@ -297,8 +310,12 @@ class Trajectory:
     blocks: np.ndarray  # shape (n_records, n+1, d, d)
 
     def __post_init__(self):
-        # the smallest block eigenvalue of each record, from one batched eigvalsh
-        object.__setattr__(self, "_min_eig", block_eigenvalues(self.blocks).min(axis=(1, 2)))
+        # the smallest block eigenvalue of each record, computed once
+        min_eig = np.empty(len(self.blocks))
+        for b in range(0, len(min_eig), EIG_BLOCK_RECORDS):
+            block = self.blocks[b:b + EIG_BLOCK_RECORDS]
+            min_eig[b:b + EIG_BLOCK_RECORDS] = block_eigenvalues(block).min(axis=(1, 2))
+        object.__setattr__(self, "_min_eig", min_eig)
 
     def __len__(self) -> int:
         return self.times.size
@@ -338,14 +355,14 @@ def evolve(
 ) -> Trajectory:
     """Integrate the Liouville equation with fixed-step RK4.
 
-    The first recorded entry is the initial state.  RK4 is applied as the
-    precomputed propagator T4(hL) or matrix-free, whichever costs fewer
-    operations (``_dense_pays``).  Raises TraceDriftError at the first record
-    whose total trace drifts beyond ``config.trace_tol`` or that is not
-    finite (step too large), PositivityError at the first record with a
-    block eigenvalue below -POSITIVITY_TOL, and ValueError if the couplings
-    fail the structural CP check or the records would need more than
-    ``MAX_RECORD_BYTES``.
+    The first recorded entry is the initial state.  RK4 is applied through
+    powers of the precomputed propagator T4(hL) or matrix-free, whichever
+    costs fewer operations (``_dense_pays``).  Raises TraceDriftError at the
+    first record whose total trace drifts beyond ``config.trace_tol`` or
+    that is not finite (step too large), PositivityError at the first record
+    with a block eigenvalue below -POSITIVITY_TOL, and ValueError if the
+    couplings fail the structural CP check or the records would need more
+    than ``MAX_RECORD_BYTES``.
     """
     check_record_memory(state, config)
     gen = Generator.prepare(couplings, hamiltonian, state)
@@ -355,8 +372,10 @@ def evolve(
             raise ValueError(f"coupling operators fail CP conditions: {report.summary()}")
     # an unstable step overflows to inf and NaN; the record check reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        stepper = _dense_step if _dense_pays(gen, config.n_steps) else _matrix_free_step
-        traj = _integrate(stepper(gen, config.step), state.blocks, config)
+        if _dense_pays(gen, config):
+            traj = _record_dense(gen, state.blocks, config)
+        else:
+            traj = _integrate(_matrix_free_step(gen, config.step), state.blocks, config)
     min_eig = traj.min_eigenvalues()
     k = np.argmax(min_eig < -POSITIVITY_TOL)  # the first record below, else 0
     if min_eig[k] < -POSITIVITY_TOL:
@@ -374,40 +393,150 @@ def check_record_memory(state: HybridState, config: EvolutionConfig) -> None:
                          f"GiB limit (MAX_RECORD_BYTES); raise record_every")
 
 
-def _dense_pays(gen: Generator, n_steps: int) -> bool:
-    """Whether T4(hL) costs fewer complex multiply-adds than RK4 on ``rhs``.
+def _dense_pays(gen: Generator, config: EvolutionConfig) -> bool:
+    """Whether the dense recorder costs fewer complex multiply-adds than RK4 on ``rhs``.
 
-    Dense: m N^2 to build L, 3 N^3 for the three products of T4's Horner
-    form and N^2 per step.  Matrix-free: four ``rhs`` calls per step, each
-    two d x d products per coupling block (m (n+1)^2 of them) and one K
-    product pair per classical block.  The dense path is never taken above
-    ``DENSE_MEMORY_CEILING``.
+    Dense: m N^2 to build L, N^3 for each product of T4's Horner form, of
+    the record propagators' powering and of the stack's doubling, and N^2
+    per record.  Matrix-free: four ``rhs`` calls per step, each two d x d
+    products per coupling block (m (n+1)^2 of them) and one K product pair
+    per classical block.  The dense path is never taken when its N x N
+    arrays would need more than ``DENSE_MEMORY_CEILING``.
     """
     m, n1, _, d, _ = gen.vs.shape
     size = n1 * d * d
-    if 3 * 16 * size ** 2 > DENSE_MEMORY_CEILING:
+    if 4 * 16 * size ** 2 > DENSE_MEMORY_CEILING:
         return False
+    counts = _propagator_counts(config)
+    products = 3 + _power_products(counts) + _stack_depth(size, config.n_steps // counts[0]) - 1
+    dense = m * size ** 2 + products * size ** 3 + config.n_records * size ** 2
     blocks = m * n1 ** 2 + n1
-    dense = m * size ** 2 + 3 * size ** 3 + n_steps * size ** 2
-    return dense < n_steps * 4 * blocks * 2 * d ** 3
+    return dense < config.n_steps * 4 * blocks * 2 * d ** 3
 
 
-def _dense_step(gen: Generator, dt: float):
-    """One RK4 step of the flat state as v + (T4(dt L) - I) @ v.
+def _propagator_counts(config: EvolutionConfig) -> tuple:
+    """Steps per record interval and, when the last record is off that grid, the leftover steps.
 
-    T4 - I = A (I + A/2 (I + A/3 (I + A/4))) with A = dt L is the RK4 update
-    for a linear right-hand side.  Adding v back keeps the identity part
-    exact, as RK4's own rho + dt/6 (...) does, so rounding does not build up
-    over many steps.  Three N x N arrays are alive at once.
+    An interval longer than the run records what one as long as the run does.
+    """
+    every = min(config.record_every, config.n_steps)
+    left = config.n_steps % every
+    return (every, left) if left else (every,)
+
+
+def _power_products(counts) -> int:
+    """N x N products ``_powers`` makes: squarings up to the largest count, one per further bit."""
+    return max(counts).bit_length() - 1 + sum(q.bit_count() - 1 for q in counts)
+
+
+def _stack_depth(size: int, n_grid: int) -> int:
+    """Record propagators in the stack, for `n_grid` records of `size` entries.
+
+    As many as STACK_BYTES holds, and at least 1.  At most n_grid / N, so
+    that building the stack, N^3 for each, never costs more operations than
+    the N^2 for each record it serves.
+    """
+    return max(1, min(n_grid // size, STACK_BYTES // (16 * size ** 2)))
+
+
+def _rk4_update(gen: Generator, dt: float) -> np.ndarray:
+    """T = T4(dt L) - I, the change one RK4 step makes, as an N x N matrix.
+
+    T = A (I + A/2 (I + A/3 (I + A/4))) with A = dt L is the RK4 update for
+    a linear right-hand side.  The products go through one scratch array,
+    so three N x N arrays are alive at once; L is freed on return.
     """
     a = gen.liouvillian()
     a *= dt
     t = a / 4
+    w = np.empty_like(a)
     for k in (3, 2, 1):
         t.flat[::len(t) + 1] += 1  # t = I + t
-        t = a @ t
-        t /= k
-    return lambda v: v + t.dot(v)
+        np.matmul(a, t, out=w)
+        w /= k
+        t, w = w, t
+    return t
+
+
+def _powers(t: np.ndarray, counts) -> list:
+    """P^q - I for each q in `counts`, where P = I + t; overwrites `t`.
+
+    Binary powering in the I + A form, (I + A)(I + B) - I = A + B + AB, so
+    the identity is never added and taken away again: as with RK4's own
+    rho + dt/6 (...), rounding does not build up over many steps.  Each
+    product is written into one scratch array.
+    """
+    out = [None] * len(counts)
+    w = np.empty_like(t)
+    bit = 1
+    while True:
+        for i, q in enumerate(counts):
+            if q & bit:
+                if out[i] is None:
+                    out[i] = t.copy()
+                else:
+                    np.matmul(out[i], t, out=w)
+                    w += out[i]
+                    w += t
+                    out[i], w = w, out[i]
+        bit <<= 1
+        if bit > max(counts):
+            return out
+        np.matmul(t, t, out=w)
+        w += t
+        w += t
+        t, w = w, t
+
+
+def _stack(d: np.ndarray, depth: int) -> np.ndarray:
+    """Rows j N .. (j+1) N - 1 hold S_(j+1) = (I + d)^(j+1) - I, j < depth, built by doubling."""
+    size = len(d)
+    if depth == 1:
+        return d
+    s = np.empty((depth, size, size), dtype=complex)
+    s[0] = d
+    j = 1
+    while j < depth:
+        c = min(j, depth - j)
+        # S_(j+i) = S_j + S_i + S_j S_i for i = 1..c
+        np.matmul(s[j - 1], s[:c], out=s[j:j + c])
+        s[j:j + c] += s[:c]
+        s[j:j + c] += s[j - 1]
+        j += c
+    return s.reshape(-1, size)
+
+
+def _record_dense(gen: Generator, rho: np.ndarray, config: EvolutionConfig) -> Trajectory:
+    """Records on ``config.record_steps()`` from powers of the RK4 propagator P = T4(hL).
+
+    With r = ``record_every``, D = P^r - I is the record propagator and a
+    stack holds S_j = P^(jr) - I for j = 1..b.  A chunk of up to b records
+    after record k is then records[k] + S records[k], one matrix-vector
+    product, checked as a whole.  A last record off the r-grid takes the
+    leftover steps' propagator from the same powering.
+    """
+    n1, d = rho.shape[:2]
+    steps = np.fromiter(config.record_steps(), dtype=int)
+    counts = _propagator_counts(config)
+    n_grid = config.n_steps // counts[0]  # records on the r-grid after the first
+    size = rho.size
+    grid, *left = _powers(_rk4_update(gen, config.step), counts)
+    depth = _stack_depth(size, n_grid)
+    stack = _stack(grid, depth)
+    del grid  # the stack holds it, or a copy
+    records = np.empty((len(steps), size), dtype=complex)
+    records[0] = rho.ravel()
+    trace = _trace_weights(n1, d)
+    for k in range(0, n_grid, depth):
+        c = min(depth, n_grid - k)
+        chunk = records[k + 1:k + 1 + c]
+        np.dot(stack[:c * size], records[k], out=chunk.reshape(-1))
+        chunk += records[k]
+        _check_trace(chunk, steps[k + 1:], trace, config)
+    if left:  # the last record, off the r-grid
+        records[-1] = records[-2] + left[0] @ records[-2]
+        _check_trace(records[-1:], steps[-1:], trace, config)
+    return Trajectory(times=steps * config.step, blocks=records.reshape(-1, n1, d, d))
 
 
 def _matrix_free_step(gen: Generator, dt: float):
@@ -426,27 +555,42 @@ def _matrix_free_step(gen: Generator, dt: float):
 def _integrate(advance, rho: np.ndarray, config: EvolutionConfig) -> Trajectory:
     """Apply `advance` to the flattened `rho` and record on ``config.record_steps()``.
 
-    Each record is checked before it is stored; the first whose total trace
-    is more than ``trace_tol`` from 1, or not finite, raises TraceDriftError.
+    Each record is checked as it is stored, so the run stops at the first
+    whose total trace is more than ``trace_tol`` from 1, or not finite.
     """
     n1, d = rho.shape[:2]
     steps = np.fromiter(config.record_steps(), dtype=int)
     records = np.empty((len(steps), rho.size), dtype=complex)
-    # The total trace as one dot product.  Its zero weights on off-diagonal
-    # entries make it NaN when any entry is inf or NaN (0 * inf is NaN).
-    trace = np.tile(np.eye(d, dtype=complex).ravel(), n1)
+    trace = _trace_weights(n1, d)
     v = rho.ravel().copy()
     done = 0
     for k, step in enumerate(steps):
         for _ in range(step - done):
             v = advance(v)
-        drift = abs((trace @ v).real - 1.0)
-        if not drift <= config.trace_tol:  # also catches NaN
-            raise TraceDriftError(f"trace drift {drift:.3g} at t={step * config.step:g} "
-                                  f"exceeds {config.trace_tol:.3g}; reduce step")
         records[k] = v
+        _check_trace(records[k:k + 1], steps[k:], trace, config)
         done = step
     return Trajectory(times=steps * config.step, blocks=records.reshape(-1, n1, d, d))
+
+
+def _trace_weights(n1: int, d: int) -> np.ndarray:
+    """The total trace of a flat record as one dot product with this vector.
+
+    Its zero weights on off-diagonal entries make the product NaN when any
+    entry is inf or NaN (0 * inf is NaN).
+    """
+    return np.tile(np.eye(d, dtype=complex).ravel(), n1)
+
+
+def _check_trace(records: np.ndarray, steps: np.ndarray, trace: np.ndarray,
+                 config: EvolutionConfig) -> None:
+    """Raise TraceDriftError at the first of the flat `records`, taken at `steps`, that drifts."""
+    drift = np.abs((records @ trace).real - 1.0)
+    bad = ~(drift <= config.trace_tol)  # also catches NaN
+    if bad.any():
+        i = bad.argmax()
+        raise TraceDriftError(f"trace drift {drift[i]:.3g} at t={steps[i] * config.step:g} "
+                              f"exceeds {config.trace_tol:.3g}; reduce step")
 
 
 @dataclass(frozen=True)

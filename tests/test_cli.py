@@ -1,7 +1,9 @@
 import argparse
+import ast
 import configparser
 import contextlib
 import csv
+import gc
 import io
 import math
 import os
@@ -325,21 +327,67 @@ def test_stdout_holds_only_the_csv(capsys, argv, summary):
     assert summary not in out and summary in err
 
 
+def cli_env(**extra):
+    """The environment of a ``python -m eeqt.cli`` child that imports eeqt from this tree."""
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        p for p in (str(pathlib.Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+        if p))
+
+
 def test_closed_stdout_exits_1_without_a_traceback():
     # more CSV than a pipe holds, so the writer is still writing when the
     # reader closes its end
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(pathlib.Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH"))
-        if p))
     proc = subprocess.Popen([sys.executable, "-m", "eeqt.cli", "plan", *PLAN_FLAGS,
                              "--m-max", "5000"], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=env)
+                            stderr=subprocess.PIPE, env=cli_env())
     assert proc.stdout.readline().startswith(b"# tool: eeqt")
     proc.stdout.close()
     err = proc.communicate(timeout=60)[1].decode()
     assert proc.returncode == EXIT_USAGE
     assert "Traceback" not in err and "Exception ignored" not in err
     assert err.splitlines() == ["error: cannot write -: Broken pipe"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that refuses writes")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_report_a_failed_write(flag, unbuffered):
+    # argparse's own printing ignores a failed write, and a buffered stdout
+    # fails only at exit, after argparse is done
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "eeqt.cli", flag], stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=60,
+                              env=cli_env(PYTHONUNBUFFERED=unbuffered))
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.splitlines() == ["error: cannot write -: No space left on device"]
+
+
+def test_main_leaves_the_garbage_collector_as_it_found_it(tmp_path):
+    config = write(tmp_path, "binary.ini", BINARY_CONFIG)
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert main(["simulate", "--config", config, "--output", str(tmp_path / "s.csv")]) == EXIT_OK
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_process_entry_writes_what_main_writes(tmp_path):
+    config = write(tmp_path, "binary.ini", BINARY_CONFIG)
+    assert main(["simulate", "--config", config, "--output", str(tmp_path / "in.csv")]) == EXIT_OK
+    proc = subprocess.run([sys.executable, "-m", "eeqt.cli", "simulate", "--config", config,
+                           "--output", str(tmp_path / "child.csv")], capture_output=True,
+                          timeout=60, env=cli_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, b"", b"")
+    assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "in.csv").read_bytes()
+
+
+def test_console_script_is_the_process_entry():
+    # an installed `eeqt` runs what `python -m eeqt.cli` runs
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(cli.__file__).parents[2]
+    script = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]["eeqt"]
+    module, _, function = script.partition(":")
+    assert module == "eeqt.cli" and getattr(cli, function) is cli.console_main
+    entry = ast.parse(pathlib.Path(cli.__file__).read_text()).body[-1]
+    assert ast.unparse(entry) == f"if __name__ == '__main__':\n    sys.exit({function}())"
 
 
 def test_reproduce_reports_known_truncated_row(capsys):

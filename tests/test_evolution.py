@@ -1,5 +1,6 @@
 import math
 import pathlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,9 +18,9 @@ from eeqt.evolution import (
     Generator,
     TraceDriftError,
     _dense_pays,
-    _dense_step,
     _integrate,
     _matrix_free_step,
+    _record_dense,
     check_cp_conditions,
     classical_rate_equations,
     evolve,
@@ -517,15 +518,29 @@ def test_liouvillian_matches_rhs(name, rng):
     np.testing.assert_allclose(lv @ rho.ravel(), gen.rhs(rho).ravel(), rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("stepper", [_dense_step, _matrix_free_step])
+def record_matrix_free(gen, rho, config):
+    return _integrate(_matrix_free_step(gen, config.step), rho, config)
+
+
+# (duration, record_every) at step 0.01: a record every tenth step, every
+# step recorded, a last record off the record grid, more records than one
+# dense-path stack holds (at most 256 at these sizes), and a record interval
+# longer than the run
+GRIDS = [(2.0, 10), (0.5, 1), (2.07, 10), (3.0, 1), (0.2, 1000)]
+
+
+@pytest.mark.parametrize("record", [_record_dense, record_matrix_free],
+                         ids=["_dense_step", "_matrix_free_step"])
 @pytest.mark.parametrize("name", SYSTEMS)
-def test_both_paths_match_the_reference_rk4_loop(name, stepper):
+def test_both_paths_match_the_reference_rk4_loop(name, record):
     gen, state, hamiltonian, couplings = SYSTEMS[name]()
-    config = EvolutionConfig(step=0.01, duration=2.0, record_every=10)
-    traj = _integrate(stepper(gen, config.step), state.blocks, config)
-    reference = reference_rk4(hamiltonian, couplings, state.blocks, config)
-    np.testing.assert_allclose(traj.blocks, reference, rtol=0, atol=1e-13)
-    assert traj.times.tolist() == [step * 0.01 for step in config.record_steps()]
+    for duration, every in GRIDS:
+        config = EvolutionConfig(step=0.01, duration=duration, record_every=every)
+        traj = record(gen, state.blocks, config)
+        reference = reference_rk4(hamiltonian, couplings, state.blocks, config)
+        np.testing.assert_allclose(traj.blocks, reference, rtol=0, atol=1e-13,
+                                   err_msg=f"duration {duration}, record_every {every}")
+        assert traj.times.tolist() == [step * 0.01 for step in config.record_steps()]
 
 
 # The large-dim benchmark shapes (family, quantum dim, channels, steps): a
@@ -543,7 +558,7 @@ def test_path_rule_takes_matrix_free_for_large_generators(family, dim, channels,
         couplings = [FilterSpec(1.0, basis_projector(dim, 0)).coupling()]
     state = product_state(basis_projector(dim, 0), [1.0] + [0.0] * channels)
     gen = Generator.prepare(couplings, state=state)
-    assert not _dense_pays(gen, steps)
+    assert not _dense_pays(gen, EvolutionConfig(step=1.0, duration=steps))
 
 
 def test_path_rule_keeps_the_dense_path_under_its_memory_ceiling(monkeypatch):
@@ -554,16 +569,26 @@ def test_path_rule_keeps_the_dense_path_under_its_memory_ceiling(monkeypatch):
                                               for i in range(channels))).couplings()
     state = product_state(basis_projector(dim, 0), [1.0] + [0.0] * channels)
     gen = Generator.prepare(couplings, state=state)
-    assert not _dense_pays(gen, steps)
+    config = EvolutionConfig(step=1.0, duration=steps)
+    assert not _dense_pays(gen, config)
     monkeypatch.setattr(evolution, "DENSE_MEMORY_CEILING", math.inf)
-    assert _dense_pays(gen, steps)
+    assert _dense_pays(gen, config)
+
+
+@pytest.mark.parametrize("steps, every", [(20, 1), (200, 1), (10, 10 ** 6)])
+def test_path_rule_takes_the_propagator_for_short_small_runs(steps, every):
+    # the stack and the powering cost no more operations than the records
+    # they serve, so they never hand a small system to the slower matrix-free loop
+    e = basis_projector(2, 0)
+    gen = Generator.prepare([binary_coupling(1.0, 0.3, e)], state=product_state(e, [1.0, 0.0]))
+    assert _dense_pays(gen, EvolutionConfig(step=1.0, duration=steps, record_every=every))
 
 
 @pytest.mark.parametrize("path", sorted(SHIPPED_CONFIGS.glob("*.ini")), ids=lambda p: p.stem)
 def test_path_rule_takes_the_propagator_for_shipped_configs(path):
     _, _, system, state, config = cli._load_system(str(path))
     gen = Generator.prepare(system.couplings, state=state)
-    assert _dense_pays(gen, config.n_steps)
+    assert _dense_pays(gen, config)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -582,3 +607,35 @@ def test_integration_stops_at_the_first_non_finite_record(bad):
     with np.errstate(invalid="ignore"), pytest.raises(TraceDriftError, match="t=0.3"):
         _integrate(advance, state.blocks, EvolutionConfig(step=0.1, duration=100.0))
     assert len(calls) == 3
+
+
+def test_unstable_dense_run_stops_at_the_first_non_finite_record():
+    # k1 = 4 at step 2 multiplies the unregistered weight by T4(-32) = 38709
+    # a step, so record j holds about 38709^j: finite up to j = 67, inf at 68.
+    # The trace stays within the loose tolerance until then, so the first
+    # record the guard refuses is the first non-finite one.
+    e = basis_projector(2, 0)
+    state = product_state(e, [1.0, 0.0])
+    config = EvolutionConfig(step=2.0, duration=2000.0, trace_tol=1e300)
+    assert _dense_pays(Generator.prepare([binary_coupling(4.0, 0.0, e)], state=state), config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TraceDriftError, match=r"drift nan at t=136 "):
+            evolve(state, couplings=[binary_coupling(4.0, 0.0, e)], config=config)
+
+
+def test_evolve_peak_memory_is_bounded_by_the_records():
+    # 50 001 records of 128 bytes each; evolve holds them, their times and
+    # steps, and a bounded amount besides
+    state = product_state(basis_projector(2, 0), [1.0, 0.0])
+    couplings = [binary_coupling(0.2, 0.1, basis_projector(2, 0))]
+    config = EvolutionConfig(step=0.001, duration=50.0)
+    record_bytes = config.n_records * state.blocks.nbytes
+    tracemalloc.start()
+    try:
+        traj = evolve(state, couplings=couplings, config=config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.blocks.nbytes == record_bytes
+    assert peak < 1.5 * record_bytes
