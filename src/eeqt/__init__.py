@@ -50,3 +50,25 @@ def __getattr__(name):
 
 def __dir__():
     return sorted({*globals(), *__all__})
+
+
+class _Frozen:
+    """Base of the immutable value classes of the submodules.
+
+    Each subclass lists its attributes in ``__slots__`` and sets them once,
+    in ``__init__``, through ``_set``; assigning or deleting one afterwards
+    raises AttributeError.  Plain classes, because a frozen dataclass
+    generates its methods with ``exec`` when its module is imported.
+    """
+
+    __slots__ = ()
+
+    def _set(self, **values):
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")

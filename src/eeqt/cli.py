@@ -35,9 +35,10 @@ loading numpy or any eeqt module.  A process runs ``console_main``, which is
 Exit codes: 0 success, 1 usage error (including a bad ``plan`` flag, NaN
 among them, an ``--output`` that cannot be written and a stdout that cannot
 be written, even by ``--help`` or ``--version``, or that a reader closed
-early), 2 config error, 3 numerical-guard or reproduction
-failure (including arithmetic that overflows, a closed form that is not
-finite and a record that is not positive).
+early), 2 config error (including a config whose arrays do not fit in
+memory), 3 numerical-guard or reproduction failure (including arithmetic
+that overflows, a generator or closed form that is not finite and a record
+that is not positive).
 """
 
 from __future__ import annotations
@@ -601,7 +602,7 @@ def _run(argv) -> int:
     except OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: arrays too large for memory
         if not hasattr(args, "config"):  # plan rejects a flag value
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE

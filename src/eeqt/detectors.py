@@ -21,28 +21,36 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _Frozen
 from .evolution import CouplingOperator
 from .states import HybridState, check_projector, operator_array
 
 
-@dataclass(frozen=True)
-class BinaryDetectorSpec:
+def _check_finite(*constants) -> None:
+    """Raise ValueError unless every coupling constant is finite.
+
+    An infinite constant would turn the zero entries of its coupling block
+    into NaN (inf * 0) before the block itself is checked.
+    """
+    if not all(map(math.isfinite, constants)):
+        raise ValueError("coupling constants must be finite")
+
+
+class BinaryDetectorSpec(_Frozen):
     """Yes/no detector with antidiagonal coupling blocks k1*e and k2*e."""
 
-    k1: float
-    k2: float
-    e: np.ndarray = field(repr=False)
+    __slots__ = ("k1", "k2", "e")
 
-    def __post_init__(self):
-        if self.k1 < 0 or self.k2 < 0:
+    def __init__(self, k1: float, k2: float, e):
+        if k1 < 0 or k2 < 0:
             raise ValueError("coupling constants must be non-negative")
-        if self.k1 + self.k2 == 0:
+        if k1 + k2 == 0:
             raise ValueError("at least one coupling constant must be positive")
-        object.__setattr__(self, "e", check_projector(self.e))
+        _check_finite(k1, k2)
+        self._set(k1=k1, k2=k2, e=check_projector(e))
 
     def coupling(self) -> CouplingOperator:
         """Antidiagonal coupling operator over a 2-event classical space."""
@@ -50,18 +58,17 @@ class BinaryDetectorSpec:
                                                  (1, 0): self.k2 * self.e})
 
 
-@dataclass(frozen=True)
-class SignalDecomposition:
+class SignalDecomposition(_Frozen):
     """Initial signal weights: aligned with the detector projector or not."""
 
-    a0: float
-    b0: float
+    __slots__ = ("a0", "b0")
 
-    def __post_init__(self):
-        if self.a0 < 0 or self.b0 < 0:
+    def __init__(self, a0: float, b0: float):
+        if a0 < 0 or b0 < 0:
             raise ValueError("signal weights must be non-negative")
-        if self.a0 + self.b0 > 1 + 1e-12:
-            raise ValueError(f"a0 + b0 = {self.a0 + self.b0:.12g} exceeds 1")
+        if a0 + b0 > 1 + 1e-12:
+            raise ValueError(f"a0 + b0 = {a0 + b0:.12g} exceeds 1")
+        self._set(a0=a0, b0=b0)
 
 
 def _decay(rate: float, t) -> np.ndarray:
@@ -112,26 +119,21 @@ def _check_orthogonal(projectors: dict) -> None:
                              f"|tr({a} {b})| = {overlap:.3g}")
 
 
-@dataclass(frozen=True)
-class TwoStateDetectorSpec:
+class TwoStateDetectorSpec(_Frozen):
     """Detector distinguishing two signals via orthogonal projectors e2, e3."""
 
-    k1: float
-    k2: float
-    n1: float
-    n2: float
-    e2: np.ndarray = field(repr=False)
-    e3: np.ndarray = field(repr=False)
+    __slots__ = ("k1", "k2", "n1", "n2", "e2", "e3")
 
-    def __post_init__(self):
-        for k in (self.k1, self.k2, self.n1, self.n2):
+    def __init__(self, k1: float, k2: float, n1: float, n2: float, e2, e3):
+        for k in (k1, k2, n1, n2):
             if k < 0:
                 raise ValueError("coupling constants must be non-negative")
-        if self.k1 + self.k2 == 0 and self.n1 + self.n2 == 0:
+        if k1 + k2 == 0 and n1 + n2 == 0:
             raise ValueError("at least one channel must have a positive constant")
-        object.__setattr__(self, "e2", check_projector(self.e2))
-        object.__setattr__(self, "e3", check_projector(self.e3))
-        _check_orthogonal({"e2": self.e2, "e3": self.e3})
+        _check_finite(k1, k2, n1, n2)
+        e2, e3 = check_projector(e2), check_projector(e3)
+        _check_orthogonal({"e2": e2, "e3": e3})
+        self._set(k1=k1, k2=k2, n1=n1, n2=n2, e2=e2, e3=e3)
 
     def couplings(self) -> list:
         """The pair of single-focus coupling operators over 3 classical events."""
@@ -166,19 +168,18 @@ def two_state_trajectory(spec: TwoStateDetectorSpec, a0: float, b0: float, t):
     return 1.0 - p1 - p2, p1, p2
 
 
-@dataclass(frozen=True)
-class NStateDetectorSpec:
+class NStateDetectorSpec(_Frozen):
     """Detector registering n distinguishable signals at a common rate k."""
 
-    k: float
-    projectors: tuple = field(repr=False)
+    __slots__ = ("k", "projectors")
 
-    def __post_init__(self):
-        if self.k <= 0:
+    def __init__(self, k: float, projectors: tuple):
+        if k <= 0:
             raise ValueError("coupling constant k must be positive")
-        projectors = tuple(check_projector(e) for e in self.projectors)
+        _check_finite(k)
+        projectors = tuple(check_projector(e) for e in projectors)
         _check_orthogonal({f"e{i}": e for i, e in enumerate(projectors, start=1)})
-        object.__setattr__(self, "projectors", projectors)
+        self._set(k=k, projectors=projectors)
 
     @property
     def n_channels(self) -> int:
@@ -206,17 +207,16 @@ def n_state_trajectory(spec: NStateDetectorSpec, j: int, t) -> np.ndarray:
     return p
 
 
-@dataclass(frozen=True)
-class FilterSpec:
+class FilterSpec(_Frozen):
     """Nondemolition filter: registers without disturbing aligned signals."""
 
-    k: float
-    e1: np.ndarray = field(repr=False)
+    __slots__ = ("k", "e1")
 
-    def __post_init__(self):
-        if self.k <= 0:
+    def __init__(self, k: float, e1):
+        if k <= 0:
             raise ValueError("coupling constant k must be positive")
-        object.__setattr__(self, "e1", check_projector(self.e1))
+        _check_finite(k)
+        self._set(k=k, e1=check_projector(e1))
 
     def coupling(self) -> CouplingOperator:
         """Antidiagonal coupling sqrt(k) * e1 on both off-diagonal blocks."""

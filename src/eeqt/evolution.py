@@ -9,11 +9,11 @@ blockwise for block-diagonal states, with a fixed-step classical RK4
 integrator; G holds the diagonal blocks of sum_i Vi Vi*.  Coupling operators
 are block matrices over classical index pairs whose entries are quantum
 operators.  A ``Generator`` validates a Hamiltonian and couplings once and
-keeps two arrays, the blocks of K and the coupling stack; the right-hand
-side, the dense Liouvillian, the integrator, the rate equations and the
-structural complete-positivity check all work from it.  The CP check is
-exact: it reads the block pattern of each coupling instead of sampling probe
-operators.
+keeps the blocks of K and one stack of the coupling blocks with a nonzero
+entry; the right-hand side, the dense Liouvillian, the integrator, the rate
+equations and the structural complete-positivity check all work from it.
+The CP check is exact: it reads the block pattern of each coupling instead
+of sampling probe operators.
 
 The generator L is linear and constant in time, so one RK4 step of size h is
 exactly the matrix polynomial P = T4(hL) = I + hL + (hL)^2/2 + (hL)^3/6 +
@@ -32,10 +32,10 @@ run with TraceDriftError, and one with a block eigenvalue below
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _Frozen
 from .states import (HERMITICITY_TOL, POSITIVITY_TOL, HybridState, block_eigenvalues,
                      operator_array)
 
@@ -63,10 +63,12 @@ MAX_RECORD_BYTES = 2 ** 30
 # time: one batched eigvalsh over every record would hold temporaries about
 # twice the size of the records.
 EIG_BLOCK_RECORDS = 1024
+# _dense_pays prices numpy's fixed cost of one ``rhs`` call in an RK4 step, about
+# 16 us, at the 10^4 complex multiply-adds per us of N x N products (2 vCPUs).
+RHS_CALL_FLOOR = 160_000
 
 
-@dataclass(frozen=True)
-class CouplingOperator:
+class CouplingOperator(_Frozen):
     """Block matrix V with quantum-operator entries V[alpha, beta].
 
     Attributes
@@ -76,10 +78,10 @@ class CouplingOperator:
         quantum operator in classical block row alpha, column beta.
     """
 
-    blocks: np.ndarray = field(repr=False)
+    __slots__ = ("blocks",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", operator_array(self.blocks, "coupling blocks", 4))
+    def __init__(self, blocks):
+        self._set(blocks=operator_array(blocks, "coupling blocks", 4))
 
     @property
     def classical_dim(self) -> int:
@@ -134,28 +136,24 @@ class CouplingOperator:
         )
 
 
-@dataclass(frozen=True)
-class EvolutionConfig:
+class EvolutionConfig(_Frozen):
     """Fixed-step integration parameters; `duration` is a whole number of steps."""
 
-    step: float
-    duration: float
-    record_every: int = 1
-    trace_tol: float = 1e-8
+    __slots__ = ("step", "duration", "record_every", "trace_tol")
 
-    def __post_init__(self):
-        if not 0 < self.step <= self.duration < math.inf:
+    def __init__(self, step: float, duration: float, record_every: int = 1,
+                 trace_tol: float = 1e-8):
+        if not 0 < step <= duration < math.inf:
             raise ValueError("step and duration must satisfy 0 < step <= duration < inf")
-        if self.duration / self.step > MAX_STEPS + 0.5:
-            raise ValueError(f"{self.duration / self.step:.3g} steps exceed the limit "
+        if duration / step > MAX_STEPS + 0.5:
+            raise ValueError(f"{duration / step:.3g} steps exceed the limit "
                              f"of {MAX_STEPS} (MAX_STEPS)")
         # relative tolerance: 0.12 / 0.002 is 59.99999999999999
-        if abs(math.remainder(self.duration, self.step)) > 1e-9 * self.duration:
-            raise ValueError(
-                f"duration {self.duration:g} is not a whole multiple of step {self.step:g}"
-            )
-        if self.record_every < 1:
+        if abs(math.remainder(duration, step)) > 1e-9 * duration:
+            raise ValueError(f"duration {duration:g} is not a whole multiple of step {step:g}")
+        if record_every < 1:
             raise ValueError("record_every must be a positive integer")
+        self._set(step=step, duration=duration, record_every=record_every, trace_tol=trace_tol)
 
     @property
     def n_steps(self) -> int:
@@ -171,8 +169,7 @@ class EvolutionConfig:
         yield self.n_steps
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(_Frozen):
     """Validated Hamiltonian and couplings, prepared once for repeated use.
 
     The Liouville equation is stored in the form of Blanchard and Jadczyk,
@@ -186,22 +183,30 @@ class Generator:
     k : np.ndarray
         Read-only blocks of K, shape (n+1, d, d); zero when there is neither
         a Hamiltonian nor a coupling.
-    vs : np.ndarray
-        Read-only coupling operators stacked to shape (m, n+1, n+1, d, d);
-        m may be 0.
+    v, index : np.ndarray
+        Read-only stack (nnz, d, d) of the coupling blocks V[i, gamma, alpha]
+        with a nonzero entry, at most n+1 per coupling under the CP rule,
+        ordered by alpha; and their (i, gamma, alpha), shape (3, nnz).
     """
 
-    k: np.ndarray = field(repr=False)
-    vs: np.ndarray = field(repr=False)
+    __slots__ = ("k", "v", "index", "_kh", "_vh", "_scatter")
+
+    def __init__(self, k: np.ndarray, v: np.ndarray, index: np.ndarray):
+        kh, vh = k.conj().swapaxes(-1, -2), np.ascontiguousarray(v.conj().swapaxes(-1, -2))
+        scatter = (index[2] == np.arange(len(k))[:, None]).astype(complex)  # sums by alpha
+        for a in (k, v, index, kh, vh, scatter):
+            a.setflags(write=False)
+        self._set(k=k, v=v, index=index, _kh=kh, _vh=vh, _scatter=scatter)
 
     @classmethod
     def prepare(cls, couplings=(), hamiltonian=None,
                 state: HybridState | None = None) -> "Generator":
-        """Stack and validate.
+        """Gather and validate.
 
         The couplings, the Hamiltonian and the state must agree on (n+1, d),
         which is taken from whichever of them is given.  Raises ValueError
-        when they disagree or none is given.
+        when they disagree or none is given, and OverflowError when K is not
+        finite.
         """
         couplings = list(couplings)
         shapes = {f"coupling {i}": v.blocks.shape[1:3] for i, v in enumerate(couplings)}
@@ -218,18 +223,24 @@ class Generator:
                              + (", ".join(f"{name} {s}" for name, s in shapes.items())
                                 or "none of them is given"))
         n1, d = next(iter(shapes.values()))
-        vs = np.array([v.blocks for v in couplings], dtype=complex).reshape(-1, n1, n1, d, d)
-        # G[alpha] = sum_{i, gamma} V[i, alpha, gamma] V[i, alpha, gamma]^dagger
-        k = -0.5 * np.einsum("iagxz,iagwz->axw", vs, vs.conj())
-        if hamiltonian is not None:
-            k -= 1j * h
-        vs.setflags(write=False)
-        k.setflags(write=False)
-        return cls(k, vs)
+        index = sorted(((i, g, a) for i, c in enumerate(couplings)
+                        for g, a in zip(*np.nonzero(c.blocks.any(axis=(2, 3))))),
+                       key=lambda entry: entry[2])
+        v = np.array([couplings[i].blocks[g, a] for i, g, a in index], complex).reshape(-1, d, d)
+        k = np.zeros((n1, d, d), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            for (_, g, _), gain in zip(index, v @ v.conj().swapaxes(-1, -2)):
+                k[g] -= 0.5 * gain  # G[gamma] sums V V^dagger over row gamma
+            if hamiltonian is not None:
+                k -= 1j * h
+        if not np.isfinite(k).all():
+            raise OverflowError("K = -iH - G/2 is not finite: a coupling entry is too large")
+        return cls(k, v, np.array(index, dtype=np.intp).reshape(-1, 3).T.copy())
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
         """Time derivative of the (n+1, d, d) block array `rho`."""
-        return self.k @ rho + rho @ self.k.conj().swapaxes(-1, -2) + _sandwich(self.vs, rho)
+        sandwich = (self._vh @ rho[self.index[1]] @ self.v).reshape(len(self.v), rho[0].size)
+        return self.k @ rho + rho @ self._kh + (self._scatter @ sandwich).reshape(rho.shape)
 
     def liouvillian(self) -> np.ndarray:
         """Dense N x N generator L on (n+1, d, d) blocks, N = (n+1) d^2.
@@ -237,16 +248,16 @@ class Generator:
         L @ rho.ravel() == rhs(rho).ravel() for every rho of that shape.
 
         Rows and columns run over (alpha, m, w) in the C order of the block
-        array.  The couplings give
-        L[(a, m, w), (g, x, z)] = sum_i conj(V[i, g, a, x, m]) V[i, g, a, z, w];
-        each diagonal block adds kron(K, 1) + kron(1, conj(K)), the matrix of
-        rho -> K rho + rho K^dagger.
+        array.  A gathered block V at (gamma, alpha) adds kron(V^dagger, V^T)
+        to block (alpha, gamma); each diagonal block adds kron(K, 1) +
+        kron(1, conj(K)), the matrix of rho -> K rho + rho K^dagger.
         """
         n1, d = self.k.shape[:2]
-        size = n1 * d * d
-        out = np.einsum("igaxm,igazw->amwgxz", self.vs.conj(), self.vs).reshape(size, size)
-        eye = np.eye(d)
+        out = np.zeros((n1 * d * d,) * 2, dtype=complex)
         blocks = out.reshape(n1, d * d, n1, d * d)  # a view of out
+        for g, a, v, vh in zip(*self.index[1:], self.v, self._vh):
+            blocks[a, :, g] += np.kron(vh, v.T)
+        eye = np.eye(d)
         for a, k in enumerate(self.k):
             blocks[a, :, a] += np.kron(k, eye) + np.kron(eye, k.conj())
         return out
@@ -254,43 +265,33 @@ class Generator:
     def cp_report(self) -> "CPReport":
         """Exact structural complete-positivity check of the couplings.
 
-        (i) sum_i Vi Vi* must be block-diagonal.  (ii) Vi* A Vi must be
+        (i) sum_i Vi Vi* must be block-diagonal; pairs of blocks of one Vi in
+        one column give its off-diagonal blocks.  (ii) Vi* A Vi must be
         block-diagonal for every block-diagonal A.  Since
         (Vi* A Vi)[alpha, beta] = sum_gamma Vi[gamma, alpha]^dag A[gamma] Vi[gamma, beta]
-        with every A[gamma] free, (ii) holds exactly when no block row gamma of
-        any Vi has two nonzero blocks.  The reported sandwich magnitude
+        with every A[gamma] free, (ii) holds exactly when no two gathered
+        blocks of one Vi share a row gamma.  The reported sandwich magnitude
         sum_gamma |Vi[gamma, alpha]|_F |Vi[gamma, beta]|_F bounds the
         off-diagonal block for every A whose blocks have unit norm.
         """
-        vs = self.vs
-        offdiag = ~np.eye(vs.shape[1], dtype=bool)
-        violations = []
-
-        # war1: off-diagonal blocks of sum_i Vi Vi*
-        gain_full = np.einsum("iagxz,ibgwz->abxw", vs, vs.conj())
-        gain_mags = np.max(np.abs(gain_full), axis=(2, 3))
-        for a, b in zip(*np.nonzero((gain_mags > BLOCK_ZERO_TOL) & offdiag)):
-            violations.append(("gain", None, int(a), int(b), float(gain_mags[a, b])))
-
-        # war2: two nonzero blocks in one block row of some Vi
-        norms = np.linalg.norm(vs, axis=(3, 4))
-        leak = np.einsum("iga,igb->iab", norms, norms)
-        for i, a, b in zip(*np.nonzero((leak > BLOCK_ZERO_TOL) & offdiag)):
-            violations.append(("sandwich", int(i), int(a), int(b), float(leak[i, a, b])))
+        i, row, col = self.index
+        same = i[:, None] == i
+        norms = np.linalg.norm(self.v, axis=(1, 2))
+        gain, leak = {}, {}
+        for e, f in zip(*np.nonzero(same & (col[:, None] == col) & (row[:, None] != row))):
+            at = (int(row[e]), int(row[f]))
+            gain[at] = gain.get(at, 0.0) + self.v[e] @ self._vh[f]
+        gain = {at: float(np.abs(block).max()) for at, block in gain.items()}
+        for e, f in zip(*np.nonzero(same & (row[:, None] == row) & (col[:, None] != col))):
+            at = (int(i[e]), int(col[e]), int(col[f]))
+            leak[at] = leak.get(at, 0.0) + float(norms[e] * norms[f])
+        violations = [("gain", None, *at, mag) for at, mag in sorted(gain.items())]
+        violations += [("sandwich", *at, mag) for at, mag in sorted(leak.items())]
         return CPReport(
-            gain_offdiag=float(gain_mags[offdiag].max(initial=0.0)),
-            sandwich_offdiag=float(leak[:, offdiag].max(initial=0.0)),
-            violations=tuple(violations),
+            gain_offdiag=max(gain.values(), default=0.0),
+            sandwich_offdiag=max(leak.values(), default=0.0),
+            violations=tuple(v for v in violations if v[-1] > BLOCK_ZERO_TOL),
         )
-
-
-def _sandwich(vs: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """sum_{i, gamma} V[i, gamma, alpha]^dagger rho[gamma] V[i, gamma, alpha], per alpha.
-
-    Two batched d x d products per coupling block, instead of the d^4 cost
-    of one unordered three-operand einsum.
-    """
-    return (vs.conj().swapaxes(-1, -2) @ rho[None, :, None] @ vs).sum(axis=(0, 1))
 
 
 def liouville_rhs(state: HybridState, hamiltonian=None, couplings=()) -> np.ndarray:
@@ -302,20 +303,19 @@ def liouville_rhs(state: HybridState, hamiltonian=None, couplings=()) -> np.ndar
     return Generator.prepare(couplings, hamiltonian, state).rhs(state.blocks)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Frozen):
     """Recorded states of a fixed-step integration."""
 
-    times: np.ndarray
-    blocks: np.ndarray  # shape (n_records, n+1, d, d)
+    __slots__ = ("times", "blocks", "_min_eig")
 
-    def __post_init__(self):
-        # the smallest block eigenvalue of each record, computed once
-        min_eig = np.empty(len(self.blocks))
+    def __init__(self, times: np.ndarray, blocks: np.ndarray):
+        # blocks has shape (n_records, n+1, d, d); the smallest block
+        # eigenvalue of each record is computed once
+        min_eig = np.empty(len(blocks))
         for b in range(0, len(min_eig), EIG_BLOCK_RECORDS):
-            block = self.blocks[b:b + EIG_BLOCK_RECORDS]
+            block = blocks[b:b + EIG_BLOCK_RECORDS]
             min_eig[b:b + EIG_BLOCK_RECORDS] = block_eigenvalues(block).min(axis=(1, 2))
-        object.__setattr__(self, "_min_eig", min_eig)
+        self._set(times=times, blocks=blocks, _min_eig=min_eig)
 
     def __len__(self) -> int:
         return self.times.size
@@ -360,9 +360,9 @@ def evolve(
     costs fewer operations (``_dense_pays``).  Raises TraceDriftError at the
     first record whose total trace drifts beyond ``config.trace_tol`` or
     that is not finite (step too large), PositivityError at the first record
-    with a block eigenvalue below -POSITIVITY_TOL, and ValueError if the
-    couplings fail the structural CP check or the records would need more
-    than ``MAX_RECORD_BYTES``.
+    with a block eigenvalue below -POSITIVITY_TOL, OverflowError if K is not
+    finite, and ValueError if the couplings fail the structural CP check or
+    the records would need more than ``MAX_RECORD_BYTES``.
     """
     check_record_memory(state, config)
     gen = Generator.prepare(couplings, hamiltonian, state)
@@ -396,22 +396,21 @@ def check_record_memory(state: HybridState, config: EvolutionConfig) -> None:
 def _dense_pays(gen: Generator, config: EvolutionConfig) -> bool:
     """Whether the dense recorder costs fewer complex multiply-adds than RK4 on ``rhs``.
 
-    Dense: m N^2 to build L, N^3 for each product of T4's Horner form, of
-    the record propagators' powering and of the stack's doubling, and N^2
-    per record.  Matrix-free: four ``rhs`` calls per step, each two d x d
-    products per coupling block (m (n+1)^2 of them) and one K product pair
-    per classical block.  The dense path is never taken when its N x N
-    arrays would need more than ``DENSE_MEMORY_CEILING``.
+    Dense: d^4 per gathered block to build L, N^3 for each product of T4's
+    Horner form, of the record propagators' powering and of the stack's
+    doubling, and N^2 per record.  Matrix-free: four ``rhs`` calls per step,
+    each two d x d products per gathered block and one K product pair per
+    classical block, plus RHS_CALL_FLOOR.  The dense path is never taken
+    when its N x N arrays would need more than ``DENSE_MEMORY_CEILING``.
     """
-    m, n1, _, d, _ = gen.vs.shape
+    nnz, (n1, d) = len(gen.v), gen.k.shape[:2]
     size = n1 * d * d
     if 4 * 16 * size ** 2 > DENSE_MEMORY_CEILING:
         return False
     counts = _propagator_counts(config)
     products = 3 + _power_products(counts) + _stack_depth(size, config.n_steps // counts[0]) - 1
-    dense = m * size ** 2 + products * size ** 3 + config.n_records * size ** 2
-    blocks = m * n1 ** 2 + n1
-    return dense < config.n_steps * 4 * blocks * 2 * d ** 3
+    dense = nnz * d ** 4 + products * size ** 3 + config.n_records * size ** 2
+    return dense < config.n_steps * 4 * ((nnz + n1) * 2 * d ** 3 + RHS_CALL_FLOOR)
 
 
 def _propagator_counts(config: EvolutionConfig) -> tuple:
@@ -593,8 +592,7 @@ def _check_trace(records: np.ndarray, steps: np.ndarray, trace: np.ndarray,
                               f"exceeds {config.trace_tol:.3g}; reduce step")
 
 
-@dataclass(frozen=True)
-class CPReport:
+class CPReport(_Frozen):
     """Result of the structural complete-positivity checks.
 
     ``gain_offdiag``: largest off-diagonal block magnitude of sum_i Vi Vi*.
@@ -603,9 +601,11 @@ class CPReport:
     blocks.  ``violations`` lists (check, i, alpha, beta, value).
     """
 
-    gain_offdiag: float
-    sandwich_offdiag: float
-    violations: tuple
+    __slots__ = ("gain_offdiag", "sandwich_offdiag", "violations")
+
+    def __init__(self, gain_offdiag: float, sandwich_offdiag: float, violations: tuple):
+        self._set(gain_offdiag=gain_offdiag, sandwich_offdiag=sandwich_offdiag,
+                  violations=violations)
 
     @property
     def ok(self) -> bool:

@@ -21,9 +21,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, replace
 
 import numpy as np
+
+from . import _Frozen
 
 # Smallest confidence drop reported as a descent; a smaller one, such as
 # 1.0 -> 1 - 1e-16 on a set holding every count, is rounding.
@@ -35,8 +36,7 @@ DESCENT_TOL = 1e-10
 MAX_M = 10 ** 5
 
 
-@dataclass(frozen=True)
-class TransmissionScenario:
+class TransmissionScenario(_Frozen):
     """Decoding scenario for the receiving detector.
 
     ``margin`` is the half-width applied to expected counts per state; it
@@ -45,31 +45,30 @@ class TransmissionScenario:
     held fixed while the efficiency changes.
     """
 
-    rho1: float
-    eta_det: float
-    accuracy: float
-    confidence_target: float
-    margin: float | None = None
+    __slots__ = ("rho1", "eta_det", "accuracy", "confidence_target", "margin")
 
-    def __post_init__(self):
-        if not 0 <= self.rho1 <= 1:
+    def __init__(self, rho1: float, eta_det: float, accuracy: float,
+                 confidence_target: float, margin: float | None = None):
+        if not 0 <= rho1 <= 1:
             raise ValueError("rho1 must lie in [0, 1]")
-        if not 0 <= self.eta_det <= 1:
+        if not 0 <= eta_det <= 1:
             raise ValueError("eta_det must lie in [0, 1]")
-        if not 0 < self.accuracy < math.inf:
-            raise ValueError(f"accuracy must be positive and finite, not {self.accuracy}")
-        if self.rho1 - self.accuracy < -1e-12 or self.rho1 + self.accuracy > 1 + 1e-12:
+        if not 0 < accuracy < math.inf:
+            raise ValueError(f"accuracy must be positive and finite, not {accuracy}")
+        if rho1 - accuracy < -1e-12 or rho1 + accuracy > 1 + 1e-12:
             raise ValueError("decoding interval (rho1 - a, rho1 + a) leaves [0, 1]")
-        if not 0 < self.confidence_target < 1:
+        if not 0 < confidence_target < 1:
             raise ValueError("confidence_target must lie in (0, 1)")
-        if self.margin is None:
-            object.__setattr__(self, "margin", self.eta_det * self.accuracy)
-        if not 0 < self.margin < math.inf:
-            raise ValueError(f"margin must be positive and finite, not {self.margin}")
-        if 1.0 / (2.0 * self.margin) == math.inf:
-            raise ValueError(f"margin {self.margin:g} is too small for a finite minimal m")
-        if self.margin > self.accuracy + 1e-12:
+        if margin is None:
+            margin = eta_det * accuracy
+        if not 0 < margin < math.inf:
+            raise ValueError(f"margin must be positive and finite, not {margin}")
+        if 1.0 / (2.0 * margin) == math.inf:
+            raise ValueError(f"margin {margin:g} is too small for a finite minimal m")
+        if margin > accuracy + 1e-12:
             raise ValueError("margin must not exceed accuracy")
+        self._set(rho1=rho1, eta_det=eta_det, accuracy=accuracy,
+                  confidence_target=confidence_target, margin=margin)
 
     @property
     def success_probability(self) -> float:
@@ -77,18 +76,19 @@ class TransmissionScenario:
         return self.eta_det * self.rho1
 
     def with_margin(self, margin: float) -> "TransmissionScenario":
-        return replace(self, margin=margin)
+        return TransmissionScenario(self.rho1, self.eta_det, self.accuracy,
+                                    self.confidence_target, margin)
 
 
-@dataclass(frozen=True)
-class PlanResult:
+class PlanResult(_Frozen):
     """Outcome of the plan for a fixed number of generated states m."""
 
-    m: int
-    i_minus: float
-    i_plus: float
-    advantageous: range
-    confidence: float
+    __slots__ = ("m", "i_minus", "i_plus", "advantageous", "confidence")
+
+    def __init__(self, m: int, i_minus: float, i_plus: float, advantageous: range,
+                 confidence: float):
+        self._set(m=m, i_minus=i_minus, i_plus=i_plus, advantageous=advantageous,
+                  confidence=confidence)
 
 
 def di_confirmation_count(p_reg: float, confidence_target: float) -> int:

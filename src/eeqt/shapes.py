@@ -12,9 +12,9 @@ not by operator values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
+from . import _Frozen
 from .evolution import CouplingOperator
 
 
@@ -119,16 +119,15 @@ def _violated_conjuncts(support, conjuncts):
     )
 
 
-@dataclass(frozen=True)
-class Classification2x2:
-    tag: ShapeTag2x2 | None
-    admissible: bool
-    violated: tuple
-    support: frozenset
+class Classification2x2(_Frozen):
+    __slots__ = ("tag", "admissible", "violated", "support")
+
+    def __init__(self, tag: ShapeTag2x2 | None, admissible: bool, violated: tuple,
+                 support: frozenset):
+        self._set(tag=tag, admissible=admissible, violated=violated, support=support)
 
 
-@dataclass(frozen=True)
-class Classification3x3:
+class Classification3x3(_Frozen):
     """Shape tag and structural-condition verdict for a 3x3 coupling.
 
     ``admissible`` evaluates the printed structural condition directly on the
@@ -138,10 +137,11 @@ class Classification3x3:
     are reported rather than reconciled.
     """
 
-    tag: ShapeTag3x3
-    admissible: bool
-    violated: tuple
-    support: frozenset
+    __slots__ = ("tag", "admissible", "violated", "support")
+
+    def __init__(self, tag: ShapeTag3x3, admissible: bool, violated: tuple,
+                 support: frozenset):
+        self._set(tag=tag, admissible=admissible, violated=violated, support=support)
 
 
 def admissible_2x2(coupling: CouplingOperator) -> Classification2x2:
@@ -199,13 +199,13 @@ def classify_topology(tag: ShapeTag3x3) -> TopologyTag:
         raise ValueError(f"{tag} has no associated topology") from None
 
 
-@dataclass(frozen=True)
-class CataloguePattern:
-    label: str
-    classical_dim: int
-    support: frozenset
-    tag: object  # ShapeTag2x2 | ShapeTag3x3
-    duplicate_of: str | None = None
+class CataloguePattern(_Frozen):
+    __slots__ = ("label", "classical_dim", "support", "tag", "duplicate_of")
+
+    def __init__(self, label: str, classical_dim: int, support: frozenset,
+                 tag: ShapeTag2x2 | ShapeTag3x3, duplicate_of: str | None = None):
+        self._set(label=label, classical_dim=classical_dim, support=support, tag=tag,
+                  duplicate_of=duplicate_of)
 
     def instantiate(self, entries) -> CouplingOperator:
         """Fill the support positions with the given quantum operators.

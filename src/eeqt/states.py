@@ -9,9 +9,9 @@ functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
+
+from . import _Frozen
 
 # Numerical tolerances (double precision with integrator headroom).
 HERMITICITY_TOL = 1e-10
@@ -97,8 +97,7 @@ def check_projector(e) -> np.ndarray:
     return e
 
 
-@dataclass(frozen=True)
-class HybridState:
+class HybridState(_Frozen):
     """Block-diagonal density matrix of the coupled quantum-classical system.
 
     Attributes
@@ -109,10 +108,10 @@ class HybridState:
         ``alpha``; the block traces sum to one.
     """
 
-    blocks: np.ndarray = field(repr=False)
+    __slots__ = ("blocks",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", operator_array(self.blocks, "state blocks", 3))
+    def __init__(self, blocks):
+        self._set(blocks=operator_array(blocks, "state blocks", 3))
 
     @property
     def classical_dim(self) -> int:
@@ -128,17 +127,18 @@ def block_eigenvalues(blocks: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (blocks + np.swapaxes(blocks.conj(), -1, -2)))
 
 
-@dataclass(frozen=True)
-class StateReport:
+class StateReport(_Frozen):
     """Validation report for a HybridState (reporting only, never raises)."""
 
-    hermiticity_deviation: float
-    min_eigenvalue: float
-    total_trace_deviation: float
-    block_traces: tuple
-    hermitian_ok: bool
-    positive_ok: bool
-    trace_ok: bool
+    __slots__ = ("hermiticity_deviation", "min_eigenvalue", "total_trace_deviation",
+                 "block_traces", "hermitian_ok", "positive_ok", "trace_ok")
+
+    def __init__(self, hermiticity_deviation: float, min_eigenvalue: float,
+                 total_trace_deviation: float, block_traces: tuple, hermitian_ok: bool,
+                 positive_ok: bool, trace_ok: bool):
+        self._set(hermiticity_deviation=hermiticity_deviation, min_eigenvalue=min_eigenvalue,
+                  total_trace_deviation=total_trace_deviation, block_traces=block_traces,
+                  hermitian_ok=hermitian_ok, positive_ok=positive_ok, trace_ok=trace_ok)
 
     @property
     def ok(self) -> bool:

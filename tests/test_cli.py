@@ -457,6 +457,14 @@ BAD_CONFIGS = [
                  .replace("duration = 0.1", "duration = 10.0")
                  .replace("record_every = 5", "record_every = 1"),
                  id="efficiency-records-beyond-memory"),
+    # an infinite constant must be refused before inf * 0 fills its coupling with NaN
+    pytest.param("simulate", TWO_STATE_CONFIG.replace("n1 = 1.0", "n1 = inf"),
+                 id="infinite-two-state-constant"),
+    pytest.param("simulate", (SHIPPED_CONFIGS[0].parent / "n_state.ini").read_text()
+                 .replace("k = 1.0", "k = inf"), id="infinite-n-state-constant"),
+    pytest.param("efficiency", FILTER_CONFIG.replace("k = 1.0", "k = inf"),
+                 id="infinite-filter-constant"),
+    pytest.param("simulate", BINARY_CONFIG.replace("k2 = 0.0", "k2 = nan"), id="nan-k2"),
 ]
 
 
@@ -467,6 +475,35 @@ def test_bad_config_values_exit_2(tmp_path, capsys, command, text):
     assert main([command, "--config", config, "--output", str(out)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("k1, code, message", [
+    ("1e200", EXIT_NUMERIC, "numerical guard: K = -iH - G/2 is not finite"),
+    ("inf", EXIT_CONFIG, "coupling constants must be finite"),
+], ids=["square-overflows", "infinite"])
+def test_non_finite_coupling_is_refused_on_one_line(tmp_path, k1, code, message):
+    # a child process shows numpy's RuntimeWarnings on stderr, as a user sees them
+    config = write(tmp_path, "extreme.ini", BINARY_CONFIG.replace("k1 = 1.0", f"k1 = {k1}"))
+    proc = subprocess.run([sys.executable, "-m", "eeqt.cli", "simulate", "--config", config],
+                          capture_output=True, text=True, timeout=60, env=cli_env())
+    assert proc.returncode == code
+    assert len(proc.stderr.splitlines()) == 1 and message in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["simulate", "efficiency"])
+def test_system_beyond_memory_is_a_config_error(tmp_path, capsys, monkeypatch, command):
+    # numpy raises MemoryError for an array it cannot allocate, such as the
+    # 24 GiB coupling of an n_state detector with dim 200 and 200 channels
+    def too_large(config, dim):
+        raise MemoryError("Unable to allocate 24.1 GiB for an array with shape "
+                          "(201, 201, 200, 200) and data type complex128")
+
+    monkeypatch.setitem(FAMILIES, "binary", too_large)
+    config = write(tmp_path, "huge.ini", BINARY_CONFIG)
+    assert main([command, "--config", config, "--output", str(tmp_path / "out.csv")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {config}: Unable to allocate 24.1 GiB for an array with shape "
+        "(201, 201, 200, 200) and data type complex128"]
 
 
 def test_simulate_does_not_evaluate_the_closed_form(tmp_path):

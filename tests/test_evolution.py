@@ -108,8 +108,8 @@ def test_generator_keeps_a_read_only_copy_of_the_hamiltonian(rng):
     h[0, 0, 0] = 5.0
     np.testing.assert_array_equal(gen.k, expected)
     assert not gen.k.flags.writeable
-    assert gen.vs.shape == (0, 2, 2, 2, 2)
-    assert not gen.vs.flags.writeable
+    assert gen.v.shape == (0, 2, 2) and gen.index.shape == (3, 0)
+    assert not gen.v.flags.writeable and not gen.index.flags.writeable
 
 
 def test_generator_refuses_disagreeing_shapes():
@@ -121,6 +121,119 @@ def test_generator_refuses_disagreeing_shapes():
         Generator.prepare(couplings + [binary_coupling(1.0, 0.5, basis_projector(3, 0))])
     with pytest.raises(ValueError, match="none of them"):
         Generator.prepare()
+
+
+def dense_stack_reference(couplings, hamiltonian, n1, d):
+    """rhs, Liouvillian and CP report from the dense (m, n+1, n+1, d, d) stack of every block.
+
+    The formulas the gathered stack replaced: the gain is one einsum over all
+    blocks, the sandwich two batched products per block, L one einsum, and
+    the CP check reads the block norms of every coupling.
+    """
+    vs = np.array([c.blocks for c in couplings], dtype=complex).reshape(-1, n1, n1, d, d)
+    k = -0.5 * np.einsum("iagxz,iagwz->axw", vs, vs.conj())
+    if hamiltonian is not None:
+        k = k - 1j * hamiltonian
+
+    def rhs(rho):
+        sandwich = (vs.conj().swapaxes(-1, -2) @ rho[None, :, None] @ vs).sum(axis=(0, 1))
+        return k @ rho + rho @ k.conj().swapaxes(-1, -2) + sandwich
+
+    size = n1 * d * d
+    lv = np.einsum("igaxm,igazw->amwgxz", vs.conj(), vs).reshape(size, size)
+    for a in range(n1):
+        lv.reshape(n1, d * d, n1, d * d)[a, :, a] += (np.kron(k[a], np.eye(d))
+                                                      + np.kron(np.eye(d), k[a].conj()))
+    offdiag = ~np.eye(n1, dtype=bool)
+    gain = np.abs(np.einsum("iagxz,ibgwz->abxw", vs, vs.conj())).max(axis=(2, 3))
+    norms = np.linalg.norm(vs, axis=(3, 4))
+    leak = np.einsum("iga,igb->iab", norms, norms)
+    violations = ([("gain", None, a, b, gain[a, b])
+                   for a, b in zip(*np.nonzero((gain > BLOCK_ZERO_TOL) & offdiag))]
+                  + [("sandwich", i, a, b, leak[i, a, b])
+                     for i, a, b in zip(*np.nonzero((leak > BLOCK_ZERO_TOL) & offdiag))])
+    return rhs, lv, (gain[offdiag].max(initial=0.0), leak[:, offdiag].max(initial=0.0),
+                     violations)
+
+
+def random_couplings(rng, m, n1, d):
+    """m couplings whose blocks are each nonzero with probability 1/2."""
+    return [CouplingOperator((rng.normal(size=(n1, n1, d, d))
+                              + 1j * rng.normal(size=(n1, n1, d, d)))
+                             * (rng.random((n1, n1)) < 0.5)[:, :, None, None])
+            for _ in range(m)]
+
+
+GATHER_CASES = {
+    **{f"random-{seed}": lambda rng, seed=seed: random_couplings(
+        np.random.default_rng(seed), 1 + seed % 3, 2 + seed % 3, 1 + seed % 3)
+       for seed in range(6)},
+    "all-zero-coupling": lambda rng: [CouplingOperator.from_entries(2, {}, quantum_dim=3)],
+    "zero-and-random": lambda rng: ([CouplingOperator.from_entries(3, {}, quantum_dim=2)]
+                                    + random_couplings(rng, 2, 3, 2)),
+    "no-couplings": lambda rng: [],
+    "tiny-entry": lambda rng: [tiny_entry_coupling()],
+}
+
+
+@pytest.mark.parametrize("with_h", [False, True], ids=["no-H", "H"])
+@pytest.mark.parametrize("case", GATHER_CASES)
+def test_gathered_stack_matches_the_dense_stack(case, with_h, rng):
+    couplings = GATHER_CASES[case](rng)
+    n1, d = couplings[0].blocks.shape[1:3] if couplings else (2, 3)
+    h = None
+    if with_h or not couplings:
+        a = rng.normal(size=(n1, d, d)) + 1j * rng.normal(size=(n1, d, d))
+        h = a + a.conj().transpose(0, 2, 1)
+    gen = Generator.prepare(couplings, h, random_hybrid_state(n1, d, rng))
+    rhs, lv, (gain_offdiag, sandwich_offdiag, violations) = dense_stack_reference(
+        couplings, h, n1, d)
+    nonzero = [(i, g, a) for i, c in enumerate(couplings)
+               for g in range(n1) for a in range(n1) if c.blocks[g, a].any()]
+    assert sorted(map(tuple, gen.index.T.tolist())) == nonzero
+    assert gen.v.shape == (len(nonzero), d, d) and not gen.v.flags.writeable
+    rho = random_hybrid_state(n1, d, rng).blocks
+    np.testing.assert_allclose(gen.rhs(rho), rhs(rho), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gen.liouvillian(), lv, rtol=0, atol=1e-12)
+    report = gen.cp_report()
+    assert [v[:4] for v in report.violations] == [v[:4] for v in violations]
+    np.testing.assert_allclose([v[4] for v in report.violations],
+                               [v[4] for v in violations], rtol=1e-12)
+    assert report.gain_offdiag == pytest.approx(gain_offdiag, rel=1e-12, abs=1e-15)
+    assert report.sandwich_offdiag == pytest.approx(sandwich_offdiag, rel=1e-12, abs=1e-15)
+
+
+def test_random_gather_cases_sum_repeated_targets():
+    # two gathered blocks with one column alpha add into one rhs block
+    columns = [np.unique(Generator.prepare(GATHER_CASES[case](None)).index[2],
+                         return_counts=True)[1].max()
+               for case in GATHER_CASES if case.startswith("random")]
+    assert max(columns) >= 3
+
+
+def tiny_entry_coupling():
+    """A coupling whose block (1, 0) has one nonzero entry, 1e-300."""
+    e = np.zeros((2, 2))
+    e[1, 0] = 1e-300
+    return CouplingOperator.from_entries(2, {(0, 1): basis_projector(2, 0), (1, 0): e})
+
+
+def test_a_block_with_one_tiny_entry_is_gathered():
+    # nonzero means != 0, not above PATTERN_ZERO_TOL: 1e-300 is gathered
+    coupling = tiny_entry_coupling()
+    e = coupling.blocks[1, 0]
+    assert coupling.support() == {(0, 1)}
+    gen = Generator.prepare([coupling])
+    assert gen.index.T.tolist() == [[0, 1, 0], [0, 0, 1]]
+    np.testing.assert_array_equal(gen.v, [e, basis_projector(2, 0)])
+
+
+def test_generator_refuses_a_coupling_too_large_to_square():
+    coupling = CouplingOperator.from_entries(2, {(0, 1): 1e200 * basis_projector(2, 0)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="not finite"):
+            Generator.prepare([coupling])
 
 
 def test_evolve_constant_without_couplings(rng):
@@ -562,14 +675,15 @@ def test_path_rule_takes_matrix_free_for_large_generators(family, dim, channels,
 
 
 def test_path_rule_keeps_the_dense_path_under_its_memory_ceiling(monkeypatch):
-    # n_state, d = 12, 11 channels, 1000 steps: N = 1728, where T4 costs fewer
-    # operations, but its three N x N arrays would take about 137 MiB
-    dim, channels, steps = 12, 11, 1000
+    # n_state, d = 12, 11 channels, 10^6 steps and one record interval:
+    # N = 1728, where T4 and its powers cost fewer operations than 4 * 10^6
+    # rhs calls, but three N x N arrays would take about 137 MiB
+    dim, channels, steps = 12, 11, 10 ** 6
     couplings = NStateDetectorSpec(1.0, tuple(basis_projector(dim, i)
                                               for i in range(channels))).couplings()
     state = product_state(basis_projector(dim, 0), [1.0] + [0.0] * channels)
     gen = Generator.prepare(couplings, state=state)
-    config = EvolutionConfig(step=1.0, duration=steps)
+    config = EvolutionConfig(step=1.0, duration=steps, record_every=steps)
     assert not _dense_pays(gen, config)
     monkeypatch.setattr(evolution, "DENSE_MEMORY_CEILING", math.inf)
     assert _dense_pays(gen, config)
@@ -589,6 +703,35 @@ def test_path_rule_takes_the_propagator_for_shipped_configs(path):
     _, _, system, state, config = cli._load_system(str(path))
     gen = Generator.prepare(system.couplings, state=state)
     assert _dense_pays(gen, config)
+
+
+# The path of every perfbench simulate invocation at seed 1, as the dense
+# coupling stack priced it: large-dim goes matrix-free, all else is dense.
+BENCH_PATHS = {
+    "detector-mix": {"mix0-binary-d2": True, "mix1-two_state-d3": True,
+                     "mix2-n_state-d5": True, "mix3-filter-d3": True},
+    "large-dim": {"big0-n_state-d8": False, "big1-n_state-d12": False,
+                  "big2-filter-d24": False, "big3-filter-d36": False},
+    "dense-record": {"dense0-binary-d2": True, "dense1-two_state-d3": True,
+                     "dense2-binary-d3": True},
+    "plan-scan": {"plan-detector0": True, "plan-detector1": True},
+}
+
+
+@pytest.mark.parametrize("workload", BENCH_PATHS)
+def test_path_rule_keeps_each_benchmark_invocation_on_its_path(workload, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "perfbench"))
+    import workloads
+
+    dense = {}
+    for inv in workloads.generate(workload, 1):
+        if inv.command == "simulate":
+            path = tmp_path / inv.config_name
+            path.write_text(inv.config_text)
+            _, _, system, state, config = cli._load_system(str(path))
+            gen = Generator.prepare(system.couplings, state=state)
+            dense[inv.key.removeprefix("simulate/")] = _dense_pays(gen, config)
+    assert dense == BENCH_PATHS[workload]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

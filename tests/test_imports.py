@@ -2,7 +2,9 @@
 
 ``import eeqt`` resolves its names lazily, each CLI command imports only
 the eeqt modules it runs, and only a command that computes imports numpy;
-these tests pin all three, in fresh interpreters.
+these tests pin all three, in fresh interpreters.  The value classes are
+plain classes, so no command imports ``dataclasses`` either, and each of
+them refuses an assignment to its attributes.
 """
 
 import contextlib
@@ -90,6 +92,64 @@ def test_each_command_loads_only_its_modules(argv, modules, numpy, hashlib):
     loaded = all_loaded_modules(code)
     assert eeqt_modules(loaded) == {"cli"} | modules
     assert ("numpy" in loaded, "hashlib" in loaded) == (numpy, hashlib)
+
+
+def test_no_command_loads_dataclasses():
+    # a frozen dataclass generates its methods with exec when its module loads
+    commands = [PLAN, ["simulate", "--config", BINARY], ["efficiency", "--config", BINARY],
+                ["validate"], ["reproduce"]]
+    code = ("import contextlib, io\nfrom eeqt.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [main(argv) for argv in {commands!r}]\n"
+            "assert codes == [0, 0, 0, 0, 3], codes")  # reproduce fails on P(15) alone
+    loaded = all_loaded_modules(code)
+    assert eeqt_modules(loaded) == {"cli", "states", "evolution", "detectors", "shapes",
+                                    "planner"}
+    assert "dataclasses" not in loaded
+
+
+def frozen_instances():
+    """One instance of each eeqt value class, by name, with an attribute to assign."""
+    from eeqt import detectors, evolution, planner, shapes, states
+
+    e0, e1 = states.basis_projector(2, 0), states.basis_projector(2, 1)
+    state = states.product_state(e0, [1.0, 0.0])
+    coupling = evolution.CouplingOperator.from_entries(2, {(0, 1): e0, (1, 0): e0})
+    scenario = planner.TransmissionScenario(0.8, 0.9, 0.05, 0.6, 0.045)
+    config = evolution.EvolutionConfig(0.1, 0.2)
+    return {
+        "HybridState": (state, "blocks"),
+        "StateReport": (states.validate_state(state), "trace_ok"),
+        "CouplingOperator": (coupling, "blocks"),
+        "EvolutionConfig": (config, "step"),
+        "Generator": (evolution.Generator.prepare([coupling]), "k"),
+        "Trajectory": (evolution.evolve(state, couplings=[coupling], config=config), "times"),
+        "CPReport": (evolution.check_cp_conditions([coupling]), "violations"),
+        "BinaryDetectorSpec": (detectors.BinaryDetectorSpec(1.0, 0.5, e0), "k1"),
+        "TwoStateDetectorSpec": (detectors.TwoStateDetectorSpec(1.0, 0.0, 1.0, 0.0, e0, e1),
+                                 "e3"),
+        "NStateDetectorSpec": (detectors.NStateDetectorSpec(1.0, (e0, e1)), "projectors"),
+        "FilterSpec": (detectors.FilterSpec(1.0, e0), "k"),
+        "SignalDecomposition": (detectors.SignalDecomposition(0.5, 0.5), "a0"),
+        "TransmissionScenario": (scenario, "margin"),
+        "PlanResult": (planner.plan_for_m(12, scenario), "confidence"),
+        "Classification2x2": (shapes.admissible_2x2(coupling), "tag"),
+        "Classification3x3": (shapes.admissible_3x3(
+            shapes.enumerate_admissible_patterns(3)[0].instantiate([e0, e0, e0])), "support"),
+        "CataloguePattern": (shapes.enumerate_admissible_patterns(2)[0], "label"),
+    }
+
+
+@pytest.mark.parametrize("name", list(frozen_instances()))
+def test_value_classes_refuse_assignment(name):
+    instance, attribute = frozen_instances()[name]
+    assert type(instance).__name__ == name
+    before = getattr(instance, attribute)
+    with pytest.raises(AttributeError):
+        setattr(instance, attribute, None)
+    with pytest.raises(AttributeError):
+        instance.no_such_attribute = None
+    assert getattr(instance, attribute) is before
 
 
 def test_writer_works_before_any_command_has_run():
