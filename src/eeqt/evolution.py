@@ -1,32 +1,31 @@
 """Dissipative evolution of hybrid states.
 
-Integrates the Liouville equation
+Propagates the Liouville equation
 
     drho/dt = -i[H, rho] + sum_i Vi* rho Vi - 1/2 {sum_i Vi Vi*, rho}
             = K rho + rho K^dagger + sum_i Vi* rho Vi,   K = -iH - G/2,
 
-blockwise for block-diagonal states, with a fixed-step classical RK4
-integrator; G holds the diagonal blocks of sum_i Vi Vi*.  Coupling operators
-are block matrices over classical index pairs whose entries are quantum
-operators.  A ``Generator`` validates a Hamiltonian and couplings once and
-keeps the blocks of K and one stack of the coupling blocks with a nonzero
-entry; the right-hand side, the dense Liouvillian, the integrator, the rate
-equations and the structural complete-positivity check all work from it.
-The CP check is exact: it reads the block pattern of each coupling instead
-of sampling probe operators.
+blockwise for block-diagonal states; G holds the diagonal blocks of
+sum_i Vi Vi*.  Coupling operators are block matrices over classical index
+pairs whose entries are quantum operators.  A ``Generator`` validates a
+Hamiltonian and couplings once and keeps the blocks of K and one stack of the
+coupling blocks with a nonzero entry; the right-hand side, the dense
+Liouvillian, the propagation, the rate equations and the structural
+complete-positivity check all work from it.  The CP check is exact: it reads
+the block pattern of each coupling instead of sampling probe operators.
 
-The generator L is linear and constant in time, so one RK4 step of size h is
-exactly the matrix polynomial P = T4(hL) = I + hL + (hL)^2/2 + (hL)^3/6 +
-(hL)^4/24.  ``evolve`` applies RK4 in one of two ways, chosen by operation
-count (with a memory ceiling): it forms P once from the dense N x N
-Liouvillian, N = (n+1) d^2, powers it into the record propagators
-P^(j r) - I, r = ``record_every``, and writes each chunk of records with one
-matrix-vector product; or, for large generators and short runs, it makes the
-four right-hand-side calls per step matrix-free.  Both agree with the RK4
-loop to rounding.  Every recorded state is checked as it is recorded: a
-non-finite entry or a total trace more than ``trace_tol`` from 1 stops the
-run with TraceDriftError, and one with a block eigenvalue below
--POSITIVITY_TOL with PositivityError.
+L is linear and constant in time, so the record at time t is exactly
+e^{tL} rho0.  Both of ``evolve``'s paths sum one truncated Taylor series,
+``_taylor`` (after Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 2011), at
+h ||L|| <= 1; the path is chosen by size and operation count.  The dense
+path forms the record propagator e^{tau L} - I, tau = ``record_every`` *
+``step``, from the N x N Liouvillian, N = (n+1) d^2, by scaling and squaring,
+and writes each chunk of records with one matrix-vector product.  The
+matrix-free path, for large generators and short runs, sums the series of
+e^{tau L} rho from right-hand-side calls alone.  Every record is checked as
+it is recorded: a non-finite entry or a total trace more than ``trace_tol``
+from 1 stops the run with TraceDriftError, and one with a block eigenvalue
+below -POSITIVITY_TOL with PositivityError.
 """
 
 from __future__ import annotations
@@ -41,16 +40,18 @@ from .states import (HERMITICITY_TOL, POSITIVITY_TOL, HybridState, block_eigenva
 
 BLOCK_ZERO_TOL = 1e-10
 PATTERN_ZERO_TOL = 1e-12
-# EvolutionConfig refuses more steps than this: even the smallest system
-# takes about a microsecond per step, and a step count near 1e200 would never
-# end while its records fill memory.
+# EvolutionConfig refuses more steps than this, so a record grid never holds
+# more than 10^7 records; evolve refuses a matrix-free run of more series
+# substeps than this.
 MAX_STEPS = 10 ** 7
-# The dense path holds at most four N x N complex arrays at once (the RK4
-# update, a scratch product and two record propagators while powering), and
-# its stack adds at most STACK_BYTES beyond them; it is never taken when the
-# four would need more bytes than this.
+# The dense path holds at most four N x N complex arrays at once (L and three
+# while it sums or squares a record propagator), and its stack adds at most
+# STACK_BYTES beyond them.  It is never taken when the four need more bytes
+# than the ceiling, and always when they fit the floor (N <= 181), where a
+# record propagator takes about 10 ms at most (2 vCPUs).
 DENSE_MEMORY_CEILING = 64 * 2 ** 20
-# The dense path's stack of record propagators P^(jr) - I, j = 1..b, takes at
+DENSE_MEMORY_FLOOR = 2 * 2 ** 20
+# The dense path's stack of record propagators e^{j tau L} - I, j = 1..b, takes at
 # most this many bytes, or one N x N array when that is larger: on long runs
 # b = 256 at N = 8 and b = 22 at N = 27.  Each chunk of b records is one
 # matrix-vector product.
@@ -63,9 +64,12 @@ MAX_RECORD_BYTES = 2 ** 30
 # time: one batched eigvalsh over every record would hold temporaries about
 # twice the size of the records.
 EIG_BLOCK_RECORDS = 1024
-# _dense_pays prices numpy's fixed cost of one ``rhs`` call in an RK4 step, about
-# 16 us, at the 10^4 complex multiply-adds per us of N x N products (2 vCPUs).
+# _dense_pays prices numpy's fixed cost of one ``rhs`` call in a series term,
+# about 16 us, at the 10^4 complex multiply-adds per us of N x N products (2 vCPUs).
 RHS_CALL_FLOOR = 160_000
+# _taylor adds at most this many terms; at h ||L|| <= 1 the 19th is already
+# below 2^-53 of the first.
+TAYLOR_TERMS = 30
 
 
 class CouplingOperator(_Frozen):
@@ -137,7 +141,12 @@ class CouplingOperator(_Frozen):
 
 
 class EvolutionConfig(_Frozen):
-    """Fixed-step integration parameters; `duration` is a whole number of steps."""
+    """The record grid and the trace tolerance.
+
+    Records fall on every ``record_every``-th multiple of ``step`` and at
+    ``duration``, a whole number of steps.  Propagation is exact to rounding,
+    so ``step`` sets where records fall, not how accurate they are.
+    """
 
     __slots__ = ("step", "duration", "record_every", "trace_tol")
 
@@ -304,7 +313,7 @@ def liouville_rhs(state: HybridState, hamiltonian=None, couplings=()) -> np.ndar
 
 
 class Trajectory(_Frozen):
-    """Recorded states of a fixed-step integration."""
+    """Recorded states on a record grid."""
 
     __slots__ = ("times", "blocks", "_min_eig")
 
@@ -335,34 +344,25 @@ class Trajectory(_Frozen):
 
 
 class TraceDriftError(ArithmeticError):
-    """Raised when the integrator loses probability beyond tolerance.
-
-    A numerical guard like an overflow, hence an ArithmeticError.
-    """
+    """Raised when a record's total trace is not finite or drifts beyond tolerance."""
 
 
 class PositivityError(ArithmeticError):
     """Raised when a record has a block eigenvalue below -POSITIVITY_TOL."""
 
 
-def evolve(
-    state: HybridState,
-    hamiltonian=None,
-    couplings=(),
-    *,
-    config: EvolutionConfig,
-    check_cp: bool = True,
-) -> Trajectory:
-    """Integrate the Liouville equation with fixed-step RK4.
+def evolve(state: HybridState, hamiltonian=None, couplings=(), *, config: EvolutionConfig,
+           check_cp: bool = True) -> Trajectory:
+    """Propagate the Liouville equation onto the record grid of `config`.
 
-    The first recorded entry is the initial state.  RK4 is applied through
-    powers of the precomputed propagator T4(hL) or matrix-free, whichever
-    costs fewer operations (``_dense_pays``).  Raises TraceDriftError at the
-    first record whose total trace drifts beyond ``config.trace_tol`` or
-    that is not finite (step too large), PositivityError at the first record
-    with a block eigenvalue below -POSITIVITY_TOL, OverflowError if K is not
-    finite, and ValueError if the couplings fail the structural CP check or
-    the records would need more than ``MAX_RECORD_BYTES``.
+    The first record is the initial state and each later one e^{tL} rho0 to
+    rounding, by the dense record propagator or matrix-free, as
+    ``_dense_pays`` chooses.  Raises TraceDriftError at the first
+    record whose total trace drifts beyond ``config.trace_tol`` or is not
+    finite, PositivityError at the first record with a block eigenvalue below
+    -POSITIVITY_TOL, OverflowError if K is not finite, and ValueError if the
+    couplings fail the structural CP check, the records would need more than
+    ``MAX_RECORD_BYTES`` or a matrix-free run more than MAX_STEPS substeps.
     """
     check_record_memory(state, config)
     gen = Generator.prepare(couplings, hamiltonian, state)
@@ -370,17 +370,19 @@ def evolve(
         report = gen.cp_report()
         if not report.ok:
             raise ValueError(f"coupling operators fail CP conditions: {report.summary()}")
-    # an unstable step overflows to inf and NaN; the record check reports it
+    # rounding in a run too stiff for double precision can overflow to inf
+    # and NaN; the record check reports it
     with np.errstate(over="ignore", invalid="ignore"):
         if _dense_pays(gen, config):
             traj = _record_dense(gen, state.blocks, config)
         else:
-            traj = _integrate(_matrix_free_step(gen, config.step), state.blocks, config)
+            traj = _integrate(_series(gen, config), state.blocks, config)
     min_eig = traj.min_eigenvalues()
     k = np.argmax(min_eig < -POSITIVITY_TOL)  # the first record below, else 0
     if min_eig[k] < -POSITIVITY_TOL:
         raise PositivityError(f"record {k} at t={traj.times[k]:g} has block eigenvalue "
-                              f"{min_eig[k]:.3g}, below -{POSITIVITY_TOL:g}; reduce step")
+                              f"{min_eig[k]:.3g}, below -{POSITIVITY_TOL:g}; the propagation "
+                              "lost accuracy at these rates")
     return traj
 
 
@@ -394,38 +396,32 @@ def check_record_memory(state: HybridState, config: EvolutionConfig) -> None:
 
 
 def _dense_pays(gen: Generator, config: EvolutionConfig) -> bool:
-    """Whether the dense recorder costs fewer complex multiply-adds than RK4 on ``rhs``.
+    """Whether to record from the dense propagator rather than the series on ``rhs``.
 
-    Dense: d^4 per gathered block to build L, N^3 for each product of T4's
-    Horner form, of the record propagators' powering and of the stack's
-    doubling, and N^2 per record.  Matrix-free: four ``rhs`` calls per step,
-    each two d x d products per gathered block and one K product pair per
-    classical block, plus RHS_CALL_FLOOR.  The dense path is never taken
-    when its N x N arrays would need more than ``DENSE_MEMORY_CEILING``.
+    Between DENSE_MEMORY_FLOOR and _CEILING, when it takes at most half the
+    complex multiply-adds of the series, which holds no N x N array.  Each
+    Taylor sum is priced at TAYLOR_TERMS terms.  Dense: d^4 per block for L;
+    N^3 per term, per log2(tau beta) squaring (``_substeps``) and per stack
+    doubling; N^2 per record.  Series: per term an ``rhs`` call, two d x d
+    products per block and per K, plus RHS_CALL_FLOOR.
     """
     nnz, (n1, d) = len(gen.v), gen.k.shape[:2]
     size = n1 * d * d
-    if 4 * 16 * size ** 2 > DENSE_MEMORY_CEILING:
-        return False
-    counts = _propagator_counts(config)
-    products = 3 + _power_products(counts) + _stack_depth(size, config.n_steps // counts[0]) - 1
+    if not DENSE_MEMORY_FLOOR < 4 * 16 * size ** 2 <= DENSE_MEMORY_CEILING:
+        return 4 * 16 * size ** 2 <= DENSE_MEMORY_FLOOR
+    beta, total = _substeps(gen, config)
+    products = (_stack_depth(size, config.n_steps // config.record_every) - 1
+                + sum(TAYLOR_TERMS + max(0, math.frexp(q * config.step * beta)[1])
+                      for q in _propagator_counts(config)))
     dense = nnz * d ** 4 + products * size ** 3 + config.n_records * size ** 2
-    return dense < config.n_steps * 4 * ((nnz + n1) * 2 * d ** 3 + RHS_CALL_FLOOR)
+    return 2 * dense < total * TAYLOR_TERMS * ((nnz + n1) * 2 * d ** 3 + RHS_CALL_FLOOR)
 
 
 def _propagator_counts(config: EvolutionConfig) -> tuple:
-    """Steps per record interval and, when the last record is off that grid, the leftover steps.
-
-    An interval longer than the run records what one as long as the run does.
-    """
+    """Steps per record interval (at most the run), and the rest for a last record off the grid."""
     every = min(config.record_every, config.n_steps)
     left = config.n_steps % every
     return (every, left) if left else (every,)
-
-
-def _power_products(counts) -> int:
-    """N x N products ``_powers`` makes: squarings up to the largest count, one per further bit."""
-    return max(counts).bit_length() - 1 + sum(q.bit_count() - 1 for q in counts)
 
 
 def _stack_depth(size: int, n_grid: int) -> int:
@@ -438,53 +434,34 @@ def _stack_depth(size: int, n_grid: int) -> int:
     return max(1, min(n_grid // size, STACK_BYTES // (16 * size ** 2)))
 
 
-def _rk4_update(gen: Generator, dt: float) -> np.ndarray:
-    """T = T4(dt L) - I, the change one RK4 step makes, as an N x N matrix.
+def _taylor(apply, x, h: float):
+    """sum_{k >= 1} (hL)^k x / k!, given ``apply(y) = L y`` as a new array and h ||L|| <= 1.
 
-    T = A (I + A/2 (I + A/3 (I + A/4))) with A = dt L is the RK4 update for
-    a linear right-hand side.  The products go through one scratch array,
-    so three N x N arrays are alive at once; L is freed on return.
+    The sum stops at its first term whose Frobenius norm is below 2^-53 of
+    the sum's, or is not finite, and after TAYLOR_TERMS terms at most.
     """
-    a = gen.liouvillian()
-    a *= dt
-    t = a / 4
-    w = np.empty_like(a)
-    for k in (3, 2, 1):
-        t.flat[::len(t) + 1] += 1  # t = I + t
-        np.matmul(a, t, out=w)
-        w /= k
-        t, w = w, t
-    return t
+    term, out = x, 0.0
+    for k in range(1, TAYLOR_TERMS + 1):
+        term = apply(term)
+        term *= h / k
+        out = out + term
+        # squared norms, by vdot; NaN and inf stop the sum too
+        if not np.vdot(term, term).real > 2.0 ** -106 * np.vdot(out, out).real:
+            break
+    return out
 
 
-def _powers(t: np.ndarray, counts) -> list:
-    """P^q - I for each q in `counts`, where P = I + t; overwrites `t`.
+def _propagator(lv: np.ndarray, tau: float) -> np.ndarray:
+    """e^{tau L} - I: ``_taylor`` at tau / 2^s, where ||tau L / 2^s||_1 < 1, squared s times.
 
-    Binary powering in the I + A form, (I + A)(I + B) - I = A + B + AB, so
-    the identity is never added and taken away again: as with RK4's own
-    rho + dt/6 (...), rounding does not build up over many steps.  Each
-    product is written into one scratch array.
+    The squarings keep the I + A form, (I + A)^2 - I = 2A + A A, so the
+    identity is never added and taken away again.
     """
-    out = [None] * len(counts)
-    w = np.empty_like(t)
-    bit = 1
-    while True:
-        for i, q in enumerate(counts):
-            if q & bit:
-                if out[i] is None:
-                    out[i] = t.copy()
-                else:
-                    np.matmul(out[i], t, out=w)
-                    w += out[i]
-                    w += t
-                    out[i], w = w, out[i]
-        bit <<= 1
-        if bit > max(counts):
-            return out
-        np.matmul(t, t, out=w)
-        w += t
-        w += t
-        t, w = w, t
+    s = max(0, math.frexp(tau * np.linalg.norm(lv, 1))[1])
+    a = _taylor(lv.dot, 1.0, math.ldexp(tau, -s))  # L 1 = L: no identity is formed
+    for _ in range(s):
+        a += a @ a + a
+    return a
 
 
 def _stack(d: np.ndarray, depth: int) -> np.ndarray:
@@ -506,23 +483,21 @@ def _stack(d: np.ndarray, depth: int) -> np.ndarray:
 
 
 def _record_dense(gen: Generator, rho: np.ndarray, config: EvolutionConfig) -> Trajectory:
-    """Records on ``config.record_steps()`` from powers of the RK4 propagator P = T4(hL).
+    """Records on ``config.record_steps()`` from the record propagator D = e^{tau L} - I.
 
-    With r = ``record_every``, D = P^r - I is the record propagator and a
-    stack holds S_j = P^(jr) - I for j = 1..b.  A chunk of up to b records
-    after record k is then records[k] + S records[k], one matrix-vector
-    product, checked as a whole.  A last record off the r-grid takes the
-    leftover steps' propagator from the same powering.
+    With tau = ``record_every`` * step, a stack holds S_j = e^{j tau L} - I
+    for j = 1..b.  A chunk of up to b records after record k is then
+    records[k] + S records[k], one matrix-vector product, checked as a
+    whole.  A last record off the grid takes the propagator of the leftover
+    steps, formed once the stack is freed, so L is never kept while recording.
     """
     n1, d = rho.shape[:2]
     steps = np.fromiter(config.record_steps(), dtype=int)
-    counts = _propagator_counts(config)
-    n_grid = config.n_steps // counts[0]  # records on the r-grid after the first
+    every, *left = _propagator_counts(config)
+    n_grid = config.n_steps // every  # records on the grid after the first
     size = rho.size
-    grid, *left = _powers(_rk4_update(gen, config.step), counts)
     depth = _stack_depth(size, n_grid)
-    stack = _stack(grid, depth)
-    del grid  # the stack holds it, or a copy
+    stack = _stack(_propagator(gen.liouvillian(), every * config.step), depth)
     records = np.empty((len(steps), size), dtype=complex)
     records[0] = rho.ravel()
     trace = _trace_weights(n1, d)
@@ -532,43 +507,66 @@ def _record_dense(gen: Generator, rho: np.ndarray, config: EvolutionConfig) -> T
         np.dot(stack[:c * size], records[k], out=chunk.reshape(-1))
         chunk += records[k]
         _check_trace(chunk, steps[k + 1:], trace, config)
-    if left:  # the last record, off the r-grid
-        records[-1] = records[-2] + left[0] @ records[-2]
+    if left:  # the last record, off the grid
+        del stack
+        last = _propagator(gen.liouvillian(), left[0] * config.step)
+        records[-1] = records[-2] + last @ records[-2]
         _check_trace(records[-1:], steps[-1:], trace, config)
     return Trajectory(times=steps * config.step, blocks=records.reshape(-1, n1, d, d))
 
 
-def _matrix_free_step(gen: Generator, dt: float):
-    """One classical RK4 step of the flat state, four ``rhs`` calls."""
-    def advance(v):
+def _substeps(gen: Generator, config: EvolutionConfig) -> tuple:
+    """beta, and the run's total of max(1, ceil(tau beta)) series substeps per record interval tau.
+
+    beta = 2 max ||K_gamma||_F + the largest sum of ||V||_F^2 over a column alpha bounds
+    the norm of L induced by max_alpha ||rho_alpha||_F, since block alpha of L rho is
+    K rho_alpha + rho_alpha K^dagger + sum V^dagger rho_gamma V over the blocks V at
+    (gamma, alpha).  The total is a float, so that one too large to represent is inf.
+    """
+    columns = np.bincount(gen.index[2], np.linalg.norm(gen.v, axis=(1, 2)) ** 2,
+                          minlength=len(gen.k))
+    beta = 2 * np.linalg.norm(gen.k, axis=(1, 2)).max() + columns.max()
+    counts = _propagator_counts(config)
+    each = [max(1.0, np.ceil(q * config.step * beta)) for q in counts]
+    return beta, config.n_steps // counts[0] * each[0] + sum(each[1:])
+
+
+def _series(gen: Generator, config: EvolutionConfig):
+    """advance(v, steps): the flat state v moved on by `steps` steps with ``_taylor`` on ``rhs``.
+
+    Each substep has h ||L|| <= 1 (``_substeps``).  Raises ValueError,
+    before any ``rhs`` call, when the run would take more than MAX_STEPS.
+    """
+    beta, total = _substeps(gen, config)
+    if total > MAX_STEPS:
+        raise ValueError(f"{total:.3g} series substeps exceed the limit of {MAX_STEPS} "
+                         "(MAX_STEPS); shorten the duration")
+
+    def advance(v, steps):
+        n = max(1, math.ceil(steps * config.step * beta))
         rho = v.reshape(gen.k.shape)
-        k1 = gen.rhs(rho)
-        k2 = gen.rhs(rho + 0.5 * dt * k1)
-        k3 = gen.rhs(rho + 0.5 * dt * k2)
-        k4 = gen.rhs(rho + dt * k3)
-        return (rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).reshape(-1)
+        for _ in range(n):
+            rho = rho + _taylor(gen.rhs, rho, steps * config.step / n)
+        return rho.reshape(-1)
 
     return advance
 
 
 def _integrate(advance, rho: np.ndarray, config: EvolutionConfig) -> Trajectory:
-    """Apply `advance` to the flattened `rho` and record on ``config.record_steps()``.
+    """Record on ``config.record_steps()``, moving on with ``advance(v, steps)``.
 
-    Each record is checked as it is stored, so the run stops at the first
-    whose total trace is more than ``trace_tol`` from 1, or not finite.
+    `advance` returns the flat state `v` moved on by `steps` steps.  Each
+    record is checked as it is stored, so the run stops at the first whose
+    total trace is more than ``trace_tol`` from 1, or not finite.
     """
     n1, d = rho.shape[:2]
     steps = np.fromiter(config.record_steps(), dtype=int)
     records = np.empty((len(steps), rho.size), dtype=complex)
+    records[0] = rho.ravel()
     trace = _trace_weights(n1, d)
-    v = rho.ravel().copy()
-    done = 0
-    for k, step in enumerate(steps):
-        for _ in range(step - done):
-            v = advance(v)
-        records[k] = v
+    for k in range(1, len(steps)):
+        records[k] = advance(records[k - 1], steps[k] - steps[k - 1])
         _check_trace(records[k:k + 1], steps[k:], trace, config)
-        done = step
     return Trajectory(times=steps * config.step, blocks=records.reshape(-1, n1, d, d))
 
 
@@ -589,7 +587,8 @@ def _check_trace(records: np.ndarray, steps: np.ndarray, trace: np.ndarray,
     if bad.any():
         i = bad.argmax()
         raise TraceDriftError(f"trace drift {drift[i]:.3g} at t={steps[i] * config.step:g} "
-                              f"exceeds {config.trace_tol:.3g}; reduce step")
+                              f"exceeds {config.trace_tol:.3g}; the propagation lost "
+                              "accuracy at these rates")
 
 
 class CPReport(_Frozen):

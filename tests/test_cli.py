@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eeqt import cli
+from eeqt import cli, evolution
 from eeqt.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, FAMILIES, main
 from eeqt.evolution import PositivityError, TraceDriftError, evolve
 
@@ -520,11 +520,11 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
-def test_trace_drift_guard_exits_3(tmp_path, capsys):
-    # main catches ArithmeticError alone; the drift guard is one
-    config = write(tmp_path, "coarse.ini", BINARY_CONFIG.replace(
-        "step = 0.01", "step = 2.0").replace("duration = 2.0", "duration = 20.0")
-        .replace("k1 = 1.0", "k1 = 4.0"))
+def test_trace_drift_guard_exits_3(tmp_path, capsys, monkeypatch):
+    # main catches ArithmeticError alone; the drift guard is one.  An injected
+    # record propagator adds half of each record to it, so the trace drifts.
+    monkeypatch.setattr(evolution, "_propagator", lambda lv, tau: 0.5 * np.eye(len(lv)))
+    config = write(tmp_path, "drift.ini", BINARY_CONFIG)
     _, _, system, state, cfg = cli._load_system(config)
     with pytest.raises(TraceDriftError) as raised:
         evolve(state, couplings=system.couplings, config=cfg)
@@ -533,13 +533,17 @@ def test_trace_drift_guard_exits_3(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"numerical guard: {raised.value}\n")
 
 
-# k1 = 4 gives hL the eigenvalue -16 h: at h = 0.4 one RK4 step multiplies the
-# unregistered weight by T4(-6.4), about 41, while the trace stays exactly 1.
+# k1 = 4 gives L the eigenvalue -16, and every step is recorded.
 COARSE_BINARY_CONFIG = BINARY_CONFIG.replace("k1 = 1.0", "k1 = 4.0").replace(
     "record_every = 50", "record_every = 1")
 
 
-def test_negative_record_exits_3(tmp_path, capsys):
+def test_negative_record_exits_3(tmp_path, capsys, monkeypatch):
+    # An injected record propagator doubles the exact change of each record:
+    # the trace stays 1, but at t = 0.4 the unregistered weight becomes
+    # 2 exp(-6.4) - 1, about -0.997.
+    exact = evolution._propagator
+    monkeypatch.setattr(evolution, "_propagator", lambda lv, tau: 2 * exact(lv, tau))
     config = write(tmp_path, "coarse.ini", COARSE_BINARY_CONFIG.replace("step = 0.01", "step = 0.4"))
     _, _, system, state, cfg = cli._load_system(config)
     with pytest.raises(PositivityError, match=r"record 1 at t=0\.4 ") as raised:
@@ -551,16 +555,60 @@ def test_negative_record_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.xfail(strict=True, reason="RK4 at h k1^2 = 1.6 is stable but inaccurate: p_1(0.1) "
-                                       "is 0.7296 against 0.7981; exact propagation (ROADMAP "
-                                       "item 3) fixes it")
-def test_coarse_stable_step_matches_the_closed_form(tmp_path):
-    config = write(tmp_path, "coarse.ini", COARSE_BINARY_CONFIG.replace("step = 0.01", "step = 0.1"))
+def simulated_and_closed_form(tmp_path, config):
+    """The t, p_0, p_1 columns of `simulate` and the rows of `efficiency`, both exit 0."""
     sim, eff = tmp_path / "sim.csv", tmp_path / "eff.csv"
     assert main(["simulate", "--config", config, "--output", str(sim)]) == EXIT_OK
     assert main(["efficiency", "--config", config, "--output", str(eff)]) == EXIT_OK
-    simulated = np.array([row[:3] for row in read_csv(sim)[2]], dtype=float)
-    np.testing.assert_allclose(simulated, np.array(read_csv(eff)[2], dtype=float), atol=1e-6)
+    return (np.array([row[:3] for row in read_csv(sim)[2]], dtype=float),
+            np.array(read_csv(eff)[2], dtype=float))
+
+
+def test_coarse_stable_step_matches_the_closed_form(tmp_path):
+    # h k1^2 = 1.6: a coarse grid on which a fixed-step method stays stable but
+    # inaccurate (RK4 gave p_1(0.1) = 0.7296 against 0.7981)
+    config = write(tmp_path, "coarse.ini", COARSE_BINARY_CONFIG.replace("step = 0.01", "step = 0.1"))
+    simulated, closed_form = simulated_and_closed_form(tmp_path, config)
+    np.testing.assert_allclose(simulated, closed_form, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k1, k2, step, duration", [
+    (3.0, 0.0, 0.3, 3.0),       # h k1^2 = 2.7: stable but inaccurate for RK4
+    (1.0, 1.0, 1e5, 1e6),       # a step far outside any explicit method's stability
+    (1.0, 1e3, 0.1, 2.0),
+    (1.0, 1e6, 0.1, 2.0),
+    (1.0, 1e10, 0.1, 2.0),      # the rates k1^2 and k2^2 are 20 decades apart
+], ids=["k1-3-step-0.3", "balanced-step-1e5", "stiff-1e3", "stiff-1e6", "stiff-1e10"])
+def test_every_record_matches_the_closed_form(tmp_path, k1, k2, step, duration):
+    config = write(tmp_path, "binary.ini", BINARY_CONFIG.replace("k1 = 1.0", f"k1 = {k1!r}")
+                   .replace("k2 = 0.0", f"k2 = {k2!r}").replace("step = 0.01", f"step = {step!r}")
+                   .replace("duration = 2.0", f"duration = {duration!r}")
+                   .replace("record_every = 50", "record_every = 1"))
+    simulated, closed_form = simulated_and_closed_form(tmp_path, config)
+    assert len(simulated) == round(duration / step) + 1
+    np.testing.assert_allclose(simulated, closed_form, rtol=0, atol=1e-12)
+
+
+def test_matrix_free_run_beyond_max_steps_substeps_exits_2(tmp_path, capsys, monkeypatch):
+    # N = 2 * 24^2 = 1152 is above the dense memory ceiling; k = 1e8 bounds
+    # the norm of L by 2e8, so one unit of time takes 2e8 series substeps
+    calls = []
+    rhs = evolution.Generator.rhs
+
+    def counted(gen, rho):
+        calls.append(rho)
+        return rhs(gen, rho)
+
+    monkeypatch.setattr(evolution.Generator, "rhs", counted)
+    config = write(tmp_path, "stiff.ini", FILTER_CONFIG.replace("dim = 2", "dim = 24")
+                   .replace("k = 1.0", "k = 1e8").replace("step = 0.01", "step = 1.0")
+                   .replace("duration = 2.0", "duration = 1.0"))
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", config, "--output", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {config}: 2e+08 series substeps exceed the limit of 10000000 "
+        "(MAX_STEPS); shorten the duration"]
+    assert calls == [] and not out.exists()
 
 
 def test_simulate_computes_the_record_eigenvalues_once(tmp_path, monkeypatch):
@@ -579,18 +627,18 @@ def test_simulate_computes_the_record_eigenvalues_once(tmp_path, monkeypatch):
     assert shapes == [(2, 2, 2), (5, 2, 2, 2)]  # the signal's blocks, then 5 records
 
 
-def test_nan_trace_drift_exits_3(tmp_path, capsys):
-    # an unstable step drives the records to NaN; NaN drift must still trip
-    # the guard instead of producing an exit-0 CSV of NaN rows, with no numpy
-    # overflow or invalid-value warning on the way
-    config = write(tmp_path, "unstable.ini", BINARY_CONFIG.replace(
-        "step = 0.01", "step = 0.5").replace("duration = 2.0", "duration = 400.0")
-        .replace("k1 = 1.0", "k1 = 30.0"))
+def test_nan_trace_drift_exits_3(tmp_path, capsys, monkeypatch):
+    # an injected infinite record propagator drives the records to NaN
+    # (inf * 0); NaN drift must still trip the guard instead of producing an
+    # exit-0 CSV of NaN rows, with no numpy overflow or invalid-value warning
+    # on the way
+    monkeypatch.setattr(evolution, "_propagator", lambda lv, tau: np.full_like(lv, np.inf))
+    config = write(tmp_path, "unstable.ini", BINARY_CONFIG)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["simulate", "--config", config, "--output", "-"]) == EXIT_NUMERIC
     err = capsys.readouterr().err
-    assert "numerical guard" in err
+    assert err.startswith("numerical guard: trace drift nan at t=0.5 ")
     assert "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 

@@ -19,8 +19,8 @@ from eeqt.evolution import (
     TraceDriftError,
     _dense_pays,
     _integrate,
-    _matrix_free_step,
     _record_dense,
+    _series,
     check_cp_conditions,
     classical_rate_equations,
     evolve,
@@ -36,6 +36,7 @@ from eeqt.states import (
 )
 
 from conftest import random_density, random_hybrid_state
+from test_exact_propagator import exact_records
 
 
 def binary_coupling(k1, k2, e):
@@ -331,12 +332,14 @@ def test_config_accepts_whole_multiples_up_to_rounding():
     assert traj.times.tolist() == [0.0, 60 * 0.002]
 
 
-def test_evolve_trace_drift_guard_fires():
-    # a deliberately huge step makes RK4 blow up and the guard must notice
+def test_evolve_trace_drift_guard_fires(monkeypatch):
+    # a record propagator that adds half of each record to it makes the trace
+    # 1.5 at the first record, and the guard must notice
+    monkeypatch.setattr(evolution, "_propagator", lambda lv, tau: 0.5 * np.eye(len(lv)))
     e = basis_projector(2, 0)
     state = product_state(e, [1.0, 0.0])
     coupling = binary_coupling(4.0, 0.0, e)
-    with pytest.raises(TraceDriftError):
+    with pytest.raises(TraceDriftError, match="drift 0.5 at t=2 "):
         evolve(state, couplings=[coupling],
                config=EvolutionConfig(step=2.0, duration=20.0))
 
@@ -585,12 +588,13 @@ def hamiltonian_system():
     return Generator.prepare(vs, h, state), state, h, vs
 
 
-def reference_rk4(hamiltonian, couplings, rho, config):
-    """Records of the classical RK4 loop on the unordered three-operand einsum.
+def reference_exact(hamiltonian, couplings, rho, config):
+    """Records e^{tL} rho on the record grid, L built from the unordered three-operand einsum.
 
     Built from the raw Hamiltonian and couplings, not from a Generator: the
     gain is the diagonal blocks of sum_i Vi Vi*, each Vi a dense (n+1) d
-    square matrix.
+    square matrix.  The N x N matrix of that right-hand side is taken column
+    by column and exponentiated by ``test_exact_propagator.expm``.
     """
     n1, d = rho.shape[:2]
     h = np.zeros(rho.shape) if hamiltonian is None else hamiltonian
@@ -604,17 +608,9 @@ def reference_rk4(hamiltonian, couplings, rho, config):
                 + np.einsum("igaxm,gxz,igazw->amw", vs.conj(), r, vs)
                 - 0.5 * (gain @ r + r @ gain))
 
-    dt, records, done = config.step, [], 0
-    for step in config.record_steps():
-        for _ in range(step - done):
-            k1 = rhs(rho)
-            k2 = rhs(rho + 0.5 * dt * k1)
-            k3 = rhs(rho + 0.5 * dt * k2)
-            k4 = rhs(rho + dt * k3)
-            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        records.append(rho)
-        done = step
-    return np.stack(records)
+    unit = np.eye(rho.size).reshape(-1, *rho.shape)
+    lv = np.stack([rhs(column).ravel() for column in unit], axis=1)
+    return exact_records(lv, rho, config)
 
 
 # every detector family as the CLI builds it, plus a Hamiltonian case
@@ -632,7 +628,7 @@ def test_liouvillian_matches_rhs(name, rng):
 
 
 def record_matrix_free(gen, rho, config):
-    return _integrate(_matrix_free_step(gen, config.step), rho, config)
+    return _integrate(_series(gen, config), rho, config)
 
 
 # (duration, record_every) at step 0.01: a record every tenth step, every
@@ -642,6 +638,8 @@ def record_matrix_free(gen, rho, config):
 GRIDS = [(2.0, 10), (0.5, 1), (2.07, 10), (3.0, 1), (0.2, 1000)]
 
 
+# The name and ids are kept so that the test ids stay stable; the reference
+# is exact.
 @pytest.mark.parametrize("record", [_record_dense, record_matrix_free],
                          ids=["_dense_step", "_matrix_free_step"])
 @pytest.mark.parametrize("name", SYSTEMS)
@@ -650,14 +648,15 @@ def test_both_paths_match_the_reference_rk4_loop(name, record):
     for duration, every in GRIDS:
         config = EvolutionConfig(step=0.01, duration=duration, record_every=every)
         traj = record(gen, state.blocks, config)
-        reference = reference_rk4(hamiltonian, couplings, state.blocks, config)
-        np.testing.assert_allclose(traj.blocks, reference, rtol=0, atol=1e-13,
+        reference = reference_exact(hamiltonian, couplings, state.blocks, config)
+        np.testing.assert_allclose(traj.blocks, reference, rtol=0, atol=1e-12,
                                    err_msg=f"duration {duration}, record_every {every}")
         assert traj.times.tolist() == [step * 0.01 for step in config.record_steps()]
 
 
-# The large-dim benchmark shapes (family, quantum dim, channels, steps): a
-# dense N x N propagator would cost more operations or memory there.
+# The large-dim benchmark shapes (family, quantum dim, channels, steps): above
+# the dense memory floor, where a dense N x N propagator would need more memory
+# than the ceiling or save less than half the operations of the series.
 LARGE_SHAPES = [("n_state", 8, 3, 60), ("n_state", 12, 4, 20),
                 ("filter", 24, 1, 30), ("filter", 36, 1, 10)]
 
@@ -676,8 +675,9 @@ def test_path_rule_takes_matrix_free_for_large_generators(family, dim, channels,
 
 def test_path_rule_keeps_the_dense_path_under_its_memory_ceiling(monkeypatch):
     # n_state, d = 12, 11 channels, 10^6 steps and one record interval:
-    # N = 1728, where T4 and its powers cost fewer operations than 4 * 10^6
-    # rhs calls, but three N x N arrays would take about 137 MiB
+    # N = 1728, where the squared propagator costs far fewer operations than
+    # 4.3 x 10^6 series substeps of rhs calls, but four N x N arrays would
+    # take about 182 MiB
     dim, channels, steps = 12, 11, 10 ** 6
     couplings = NStateDetectorSpec(1.0, tuple(basis_projector(dim, i)
                                               for i in range(channels))).couplings()
@@ -691,8 +691,8 @@ def test_path_rule_keeps_the_dense_path_under_its_memory_ceiling(monkeypatch):
 
 @pytest.mark.parametrize("steps, every", [(20, 1), (200, 1), (10, 10 ** 6)])
 def test_path_rule_takes_the_propagator_for_short_small_runs(steps, every):
-    # the stack and the powering cost no more operations than the records
-    # they serve, so they never hand a small system to the slower matrix-free loop
+    # N = 8 is under the dense memory floor, so however its run is gridded a
+    # small system takes the propagator, never the slower matrix-free series
     e = basis_projector(2, 0)
     gen = Generator.prepare([binary_coupling(1.0, 0.3, e)], state=product_state(e, [1.0, 0.0]))
     assert _dense_pays(gen, EvolutionConfig(step=1.0, duration=steps, record_every=every))
@@ -740,7 +740,7 @@ def test_integration_stops_at_the_first_non_finite_record(bad):
     state = product_state(basis_projector(2, 0), [1.0, 0.0])
     calls = []
 
-    def advance(v):
+    def advance(v, steps):
         calls.append(v)
         v = v.copy()
         if len(calls) == 3:
@@ -752,11 +752,15 @@ def test_integration_stops_at_the_first_non_finite_record(bad):
     assert len(calls) == 3
 
 
-def test_unstable_dense_run_stops_at_the_first_non_finite_record():
-    # k1 = 4 at step 2 multiplies the unregistered weight by T4(-32) = 38709
-    # a step, so record j holds about 38709^j: finite up to j = 67, inf at 68.
-    # The trace stays within the loose tolerance until then, so the first
-    # record the guard refuses is the first non-finite one.
+def test_unstable_dense_run_stops_at_the_first_non_finite_record(monkeypatch):
+    # An injected record propagator multiplies the unregistered weight by
+    # 38709 a step and moves the difference to the registered block, keeping
+    # the trace 1: record j holds about 38709^j, finite up to j = 67 and inf
+    # at 68.  The trace stays within the loose tolerance until then, so the
+    # first record the guard refuses is the first non-finite one.
+    growth = np.zeros((8, 8))
+    growth[0, 0], growth[4, 0] = 38708.0, -38708.0  # p_0 and p_1 of a d = 2 binary record
+    monkeypatch.setattr(evolution, "_propagator", lambda lv, tau: growth.copy())
     e = basis_projector(2, 0)
     state = product_state(e, [1.0, 0.0])
     config = EvolutionConfig(step=2.0, duration=2000.0, trace_tol=1e300)
