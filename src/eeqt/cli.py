@@ -27,9 +27,10 @@ With the default ``--output -`` the CSV goes to stdout and the summaries of
 ``plan`` and ``validate`` go to stderr, so stdout holds nothing but the CSV;
 with an output file they go to stdout.
 
-Only the commands import numpy and hashlib, each where it computes, so
-argparse answers ``--version``, ``--help`` and every usage error without
-loading numpy or any eeqt module.  A process runs ``console_main``, which is
+Only the commands import numpy, each where it computes, so argparse answers
+``--version``, ``--help`` and every usage error without loading numpy or any
+eeqt module.  No command loads OpenSSL (through ``hashlib``) or
+``numpy.random``.  A process runs ``console_main``, which is
 ``main`` with the cyclic garbage collector off.
 
 Exit codes: 0 success, 1 usage error (including a bad ``plan`` flag, NaN
@@ -106,10 +107,20 @@ CSV_BLOCK_ROWS = 1024
 
 
 def _digest(text: str) -> str:
-    """The 16-hex-digit SHA-256 prefix that names a config or a flag set in the metadata."""
-    import hashlib
+    """The 16-hex-digit SHA-256 prefix that names a config or a flag set in the metadata.
 
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    The hash comes from CPython's builtin SHA-256 module (``_sha2`` from 3.12,
+    ``_sha256`` before), which does not load OpenSSL as ``hashlib`` does;
+    ``hashlib`` serves only where neither exists.
+    """
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(text.encode()).hexdigest()[:16]
 
 
 def _fmt(x) -> str:
@@ -355,7 +366,7 @@ def _cmd_efficiency(args):
     if system.closed_form is None:
         raise ValueError(f"family '{family}' has no closed form")
     check_record_memory(state, cfg)  # refuse what simulate refuses
-    times = np.fromiter(cfg.record_steps(), int) * cfg.step  # the grid evolve records
+    times = cfg.record_steps() * cfg.step  # the grid evolve records
     rows = np.column_stack((times, *system.closed_form(times)))
     if not np.isfinite(rows).all():
         raise FloatingPointError("closed form is not finite; a constant is too large "
@@ -367,12 +378,18 @@ def _cmd_efficiency(args):
 
 
 def _orthogonal_entries(pattern, rng):
-    """Instantiate a catalogue pattern with orthogonal random projectors."""
+    """Instantiate a catalogue pattern with orthogonal random projectors.
+
+    The projectors come from the QR factor of a 4 x 4 complex matrix whose
+    real and imaginary parts are standard Gaussian draws of `rng`, a
+    ``random.Random``.  The CSV reads only the pattern's structure, which
+    holds for any orthogonal projectors, so the seed changes no byte of it.
+    """
     import numpy as np
 
     dim = 4
-    mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, _ = np.linalg.qr(mat)
+    mat = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * dim * dim)]).reshape(2, dim, dim)
+    q, _ = np.linalg.qr(mat[0] + 1j * mat[1])
     positions = sorted(pattern.support)
     return {
         pos: np.outer(q[:, k], q[:, k].conj()) for k, pos in enumerate(positions)
@@ -380,10 +397,12 @@ def _orthogonal_entries(pattern, rng):
 
 
 def _cmd_validate(args):
-    import numpy as np
+    import random
 
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     _library("evolution", "shapes")
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     rows = []
     report_lines = []
     for dim in (2, 3):

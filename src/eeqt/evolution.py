@@ -172,10 +172,10 @@ class EvolutionConfig(_Frozen):
     def n_records(self) -> int:
         return len(range(0, self.n_steps, self.record_every)) + 1
 
-    def record_steps(self):
-        """Yield the recorded step numbers: 0, every ``record_every``-th, and the last."""
-        yield from range(0, self.n_steps, self.record_every)
-        yield self.n_steps
+    def record_steps(self) -> np.ndarray:
+        """The recorded step numbers as int64: 0, every ``record_every``-th, and the last."""
+        return np.append(np.arange(0, self.n_steps, self.record_every, dtype=np.int64),
+                         np.int64(self.n_steps))
 
 
 class Generator(_Frozen):
@@ -492,7 +492,7 @@ def _record_dense(gen: Generator, rho: np.ndarray, config: EvolutionConfig) -> T
     steps, formed once the stack is freed, so L is never kept while recording.
     """
     n1, d = rho.shape[:2]
-    steps = np.fromiter(config.record_steps(), dtype=int)
+    steps = config.record_steps()
     every, *left = _propagator_counts(config)
     n_grid = config.n_steps // every  # records on the grid after the first
     size = rho.size
@@ -560,7 +560,7 @@ def _integrate(advance, rho: np.ndarray, config: EvolutionConfig) -> Trajectory:
     total trace is more than ``trace_tol`` from 1, or not finite.
     """
     n1, d = rho.shape[:2]
-    steps = np.fromiter(config.record_steps(), dtype=int)
+    steps = config.record_steps()
     records = np.empty((len(steps), rho.size), dtype=complex)
     records[0] = rho.ravel()
     trace = _trace_weights(n1, d)

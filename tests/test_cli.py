@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eeqt import cli, evolution
+from eeqt import cli, evolution, states
 from eeqt.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, FAMILIES, main
 from eeqt.evolution import PositivityError, TraceDriftError, evolve
 
@@ -225,6 +225,28 @@ def test_validate_reports_both_catalogues(tmp_path, capsys):
     assert w2[4] == "cascade"
     report = capsys.readouterr().out
     assert "duplicate of W10" in report
+
+
+def test_validate_body_is_the_same_at_every_seed(tmp_path):
+    # the seed draws the projectors; the CSV reads only each pattern's structure
+    bodies = set()
+    for seed in (0, 7, 123):
+        out = tmp_path / f"shapes{seed}.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["validate", "--seed", str(seed), "--output", str(out)]) == EXIT_OK
+        text = out.read_text()
+        assert f"# seed: {seed}\n" in text
+        bodies.add(text.split("# seed: ")[1].split("\n", 1)[1])
+    assert len(bodies) == 1
+
+
+def test_validate_refuses_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "shapes.csv"
+    assert main(["validate", "--seed", "-1", "--output", str(out)]) == EXIT_USAGE
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.splitlines() == ["error: --seed must be a non-negative integer, got -1"]
+    assert not out.exists()
 
 
 def test_plan_scan_and_summary(tmp_path, capsys):
@@ -611,20 +633,48 @@ def test_matrix_free_run_beyond_max_steps_substeps_exits_2(tmp_path, capsys, mon
     assert calls == [] and not out.exists()
 
 
-def test_simulate_computes_the_record_eigenvalues_once(tmp_path, monkeypatch):
-    # one eigvalsh for the signal check, one batched over every record for
-    # both the positivity guard and the min_eigenvalue column
-    shapes = []
-    eigvalsh = np.linalg.eigvalsh
+def count_eigenvalue_calls(monkeypatch):
+    """The shapes passed to block_eigenvalues and to eigvalsh, in call order, as two lists."""
+    blocks, lapack = [], []
+    block_eigenvalues, eigvalsh = states.block_eigenvalues, np.linalg.eigvalsh
 
-    def counted(a, *args, **kwargs):
-        shapes.append(np.shape(a))
+    def counted_blocks(a):
+        blocks.append(np.shape(a))
+        return block_eigenvalues(a)
+
+    def counted_lapack(a, *args, **kwargs):
+        lapack.append(np.array(a))
         return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(states, "block_eigenvalues", counted_blocks)
+    monkeypatch.setattr(evolution, "block_eigenvalues", counted_blocks)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_lapack)
+    return blocks, lapack
+
+
+def test_simulate_computes_the_record_eigenvalues_once(tmp_path, monkeypatch):
+    # one block_eigenvalues call for the signal check, one over every record
+    # for both the positivity guard and the min_eigenvalue column; a binary
+    # detector keeps its diagonal signal diagonal, so LAPACK never runs
+    blocks, lapack = count_eigenvalue_calls(monkeypatch)
     config = write(tmp_path, "binary.ini", BINARY_CONFIG)
     assert main(["simulate", "--config", config, "--output", str(tmp_path / "s.csv")]) == EXIT_OK
-    assert shapes == [(2, 2, 2), (5, 2, 2, 2)]  # the signal's blocks, then 5 records
+    assert blocks == [(2, 2, 2), (5, 2, 2, 2)]  # the signal's blocks, then 5 records
+    assert lapack == []
+
+
+def test_only_the_blocks_with_a_coherence_reach_eigvalsh(tmp_path, monkeypatch):
+    # the filter leaves block 0's coherence in place and moves only the
+    # diagonal e1 rho e1 into block 1, so block 0 of the signal and of each of
+    # the 3 records is the only matrix that goes to LAPACK
+    blocks, lapack = count_eigenvalue_calls(monkeypatch)
+    text = FILTER_CONFIG.replace("0.7,0.3", "0.7,0.3\noffdiag_0_1 = 0.2\noffdiag_1_0 = 0.2")
+    config = write(tmp_path, "coherent.ini", text)
+    assert main(["simulate", "--config", config, "--output", str(tmp_path / "s.csv")]) == EXIT_OK
+    assert blocks == [(2, 2, 2), (3, 2, 2, 2)]
+    assert [a.shape for a in lapack] == [(1, 2, 2), (3, 2, 2)]
+    for a in lapack:
+        assert (a[:, 0, 1] != 0).all()
 
 
 def test_nan_trace_drift_exits_3(tmp_path, capsys, monkeypatch):

@@ -309,7 +309,11 @@ def test_config_rejects_more_than_max_steps(step, duration):
 ])
 def test_config_counts_its_records(step, duration, every):
     config = EvolutionConfig(step=step, duration=duration, record_every=every)
-    assert config.n_records == len(list(config.record_steps()))
+    n = config.n_steps
+    steps = config.record_steps()
+    assert steps.dtype == np.int64
+    np.testing.assert_array_equal(steps, np.array([*range(0, n, every), n], dtype=np.int64))
+    assert config.n_records == len(steps)
 
 
 def test_evolve_refuses_records_beyond_max_record_bytes(monkeypatch):

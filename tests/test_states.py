@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from eeqt.states import (
     HybridState,
     basis_projector,
+    block_eigenvalues,
     check_probability_vector,
     check_projector,
     classical_marginal,
@@ -144,3 +145,32 @@ def test_hybrid_state_blocks_are_write_protected(rng):
 def test_operator_array_rejects_malformed_operators(a, ndim):
     with pytest.raises(ValueError, match="thing"):
         operator_array(a, "thing", ndim)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_block_eigenvalues_match_eigvalsh_bit_for_bit(d, rng):
+    # a (3, 4) grid of blocks: random matrices, diagonal ones with repeated,
+    # zero and negative entries and an imaginary diagonal part (which the
+    # Hermitian part drops), and all-zero ones
+    shape = (12, d, d)
+    full = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    diagonal = np.zeros(shape, dtype=complex)
+    values = rng.choice([-0.5, 0.0, 0.25, 0.25, 1.0, 3.0], size=(12, d))
+    diagonal[:, np.arange(d), np.arange(d)] = values + 1j * rng.normal(size=(12, d))
+    kind = np.arange(12) % 3
+    blocks = np.where(kind[:, None, None] == 0, full,
+                      np.where(kind[:, None, None] == 1, diagonal, 0)).reshape(3, 4, d, d)
+    hermitian = 0.5 * (blocks + np.swapaxes(blocks.conj(), -1, -2))
+    expected = np.linalg.eigvalsh(hermitian)
+    got = block_eigenvalues(blocks)
+    assert got.shape == (3, 4, d)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_block_eigenvalues_of_a_tiny_diagonal_block_are_its_diagonal():
+    # LAPACK scales a matrix of norm below about 1e-146 up and its eigenvalues
+    # back down, which may round them (numpy 2.4's OpenBLAS returns
+    # 3.6999999999999995e-150 here); the diagonal is the exact answer
+    diag = np.array([3.7e-150, -1.3e-150, 1.5e-150])
+    got = block_eigenvalues(np.diag(diag).astype(complex)[None])
+    assert got.tolist() == [sorted(diag.tolist())]
