@@ -11,9 +11,9 @@ reproduce   recompute the reference worked-example values and report pass/fail
 All CSV output starts with '#'-prefixed metadata lines (tool version, config
 hash, random seed) so identical inputs produce byte-identical files.  The
 body goes through one %-template per file, ``%.12g`` for numeric columns and
-``%s`` for text ones (only ``validate`` has any); simulate, efficiency and
-plan hand over one float array, formatted a block of rows at a time.  The
-bytes are those of formatting each value with ``_fmt``.
+``%s`` for text ones (only ``validate`` has any); simulate and efficiency
+hand over one float array and plan its six columns, formatted a block of rows
+at a time.  The bytes are those of formatting each value with ``_fmt``.
 
 ``simulate`` and ``efficiency`` read an INI config whose ``[detector] family``
 names an entry of ``FAMILIES``.  That entry is the only code that reads the
@@ -27,9 +27,9 @@ With the default ``--output -`` the CSV goes to stdout and the summaries of
 ``plan`` and ``validate`` go to stderr, so stdout holds nothing but the CSV;
 with an output file they go to stdout.
 
-Only the commands import numpy, each where it computes, so argparse answers
-``--version``, ``--help`` and every usage error without loading numpy or any
-eeqt module.  No command loads OpenSSL (through ``hashlib``) or
+Only simulate, efficiency, validate and reproduce import numpy, each where it
+computes, so argparse answers ``--version``, ``--help`` and every usage error
+without loading numpy or any eeqt module.  No command loads OpenSSL (through ``hashlib``) or
 ``numpy.random``.  A process runs ``console_main``, which is
 ``main`` with the cyclic garbage collector off.
 
@@ -48,6 +48,7 @@ import argparse
 import configparser
 import gc
 import importlib
+import itertools
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -147,18 +148,20 @@ def _write_csv(args, header, rows, digest=None, meta=(), text=()):
     """CSV to ``args.output`` after the metadata: tool, command, digest (if any), seed, `meta`.
 
     Each row goes through one template: ``%s`` in the columns named in `text`,
-    ``%.12g`` in the others.  `rows` is a 2-D array, formatted CSV_BLOCK_ROWS
-    rows at a time, or any iterable of rows.  The whole text is formatted
+    ``%.12g`` in the others.  `rows` is a 2-D array or any iterable of rows,
+    formatted CSV_BLOCK_ROWS rows at a time.  The whole text is formatted
     before the file is opened.
     """
-    import numpy as np
-
     meta = [("tool", f"eeqt {__version__}"), ("command", args.command),
             *([] if digest is None else [("config_sha256", digest)]),
             ("seed", args.seed), *meta]
     parts = [f"# {key}: {value}\n" for key, value in meta] + [",".join(header) + "\n"]
     template = ",".join("%s" if name in text else "%.12g" for name in header) + "\n"
-    blocks = _array_blocks(rows) if isinstance(rows, np.ndarray) else [rows]
+    if type(rows).__module__ == "numpy":  # an ndarray, known without importing numpy
+        blocks = _array_blocks(rows)
+    else:  # cut too: one write of several hundred KB can miss a reader's early close
+        rows = iter(rows)
+        blocks = iter(lambda: list(itertools.islice(rows, CSV_BLOCK_ROWS)), [])
     parts += ["".join([template % tuple(row) for row in block]) for block in blocks]
     if args.output == "-":
         sys.stdout.writelines(parts)
@@ -428,30 +431,21 @@ def _cmd_validate(args):
     return EXIT_OK
 
 
-def _scenario_from_args(args):
-    return TransmissionScenario(
-        rho1=args.rho1,
-        eta_det=args.eff,
-        accuracy=args.accuracy,
-        confidence_target=args.confidence,
-        margin=args.margin,
-    )
-
-
 def _cmd_plan(args):
     _library("planner")
-    scenario = _scenario_from_args(args)
-    rows, first = scan_rows(scenario, args.m_max)  # columns as in the header below
+    scenario = TransmissionScenario(args.rho1, args.eff, args.accuracy, args.confidence,
+                                    args.margin)
+    columns, first = scan_rows(scenario, args.m_max)  # as in the header below
     flag_string = (f"rho1={_fmt(scenario.rho1)} eff={_fmt(scenario.eta_det)} "
                    f"accuracy={_fmt(scenario.accuracy)} margin={_fmt(scenario.margin)} "
                    f"confidence={_fmt(scenario.confidence_target)} m_max={args.m_max}")
     header = ["m", "i_minus", "i_plus", "set_lo", "set_hi", "confidence"]
-    _write_csv(args, header, rows, _digest(flag_string), [("scenario", flag_string)])
+    _write_csv(args, header, zip(*columns), _digest(flag_string), [("scenario", flag_string)])
     if first is None:
         _summary(args, f"no m <= {args.m_max} reaches confidence "
                        f"{scenario.confidence_target:g} (minimal m = {minimal_m(scenario)})")
     else:
-        m, _, _, lo, hi, conf = first.tolist()
+        m, _, _, lo, hi, conf = first
         _summary(args, f"minimal m = {minimal_m(scenario)}; first m with confidence >= "
                        f"{scenario.confidence_target:g} is {m:.0f} "
                        f"(confidence {conf:.4f}, counts {{{lo:.0f}..{hi:.0f}}})")

@@ -8,31 +8,28 @@ the registered count falls in the decoding interval with the target
 confidence.  Counts are evaluated with exact binomial sums; the normal
 approximation is deliberately avoided at these sample sizes.
 
-One kernel makes every plan: for an array of m, one vectorized pass forms the
-interval ends, the advantageous bounds lo..hi and the confidences.  Each term
-is log C(m, i) + i log p + (m-i) log(1-p) over a shared table of log k!, with
-p = 0 and p = 1 apart.  Sums run in padded blocks of about len(ms) terms and
-equal a single plan's up to rounding, and exact rational sums to about 1e-12,
-so ``detect_nonmonotonicity`` reports only drops above ``DESCENT_TOL`` = 1e-10.
+Every plan comes from one window slid over the binomial terms from
+b(0, 0) = 1 (``_sums``): O(1) steps per m, no table and no numpy, and a plan
+equals its scan row bit for bit.  The confidences agree with exact binomial
+sums of the same float p to about 1e-14 up to m = 5000, so
+``detect_nonmonotonicity`` reports only drops above ``DESCENT_TOL`` = 1e-10.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 import operator
-
-import numpy as np
+from array import array
 
 from . import _Frozen
 
 # Smallest confidence drop reported as a descent; a smaller one, such as
 # 1.0 -> 1 - 1e-16 on a set holding every count, is rounding.
 DESCENT_TOL = 1e-10
-# Largest m planned.  A scan to m sums about margin * m^2 binomial terms and
-# builds a log-factorial table of the next power of two above m; one to 10^5
-# at margin 0.03 takes seconds and about 85 MB, and one to 10^9 would
-# exhaust memory, so a larger m is refused before anything is allocated.
+# Largest m planned.  A plan or a confidence at m takes O(m) steps and a scan
+# keeps 48 bytes a row: one to 10^5 takes about half a second, one to 10^9
+# would take hours, so a larger m is refused before any work.
 MAX_M = 10 ** 5
 
 
@@ -121,115 +118,129 @@ def minimal_m(scenario: TransmissionScenario) -> int:
 def confidence(m: int, p: float, counts) -> float:
     """Binomial probability of registering a count inside ``counts``.
 
-    Sum over i of C(m, i) p^i (1-p)^(m-i), one ``_terms`` expression over
-    all counts.  ``counts`` is any iterable of ints in [0, m].
+    The sum of b(m, i) = C(m, i) p^i (1-p)^(m-i) over the distinct counts (ints
+    in [0, m]) for an int m in 0..MAX_M: the term nearest the mode from a
+    one-count window of ``_sums``, the others from it by the ratio of neighbours.
     """
+    m = _checked_m(m, least=0)
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
-    i = np.fromiter(counts, dtype=np.int64)
-    outside = (i < 0) | (i > m)
-    if outside.any():
-        raise ValueError(f"count {i[outside][0]} outside [0, {m}]")
-    return min(float(_terms(m, i, p).sum()), 1.0)
+    wanted = {operator.index(i) for i in counts}
+    first, last = min(wanted, default=0), max(wanted, default=0)
+    if not 0 <= first <= last <= m:
+        raise ValueError(f"count {first if first < 0 else last} outside [0, {m}]")
+    if p in (0.0, 1.0) or not wanted:  # a point mass at count m p, or no count
+        return float(m * p in wanted)
+    k, term = min(max(math.floor((m + 1) * p), first), last), 1.0
+    for _, _, term in _sums(p, ((k * n // m,) * 2 for n in range(1, m + 1))):
+        pass
+    r, terms = p / (1.0 - p), {k: term}
+    for i in range(k, last):
+        terms[i + 1] = terms[i] * r * (m - i) / (i + 1)
+    for i in range(k, first, -1):
+        terms[i - 1] = terms[i] / r * i / (m - i + 1)
+    return min(math.fsum(terms[i] for i in wanted), 1.0)
 
 
-def _terms(m, i, p: float) -> np.ndarray:
-    """Terms C(m, i) p^i (1-p)^(m-i), elementwise over integer arrays m and i."""
-    if p in (0.0, 1.0):  # log 0 is not finite: the whole mass sits on count m * p
-        return (i == m * p).astype(float)
-    lf = _log_factorials(1 << int(np.max(m)).bit_length())
-    return np.exp(lf[m] - lf[i] - lf[m - i] + i * math.log(p) + (m - i) * math.log1p(-p))
+def _sums(p: float, windows):
+    """Slide one window of counts lo..hi over the terms b(m, i), q = 1 - p.
+
+    ``windows`` gives (..., lo, hi) for m = 1, 2, ..., with lo, hi in 0..m,
+    hi >= lo - 1 and hi never falling; each comes back with the sum S over
+    lo..hi and the end term b(m, hi).  From b(0, 0) = 1, S <- S - p b(m-1, hi)
+    + q b(m-1, lo) lo / (m - lo) (Pascal's rule); an end keeps its count k by
+    b(m, k) = q b(m-1, k) m / (m - k) or moves up one by p b(m-1, k) m / (k+1),
+    and further (by rounding in the bounds only) by (p/q) (m-k) / (k+1) a count.
+    Below p = 1/2, q v is v - p v, as a rounded 1 - p would bias S by m ulps.
+    """
+    q, c = (1.0 - p, 0.0) if p >= 0.5 else (1.0, p)  # q v = v q - v c
+    lo, hi, w, x, s = 0, 0, 1.0, 1.0, 1.0
+    for m, window in enumerate(windows, 1):
+        new_lo, new_hi = window[-2:]
+        qw = w * q - w * c
+        s = s - p * x + qw * lo / (m - lo) if hi >= lo else 0.0
+        if new_hi > hi:
+            hi, x = hi + 1, x * p * m / (hi + 1)
+            s += x
+        else:
+            x = (x * q - x * c) * m / (m - hi)
+        if new_lo > lo:
+            s -= qw * m / (m - lo)
+            lo, w = lo + 1, w * p * m / (lo + 1)
+        else:
+            w = qw * m / (m - lo)
+        while hi < new_hi:
+            hi, x = hi + 1, x * p / (1.0 - p) * (m - hi) / (hi + 1)
+            s += x
+        while lo < new_lo:
+            s -= w
+            lo, w = lo + 1, w * p / (1.0 - p) * (m - lo) / (lo + 1)
+        while lo > new_lo:
+            lo, w = lo - 1, w * (1.0 - p) / p * lo / (m - lo + 1)
+            s += w
+        yield window, (s if hi >= lo else 0.0), x
 
 
-@functools.cache
-def _log_factorials(size: int) -> np.ndarray:
-    """Read-only table of log k! for k < size; sizes are powers of two."""
-    table = np.array([math.lgamma(k + 1) for k in range(size)])
-    table.flags.writeable = False
-    return table
-
-
-def _checked_m(m) -> int:
-    """`m` as an int in 1..MAX_M; TypeError unless it is an integer."""
+def _checked_m(m, least: int = 1) -> int:
+    """`m` as an int in least..MAX_M; TypeError unless it is an integer."""
     m = operator.index(m)
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    if m < least:
+        raise ValueError(f"m must be at least {least}")
     if m > MAX_M:
         raise ValueError(f"m = {m} exceeds the limit of {MAX_M} (MAX_M)")
     return m
 
 
-def _plans(ms: np.ndarray, scenario: TransmissionScenario) -> np.ndarray:
-    """Plans for the int64 array ``ms`` (each in 1..MAX_M) in one vectorized pass.
-
-    Returns one float row per m: m, i_minus, i_plus, the advantageous bounds
-    lo and hi (hi = lo - 1 when the set is empty) and the confidence.
-    Confidences are summed in blocks of len(ms) // widest rows, each padded to
-    its widest set, so a block holds about len(ms) terms (one set if wider):
-    memory follows the output and the block size needs no constant.
-    """
-    p = scenario.success_probability
-    center, half = ms * p, scenario.margin * ms
-    lo = np.maximum(0, np.ceil(center - half - 1e-9)).astype(np.int64)
-    hi = np.minimum(ms, np.floor(center + half + 1e-9)).astype(np.int64)
-    rows = max(1, ms.size // max(1, (hi - lo + 1).max(initial=0)))
-    conf = np.empty(ms.size)
-    for b in range(0, ms.size, rows):
-        m, low, top = ms[b:b + rows, None], lo[b:b + rows, None], hi[b:b + rows, None]
-        i = low + np.arange((top - low).max() + 1)
-        conf[b:b + rows] = np.where(i <= top, _terms(m, np.minimum(i, top), p), 0.0).sum(axis=1)
-    return np.column_stack((ms, center - half, center + half, lo, hi, np.minimum(conf, 1.0)))
-
-
-def _results(plans: np.ndarray) -> list:
-    """PlanResults of the rows of ``_plans``; the sets are range(lo, hi + 1)."""
-    m, lo, end = (plans[:, [0, 3, 4]].astype(np.int64) + [0, 0, 1]).T.tolist()
-    i_minus, i_plus, conf = plans[:, [1, 2, 5]].T.tolist()
-    return list(map(PlanResult, m, i_minus, i_plus, map(range, lo, end), conf))
+def _plans(scenario: TransmissionScenario, m_stop: int):
+    """Rows (m, i_minus, i_plus, lo, hi, confidence) for m = 1..m_stop; no counts if hi < lo."""
+    p, margin = scenario.success_probability, scenario.margin
+    ends = ((m, m * p - margin * m, m * p + margin * m) for m in range(1, m_stop + 1))
+    windows = ((m, i_minus, i_plus, max(0, math.ceil(i_minus - 1e-9)),
+                min(m, math.floor(i_plus + 1e-9))) for m, i_minus, i_plus in ends)
+    return ((*window, min(s, 1.0)) for window, s, _ in _sums(p, windows))
 
 
 def plan_for_m(m: int, scenario: TransmissionScenario) -> PlanResult:
-    """Interval, advantageous set and confidence for a fixed m."""
-    return _results(_plans(np.array([_checked_m(m)]), scenario))[0]
+    """Interval, advantageous set and confidence for a fixed m: the scan's row at m."""
+    for m, i_minus, i_plus, lo, hi, conf in _plans(scenario, _checked_m(m)):
+        pass
+    return PlanResult(m, i_minus, i_plus, range(lo, hi + 1), conf)
 
 
 def scan_rows(scenario: TransmissionScenario, m_max: int):
-    """Plans for every m from minimal_m to m_max, as rows of one float array.
+    """Plans for every m from minimal_m to m_max, as six ``array('d')`` columns.
 
-    The columns are m, i_minus, i_plus, the advantageous bounds lo..hi and
-    the confidence.  Returns (rows, first): `first` is the row of the first
-    m that reaches the confidence target, or None.
+    The columns are m, i_minus, i_plus, lo, hi and the confidence.  Returns
+    (columns, first), `first` the row of the first m reaching the target or None.
     """
     m_lo = minimal_m(scenario)
     if m_max < m_lo:
         raise ValueError(f"m_max = {m_max} below minimal m = {m_lo}")
-    rows = _plans(np.arange(m_lo, _checked_m(m_max) + 1), scenario)
-    passing = np.flatnonzero(rows[:, 5] >= scenario.confidence_target)
-    return rows, (rows[passing[0]] if passing.size else None)
+    rows = itertools.islice(_plans(scenario, _checked_m(m_max)), m_lo - 1, None)
+    flat = array("d", itertools.chain.from_iterable(rows))
+    columns = tuple(flat[j::6] for j in range(6))
+    return columns, next((r for r in zip(*columns) if r[5] >= scenario.confidence_target), None)
 
 
 def scan_plan(scenario: TransmissionScenario, m_max: int):
-    """Plans for every m from minimal_m to m_max.
-
-    Returns (results, first_passing_m); the second element is None when no m
-    in the range reaches the confidence target.
-    """
-    rows, first = scan_rows(scenario, m_max)
-    return _results(rows), (None if first is None else int(first[0]))
+    """Plans for every m from minimal_m to m_max, and the first m reaching the target or None."""
+    columns, first = scan_rows(scenario, m_max)
+    return ([PlanResult(int(m), i_minus, i_plus, range(int(lo), int(hi) + 1), conf)
+             for m, i_minus, i_plus, lo, hi, conf in zip(*columns)],
+            None if first is None else int(first[0]))
 
 
 def detect_nonmonotonicity(scenario: TransmissionScenario, m_range) -> list:
     """Values of m in the range where the confidence drops at m + 1.
 
-    Adding states does not always help: a larger m can move the advantageous
-    set unfavourably.  Returns every m (except the last of the range) whose
-    successor's confidence is lower by more than ``DESCENT_TOL``.  Each m is
-    checked as it is read, so a range past ``MAX_M`` is refused at its first
-    m above the limit.
+    A larger m can move the advantageous set unfavourably.  Returns every m
+    (but the range's last) whose successor in the range is lower by more than
+    ``DESCENT_TOL``; each m is checked as it is read, so a range past ``MAX_M``
+    is refused at its first m above the limit.
     """
-    ms = np.array(sorted({_checked_m(m) for m in m_range}), dtype=np.int64)
-    m, conf = _plans(ms, scenario)[:, [0, 5]].T
-    return [int(x) for x in m[:-1][conf[:-1] - conf[1:] > DESCENT_TOL]]
+    wanted = {_checked_m(m) for m in m_range}
+    conf = [row[5] for row in _plans(scenario, max(wanted, default=0)) if row[0] in wanted]
+    return [m for m, c0, c1 in zip(sorted(wanted), conf, conf[1:]) if c0 - c1 > DESCENT_TOL]
 
 
 def transmission_speed(bits: int, seconds: float) -> float:
@@ -241,11 +252,9 @@ def transmission_speed(bits: int, seconds: float) -> float:
 
 def intelligibility(input_bits, output_bits) -> float:
     """Fraction of bits that differ between sent and decoded messages."""
-    input_bits = list(input_bits)
-    output_bits = list(output_bits)
+    input_bits, output_bits = list(input_bits), list(output_bits)
     if len(input_bits) != len(output_bits):
         raise ValueError("bit sequences must have equal length")
     if not input_bits:
         raise ValueError("bit sequences must be non-empty")
-    mismatches = sum(1 for a, b in zip(input_bits, output_bits) if a != b)
-    return mismatches / len(input_bits)
+    return sum(a != b for a, b in zip(input_bits, output_bits)) / len(input_bits)

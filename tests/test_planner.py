@@ -8,6 +8,7 @@ from eeqt.planner import (
     DESCENT_TOL,
     MAX_M,
     TransmissionScenario,
+    _sums,
     confidence,
     detect_nonmonotonicity,
     di_confirmation_count,
@@ -38,6 +39,48 @@ def brute_force_confidence(m, p, counts):
         if hits in target:
             total += pw_hit[hits] * pw_miss[m - hits]
     return total
+
+
+def exact_confidence(m, p, counts):
+    """The binomial sum of the float p = a / d in integers, rounded once.
+
+    C(m, i) a^i (d - a)^(m - i) is an integer, and successive terms differ by
+    the factor (m - i) a / ((i + 1) (d - a)), so each is one exact division
+    of the one before; the sum is divided by d^m at the end.
+    """
+    counts = sorted(set(counts))
+    if not counts:
+        return 0.0
+    a, d = p.as_integer_ratio()
+    lo = counts[0]
+    term = math.comb(m, lo) * a ** lo * (d - a) ** (m - lo)
+    total = 0
+    wanted = set(counts)
+    for i in range(lo, counts[-1] + 1):
+        if i in wanted:
+            total += term
+        if i < m:
+            term = term * (m - i) * a // ((i + 1) * (d - a)) if d > a else 0
+    return min(total / d ** m, 1.0)
+
+
+# The plan-scan margins (0.045 and 0.03), the three scan-equality scenarios
+# and a scan at p = 5e-10, for the oracle checks.
+ORACLE_SCENARIOS = {
+    "margin-0.045": SCENARIO,
+    "margin-0.03": TransmissionScenario(rho1=0.6, eta_det=0.7, accuracy=0.05,
+                                        confidence_target=0.6, margin=0.03),
+    "p=0": TransmissionScenario(rho1=0.5, eta_det=0.0, accuracy=0.1,
+                                confidence_target=0.6, margin=0.05),
+    "full-range": TransmissionScenario(rho1=0.5, eta_det=1.0, accuracy=0.5,
+                                       confidence_target=0.6, margin=0.5),
+    "narrow": TransmissionScenario(rho1=1.0 / math.pi, eta_det=1.0, accuracy=0.05,
+                                   confidence_target=0.5, margin=0.004),
+    "p=5e-10": TransmissionScenario(rho1=0.5, eta_det=1e-9, accuracy=0.05,
+                                    confidence_target=0.6, margin=0.045),
+}
+# Bounds against the exact sums: m up to 300, and m in LARGE_M.
+SMALL_M_TOL, LARGE_M_TOL, LARGE_M = 5e-14, 1e-13, (1000, 5000)
 
 
 class TestConfirmationCount:
@@ -127,7 +170,7 @@ class TestConfidence:
             assert confidence(m, SCENARIO.success_probability, counts) == \
                 pytest.approx(exact, abs=1e-10)
 
-    def test_log_domain_matches_direct_evaluation(self):
+    def test_matches_direct_evaluation(self):
         # direct binomial formula, exact coefficients, for m up to 100
         for m in (10, 63, 64, 65, 100):
             p = 0.72
@@ -164,6 +207,36 @@ class TestConfidence:
         assert confidence(5, 1.0, range(0, 3)) == 0.0
         with pytest.raises(ValueError):
             confidence(5, 0.5, [6])
+
+    def test_m_is_checked_like_a_plan(self):
+        with pytest.raises(TypeError):
+            confidence(12.5, 0.5, [3])
+        with pytest.raises(ValueError, match="at least 0"):
+            confidence(-1, 0.5, [])
+        for m in (MAX_M + 1, 10 ** 9):  # refused before any work
+            with pytest.raises(ValueError, match="MAX_M"):
+                confidence(m, 0.5, [3])
+        assert confidence(0, 0.3, [0]) == 1.0
+        assert confidence(0, 0.3, []) == 0.0
+        assert confidence(MAX_M, 0.5, [MAX_M // 2]) == pytest.approx(
+            math.sqrt(2.0 / (math.pi * MAX_M)), rel=1e-5)
+
+    def test_counts_form_a_set(self):
+        p = 0.3
+        assert confidence(20, p, [4, 6, 6, 4]) == confidence(20, p, [4, 6])
+        assert confidence(20, p, [4, 6]) == pytest.approx(exact_confidence(20, p, [4, 6]),
+                                                          rel=0, abs=SMALL_M_TOL)
+
+    @pytest.mark.parametrize("m", [1, 2, 10, 57, 300, 1000, 5000])
+    def test_near_one_matches_the_exact_sum(self, m):
+        # no valid scenario reaches this p: the interval check bounds
+        # rho1 + accuracy, so only confidence() sees it
+        p = 1.0 - 2.0 ** -50
+        tol = SMALL_M_TOL if m <= 300 else LARGE_M_TOL
+        for counts in (range(max(0, m - 3), m + 1), range(0, m + 1), [m],
+                       range(0, m // 2 + 1), [0, m // 2, m]):
+            assert confidence(m, p, counts) == pytest.approx(
+                exact_confidence(m, p, counts), rel=0, abs=tol)
 
 
 class TestScan:
@@ -205,12 +278,14 @@ class TestScan:
         p = scenario.success_probability
         for r in scan_plan(scenario, 300)[0]:
             single = plan_for_m(r.m, scenario)
-            assert (r.m, r.i_minus, r.i_plus, r.advantageous) == \
-                (single.m, single.i_minus, single.i_plus, single.advantageous)
-            # padding regroups numpy's pairwise sum: rounding differences only
-            assert r.confidence == pytest.approx(single.confidence, rel=0, abs=1e-15)
-            assert r.confidence == pytest.approx(confidence(r.m, p, r.advantageous),
-                                                 rel=0, abs=1e-15)
+            # one window makes both, so they are equal bit for bit
+            assert (r.m, r.i_minus, r.i_plus, r.advantageous, r.confidence) == \
+                (single.m, single.i_minus, single.i_plus, single.advantageous,
+                 single.confidence)
+            exact = exact_confidence(r.m, p, r.advantageous)
+            assert r.confidence == pytest.approx(exact, rel=0, abs=SMALL_M_TOL)
+            assert confidence(r.m, p, r.advantageous) == pytest.approx(
+                exact, rel=0, abs=SMALL_M_TOL)
         ms = range(1, 300)
         confs = [confidence(m, p, plan_for_m(m, scenario).advantageous) for m in ms]
         expected = [m for m, c0, c1 in zip(ms, confs, confs[1:]) if c0 - c1 > DESCENT_TOL]
@@ -268,16 +343,18 @@ class TestScan:
 
     @pytest.mark.parametrize("m_max", [40, 80, 1000])
     def test_scan_rows_are_the_scan_plan_results(self, m_max):
-        rows, first = scan_rows(SCENARIO, m_max)
+        columns, first = scan_rows(SCENARIO, m_max)
         results, first_m = scan_plan(SCENARIO, m_max)
-        assert rows.shape == (len(results), 6)
-        assert rows.tolist() == [[r.m, r.i_minus, r.i_plus, r.advantageous.start,
-                                  r.advantageous[-1], r.confidence] for r in results]
+        assert [len(column) for column in columns] == [len(results)] * 6
+        rows = list(zip(*columns))
+        assert rows == [(r.m, r.i_minus, r.i_plus, r.advantageous.start,
+                         r.advantageous[-1], r.confidence) for r in results]
         if first_m is None:
             assert first is None
         else:
-            assert first.tolist() == rows[first_m - results[0].m].tolist()
-            assert rows[:, 5][rows[:, 0] < first_m].max() < SCENARIO.confidence_target
+            assert first == rows[first_m - results[0].m]
+            assert max(conf for m, *_, conf in rows if m < first_m) < \
+                SCENARIO.confidence_target
 
     def test_non_integer_m_rejected(self):
         with pytest.raises(TypeError):
@@ -286,11 +363,55 @@ class TestScan:
             detect_nonmonotonicity(SCENARIO, [12.5, 13])
 
     def test_plan_results_are_self_consistent(self):
+        p = SCENARIO.success_probability
         for r in scan_plan(SCENARIO, 30)[0]:
             assert set(r.advantageous) <= set(range(0, r.m + 1))
+            exact = exact_confidence(r.m, p, r.advantageous)
+            assert r.confidence == pytest.approx(exact, rel=0, abs=SMALL_M_TOL)
+            assert confidence(r.m, p, r.advantageous) == pytest.approx(
+                exact, rel=0, abs=SMALL_M_TOL)
+
+    @pytest.mark.parametrize("name", list(ORACLE_SCENARIOS))
+    def test_plans_match_the_exact_sums(self, name):
+        scenario = ORACLE_SCENARIOS[name]
+        p = scenario.success_probability
+        results, _ = scan_plan(scenario, LARGE_M[-1])
+        rows = {r.m: r for r in results}
+        for m in [*range(minimal_m(scenario), 301), *LARGE_M]:
+            r, tol = rows[m], (SMALL_M_TOL if m <= 300 else LARGE_M_TOL)
+            exact = exact_confidence(m, p, r.advantageous)
+            assert r.confidence == pytest.approx(exact, rel=0, abs=tol), m
+            assert confidence(m, p, r.advantageous) == pytest.approx(exact, rel=0, abs=tol), m
+        for m in (1, 2, 150, 300, *LARGE_M):  # below minimal m too
+            single = plan_for_m(m, scenario)
+            assert single.confidence == pytest.approx(
+                exact_confidence(m, p, single.advantageous), rel=0,
+                abs=SMALL_M_TOL if m <= 300 else LARGE_M_TOL)
+
+    def test_rounding_of_one_minus_p_does_not_build_up(self):
+        # below p = 1/2 the float 1 - p is rounded; multiplying by it at each
+        # of 5000 steps would put about 5e-14 into the narrow scan at m = 5000
+        scenario = ORACLE_SCENARIOS["narrow"]
+        p = scenario.success_probability
+        assert 1.0 - p != 1 - Fraction(p)
+        results, _ = scan_plan(scenario, 5000)
+        for r in results[999::500]:
             assert r.confidence == pytest.approx(
-                confidence(r.m, SCENARIO.success_probability, r.advantageous),
-                abs=1e-15)
+                exact_confidence(r.m, p, r.advantageous), rel=0, abs=1e-14), r.m
+
+    @pytest.mark.parametrize("p", [0.3, 0.8])
+    def test_window_ends_may_jump_and_the_lower_end_fall(self, p):
+        # Rounding in m p -/+ margin m can move an end by more than one count
+        # in a step, or the lower end back by one; the window walks such moves
+        # count by count.  Ends (lo, hi) for m = 1, 2, ...
+        ends = [(0, 1), (0, 2), (2, 3), (1, 4), (1, 4), (3, 6), (2, 6), (2, 8), (5, 8),
+                (4, 8), (9, 8), (9, 10), (7, 11)]
+        sums = list(_sums(p, ends))
+        assert [window for window, _, _ in sums] == ends
+        for m, ((lo, hi), s, end) in enumerate(sums, 1):
+            assert s == pytest.approx(exact_confidence(m, p, range(lo, hi + 1)),
+                                      rel=0, abs=1e-15), m
+            assert end == pytest.approx(exact_confidence(m, p, [hi]), rel=1e-15), m
 
 
 class TestNonmonotonicity:
