@@ -101,10 +101,11 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-# Rows of an array formatted at once: the Python floats of one block and its
-# lines are all that formatting holds beside the array and the finished text.
-# 4096 raised the peak RSS of a 10 001-row simulate by about 1 MB; 1024 does not.
-CSV_BLOCK_ROWS = 1024
+# A block of rows is formatted, then written at once.  One write much longer
+# than a 64 KiB pipe can end without BrokenPipeError after the reader closed,
+# so a block holds at most this many fields: 64 KiB at 20 bytes a field, the
+# widest %.12g number (19 characters) and its comma.
+CSV_BLOCK_FIELDS = 2 ** 16 // 20
 
 
 def _digest(text: str) -> str:
@@ -129,12 +130,6 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _array_blocks(array):
-    """Rows of a 2-D array as lists of Python numbers, CSV_BLOCK_ROWS rows per list."""
-    for b in range(0, len(array), CSV_BLOCK_ROWS):
-        yield array[b:b + CSV_BLOCK_ROWS].tolist()
-
-
 class OutputError(Exception):
     """The ``--output`` file cannot be written; a usage error."""
 
@@ -149,19 +144,20 @@ def _write_csv(args, header, rows, digest=None, meta=(), text=()):
 
     Each row goes through one template: ``%s`` in the columns named in `text`,
     ``%.12g`` in the others.  `rows` is a 2-D array or any iterable of rows,
-    formatted CSV_BLOCK_ROWS rows at a time.  The whole text is formatted
-    before the file is opened.
+    formatted CSV_BLOCK_FIELDS // len(header) rows at a time (at least
+    one).  The whole text is formatted before the file is opened.
     """
     meta = [("tool", f"eeqt {__version__}"), ("command", args.command),
             *([] if digest is None else [("config_sha256", digest)]),
             ("seed", args.seed), *meta]
     parts = [f"# {key}: {value}\n" for key, value in meta] + [",".join(header) + "\n"]
     template = ",".join("%s" if name in text else "%.12g" for name in header) + "\n"
+    size = max(1, CSV_BLOCK_FIELDS // len(header))
     if type(rows).__module__ == "numpy":  # an ndarray, known without importing numpy
-        blocks = _array_blocks(rows)
-    else:  # cut too: one write of several hundred KB can miss a reader's early close
+        blocks = (rows[b:b + size].tolist() for b in range(0, len(rows), size))
+    else:
         rows = iter(rows)
-        blocks = iter(lambda: list(itertools.islice(rows, CSV_BLOCK_ROWS)), [])
+        blocks = iter(lambda: list(itertools.islice(rows, size)), [])
     parts += ["".join([template % tuple(row) for row in block]) for block in blocks]
     if args.output == "-":
         sys.stdout.writelines(parts)

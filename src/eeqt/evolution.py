@@ -6,13 +6,14 @@ Propagates the Liouville equation
             = K rho + rho K^dagger + sum_i Vi* rho Vi,   K = -iH - G/2,
 
 blockwise for block-diagonal states; G holds the diagonal blocks of
-sum_i Vi Vi*.  Coupling operators are block matrices over classical index
-pairs whose entries are quantum operators.  A ``Generator`` validates a
-Hamiltonian and couplings once and keeps the blocks of K and one stack of the
-coupling blocks with a nonzero entry; the right-hand side, the dense
-Liouvillian, the propagation, the rate equations and the structural
-complete-positivity check all work from it.  The CP check is exact: it reads
-the block pattern of each coupling instead of sampling probe operators.
+sum_i Vi Vi*.  A coupling operator is a block matrix over classical index
+pairs, kept as its listed quantum-operator entries and never as a dense
+array.  A ``Generator`` validates a Hamiltonian and couplings once and keeps
+the blocks of K and one stack of the listed entries that are nonzero; the
+right-hand side, the dense Liouvillian, the propagation, the rate equations
+and the structural complete-positivity check all work from it.  The CP check
+is exact: it reads the block pattern of each coupling instead of sampling
+probe operators.
 
 L is linear and constant in time, so the record at time t is exactly
 e^{tL} rho0.  Both of ``evolve``'s paths sum one truncated Taylor series,
@@ -31,6 +32,7 @@ below -POSITIVITY_TOL with PositivityError.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -73,35 +75,39 @@ TAYLOR_TERMS = 30
 
 
 class CouplingOperator(_Frozen):
-    """Block matrix V with quantum-operator entries V[alpha, beta].
+    """Block matrix V over classical index pairs, kept as its listed quantum-operator entries.
 
     Attributes
     ----------
-    blocks : np.ndarray
-        Complex array of shape (n+1, n+1, d, d); entry (alpha, beta) is the
-        quantum operator in classical block row alpha, column beta.
+    classical_dim : int
+        n+1, the number of block rows and columns.
+    positions, entries : np.ndarray
+        Read-only: the (k, 2) int array of the listed (gamma, alpha) block
+        positions in row-major order, and the complex (k, d, d) stack of
+        their operators, (0, d, d) when none is listed.  Every other block is
+        zero, and no (n+1, n+1, d, d) array is formed.  Built by ``from_entries``.
     """
 
-    __slots__ = ("blocks",)
+    __slots__ = ("classical_dim", "positions", "entries")
 
-    def __init__(self, blocks):
-        self._set(blocks=operator_array(blocks, "coupling blocks", 4))
-
-    @property
-    def classical_dim(self) -> int:
-        return self.blocks.shape[0]
+    def __init__(self, classical_dim: int, positions: np.ndarray, entries: np.ndarray):
+        for a in (positions, entries):
+            a.setflags(write=False)
+        self._set(classical_dim=classical_dim, positions=positions, entries=entries)
 
     @property
     def quantum_dim(self) -> int:
-        return self.blocks.shape[2]
+        return self.entries.shape[1]
 
     @classmethod
     def from_entries(cls, classical_dim: int, entries,
                      quantum_dim: int | None = None) -> "CouplingOperator":
-        """Build from a mapping {(alpha, beta): d x d operator}; unlisted blocks are zero.
+        """Build from a mapping {(gamma, alpha): d x d operator}; unlisted blocks are zero.
 
-        Raises ValueError for a position outside [0, classical_dim) and for an
-        entry that is not d x d.  An all-zero coupling needs `quantum_dim`.
+        Raises ValueError for a dimension below 1, a position outside
+        [0, classical_dim) or an entry that is not d x d, and TypeError for a
+        dimension or position that is not an integer.  An all-zero coupling
+        needs `quantum_dim`.
         """
         entries = {pos: operator_array(op, f"coupling entry {pos}", 2)
                    for pos, op in entries.items()}
@@ -109,35 +115,23 @@ class CouplingOperator(_Frozen):
             if not entries:
                 raise ValueError("an all-zero coupling needs an explicit quantum_dim")
             quantum_dim = len(next(iter(entries.values())))
-        n, d = classical_dim, quantum_dim
-        blocks = np.zeros((n, n, d, d), dtype=complex)
+        n, d = operator.index(classical_dim), operator.index(quantum_dim)
+        if min(n, d) < 1:
+            raise ValueError(f"coupling dimensions ({n}, {d}) must be positive")
         for (a, b), op in entries.items():
-            if not (0 <= a < n and 0 <= b < n):
+            if not (0 <= operator.index(a) < n and 0 <= operator.index(b) < n):
                 raise ValueError(f"block position {(a, b)} outside [0, {n})")
             if op.shape != (d, d):
                 raise ValueError(f"coupling entry {(a, b)} has shape {op.shape}, "
                                  f"expected {(d, d)}")
-            blocks[a, b] = op
-        return cls(blocks)
-
-    @classmethod
-    def from_grid(cls, grid, quantum_dim: int | None = None) -> "CouplingOperator":
-        """Build from a nested sequence of matrices, with None meaning zero."""
-        if any(len(row) != len(grid) for row in grid):
-            raise ValueError("coupling grid must be square")
-        entries = {(a, b): entry for a, row in enumerate(grid)
-                   for b, entry in enumerate(row) if entry is not None}
-        return cls.from_entries(len(grid), entries, quantum_dim)
+        order = sorted(entries)
+        return cls(n, np.array(order, dtype=np.intp).reshape(-1, 2),
+                   np.array([entries[pos] for pos in order], dtype=complex).reshape(-1, d, d))
 
     def support(self) -> frozenset:
-        """Set of (alpha, beta) classical index pairs with an entry above PATTERN_ZERO_TOL."""
-        mags = np.max(np.abs(self.blocks), axis=(2, 3))
-        return frozenset(
-            (a, b)
-            for a in range(self.classical_dim)
-            for b in range(self.classical_dim)
-            if mags[a, b] > PATTERN_ZERO_TOL
-        )
+        """Set of (gamma, alpha) block positions with an entry above PATTERN_ZERO_TOL."""
+        above = np.abs(self.entries).max(axis=(1, 2)) > PATTERN_ZERO_TOL
+        return frozenset(map(tuple, self.positions[above].tolist()))
 
 
 class EvolutionConfig(_Frozen):
@@ -218,7 +212,8 @@ class Generator(_Frozen):
         finite.
         """
         couplings = list(couplings)
-        shapes = {f"coupling {i}": v.blocks.shape[1:3] for i, v in enumerate(couplings)}
+        shapes = {f"coupling {i}": (v.classical_dim, v.quantum_dim)
+                  for i, v in enumerate(couplings)}
         if hamiltonian is not None:
             h = operator_array(hamiltonian, "Hamiltonian blocks", 3)
             dev = np.max(np.abs(h - h.conj().transpose(0, 2, 1)))
@@ -232,19 +227,20 @@ class Generator(_Frozen):
                              + (", ".join(f"{name} {s}" for name, s in shapes.items())
                                 or "none of them is given"))
         n1, d = next(iter(shapes.values()))
-        index = sorted(((i, g, a) for i, c in enumerate(couplings)
-                        for g, a in zip(*np.nonzero(c.blocks.any(axis=(2, 3))))),
-                       key=lambda entry: entry[2])
-        v = np.array([couplings[i].blocks[g, a] for i, g, a in index], complex).reshape(-1, d, d)
+        gathered = sorted(((i, g, a, e) for i, c in enumerate(couplings)
+                           for (g, a), e in zip(c.positions.tolist(), c.entries) if e.any()),
+                          key=lambda entry: entry[2])  # each entry != 0, stably by alpha
+        index = np.array([entry[:3] for entry in gathered], dtype=np.intp).reshape(-1, 3).T.copy()
+        v = np.array([entry[3] for entry in gathered], complex).reshape(-1, d, d)
         k = np.zeros((n1, d, d), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-            for (_, g, _), gain in zip(index, v @ v.conj().swapaxes(-1, -2)):
+            for g, gain in zip(index[1], v @ v.conj().swapaxes(-1, -2)):
                 k[g] -= 0.5 * gain  # G[gamma] sums V V^dagger over row gamma
             if hamiltonian is not None:
                 k -= 1j * h
         if not np.isfinite(k).all():
             raise OverflowError("K = -iH - G/2 is not finite: a coupling entry is too large")
-        return cls(k, v, np.array(index, dtype=np.intp).reshape(-1, 3).T.copy())
+        return cls(k, v, index)
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
         """Time derivative of the (n+1, d, d) block array `rho`."""

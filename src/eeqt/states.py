@@ -23,15 +23,14 @@ TRACE_TOL = 1e-9
 def operator_array(a, name: str, ndim: int) -> np.ndarray:
     """Read-only complex copy of `a`, an array of square operators.
 
-    Raises ValueError, naming the array `name`, unless `a` has `ndim` axes,
-    none of them empty, square last two axes (with four axes, square first
-    two as well) and only finite entries.  State and coupling blocks,
-    Hamiltonians and projectors are all built here.
+    Raises ValueError, naming the array `name`, unless `a` has `ndim` axes
+    (2 or 3), none of them empty, square last two axes and only finite
+    entries.  State blocks, coupling entries, Hamiltonians and projectors are
+    all built here.
     """
     out = np.array(a, dtype=complex)
     shape = out.shape
-    if (out.ndim != ndim or 0 in shape or shape[-1] != shape[-2]
-            or (ndim == 4 and shape[0] != shape[1])):
+    if out.ndim != ndim or 0 in shape or shape[-1] != shape[-2]:
         layout = "(" + "n+1, " * (ndim - 2) + "d, d)"
         raise ValueError(f"{name} must have shape {layout}, got {shape}")
     if not np.all(np.isfinite(out.view(float))):

@@ -10,6 +10,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from eeqt import cli, evolution, states
 from eeqt.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, FAMILIES, main
+from eeqt.detectors import n_state_trajectory
 from eeqt.evolution import PositivityError, TraceDriftError, evolve
 
 SHIPPED_CONFIGS = sorted((pathlib.Path(__file__).parents[1] / "configs").glob("*.ini"))
@@ -515,7 +517,8 @@ def test_non_finite_coupling_is_refused_on_one_line(tmp_path, k1, code, message)
 @pytest.mark.parametrize("command", ["simulate", "efficiency"])
 def test_system_beyond_memory_is_a_config_error(tmp_path, capsys, monkeypatch, command):
     # numpy raises MemoryError for an array it cannot allocate, such as the
-    # 24 GiB coupling of an n_state detector with dim 200 and 200 channels
+    # 14.6 TiB projector of an n_state detector with dim 10^6; the message
+    # below is that of a dense 200-channel coupling, which is no longer built
     def too_large(config, dim):
         raise MemoryError("Unable to allocate 24.1 GiB for an array with shape "
                           "(201, 201, 200, 200) and data type complex128")
@@ -526,6 +529,43 @@ def test_system_beyond_memory_is_a_config_error(tmp_path, capsys, monkeypatch, c
     assert capsys.readouterr().err.splitlines() == [
         f"config error: {config}: Unable to allocate 24.1 GiB for an array with shape "
         "(201, 201, 200, 200) and data type complex128"]
+
+
+WIDE_N_STATE_CONFIG = """\
+[detector]
+family = n_state
+dim = 100
+channels = 100
+k = 1.0
+
+[evolution]
+step = 0.01
+duration = 0.05
+record_every = 10
+"""
+
+
+def test_n_state_runs_at_a_hundred_channels_in_bounded_memory(tmp_path):
+    # a dense coupling of 101 x 101 blocks of 100 x 100 would take 1.52 GiB;
+    # the child alone runs under a 1.5 GiB address-space limit
+    resource = pytest.importorskip("resource")
+    limit = 3 * 2 ** 29
+
+    def bound_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    config = write(tmp_path, "wide.ini", WIDE_N_STATE_CONFIG)
+    out = tmp_path / "wide.csv"
+    proc = subprocess.run([sys.executable, "-m", "eeqt.cli", "simulate", "--config", config,
+                           "--output", str(out)], capture_output=True, text=True, timeout=120,
+                          env=cli_env(), preexec_fn=bound_memory)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    _, header, rows = read_csv(out)
+    rows = np.array(rows, dtype=float)
+    assert header[-2:] == ["trace_drift", "min_eigenvalue"] and rows.shape == (2, 104)
+    # the closed form reads only k and the channel count
+    expected = n_state_trajectory(types.SimpleNamespace(k=1.0, n_channels=100), 0, rows[:, 0])
+    np.testing.assert_allclose(rows[:, 1:102], expected.T, rtol=0, atol=1e-12)
 
 
 def test_simulate_does_not_evaluate_the_closed_form(tmp_path):
@@ -757,12 +797,42 @@ def test_writer_formats_text_columns_with_str(rows):
 
 
 def test_writer_reads_arrays_in_blocks(monkeypatch):
-    array = np.random.default_rng(3).normal(size=(2 * cli.CSV_BLOCK_ROWS + 3, 4)) ** 9
     header = ["a", "b", "c", "d"]
+    rows = cli.CSV_BLOCK_FIELDS // len(header)
+    array = np.random.default_rng(3).normal(size=(2 * rows + 3, 4)) ** 9
     expected = per_value_body(header, array)
     assert csv_body(header, array) == expected
-    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)
+    monkeypatch.setattr(cli, "CSV_BLOCK_FIELDS", 7 * len(header))
     assert csv_body(header, array) == expected
+
+
+class WritelinesRecorder(io.StringIO):
+    """A stdout that keeps each part handed to ``writelines``."""
+
+    def __init__(self):
+        super().__init__()
+        self.parts = []
+
+    def writelines(self, parts):
+        parts = list(parts)
+        self.parts += parts
+        super().writelines(parts)
+
+
+@pytest.mark.parametrize("rows", [list, np.array], ids=["iterable", "array"])
+def test_writer_never_hands_writelines_more_than_a_pipe_holds(rows):
+    # 104 columns, as simulate writes for 100 channels, each at the widest
+    # %.12g text: 19 characters and a comma make 2080 bytes a row
+    header = [f"c{i}" for i in range(104)]
+    value = -1.2345678901234e-300
+    assert len(cli._fmt(value)) == 19
+    table = [[value] * len(header)] * 500
+    out = WritelinesRecorder()
+    args = argparse.Namespace(output="-", command="test", seed=0)
+    with contextlib.redirect_stdout(out):
+        cli._write_csv(args, header, rows(table))
+    assert 2 ** 15 < max(map(len, out.parts)) <= 2 ** 16  # full blocks, not a row each
+    assert out.getvalue().split("\n", 3)[3] == per_value_body(header, table)
 
 
 # Config fuzz: a valid config of a random family, with up to two values

@@ -21,6 +21,8 @@ from eeqt.detectors import (
 from eeqt.evolution import EvolutionConfig, evolve
 from eeqt.states import HybridState, basis_projector, product_state, quantum_marginal
 
+from conftest import dense_blocks
+
 E0 = basis_projector(2, 0)
 E1 = basis_projector(2, 1)
 
@@ -272,7 +274,7 @@ def test_specs_keep_read_only_copies_of_their_projectors():
 
     def blocks(spec):
         couplings = spec.couplings() if hasattr(spec, "couplings") else [spec.coupling()]
-        return [v.blocks for v in couplings]
+        return [dense_blocks(v) for v in couplings]
 
     before = [blocks(spec) for spec in specs]
     e[0, 0] = f[1, 1] = 0.0

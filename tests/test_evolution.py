@@ -35,7 +35,7 @@ from eeqt.states import (
     validate_state,
 )
 
-from conftest import random_density, random_hybrid_state
+from conftest import coupling_from_blocks, dense_blocks, random_density, random_hybrid_state
 from test_exact_propagator import exact_records
 
 
@@ -44,7 +44,7 @@ def binary_coupling(k1, k2, e):
     blocks = np.zeros((2, 2, d, d), dtype=complex)
     blocks[0, 1] = k1 * e
     blocks[1, 0] = k2 * e
-    return CouplingOperator(blocks)
+    return coupling_from_blocks(blocks)
 
 
 def test_rhs_free_case_is_zero(rng):
@@ -72,8 +72,8 @@ def test_rhs_conserves_total_trace(seed, n_classical, dim):
     # probability conservation holds for arbitrary couplings, CP or not
     rng = np.random.default_rng(seed)
     state = random_hybrid_state(n_classical, dim, rng)
-    vs = [CouplingOperator(rng.normal(size=(n_classical, n_classical, dim, dim))
-                           + 1j * rng.normal(size=(n_classical, n_classical, dim, dim)))
+    vs = [coupling_from_blocks(rng.normal(size=(n_classical, n_classical, dim, dim))
+                               + 1j * rng.normal(size=(n_classical, n_classical, dim, dim)))
           for _ in range(2)]
     h = np.stack([random_density(dim, rng) for _ in range(n_classical)])
     rhs = liouville_rhs(state, hamiltonian=h, couplings=vs)
@@ -131,7 +131,7 @@ def dense_stack_reference(couplings, hamiltonian, n1, d):
     blocks, the sandwich two batched products per block, L one einsum, and
     the CP check reads the block norms of every coupling.
     """
-    vs = np.array([c.blocks for c in couplings], dtype=complex).reshape(-1, n1, n1, d, d)
+    vs = np.array([dense_blocks(c) for c in couplings], dtype=complex).reshape(-1, n1, n1, d, d)
     k = -0.5 * np.einsum("iagxz,iagwz->axw", vs, vs.conj())
     if hamiltonian is not None:
         k = k - 1j * hamiltonian
@@ -159,9 +159,9 @@ def dense_stack_reference(couplings, hamiltonian, n1, d):
 
 def random_couplings(rng, m, n1, d):
     """m couplings whose blocks are each nonzero with probability 1/2."""
-    return [CouplingOperator((rng.normal(size=(n1, n1, d, d))
-                              + 1j * rng.normal(size=(n1, n1, d, d)))
-                             * (rng.random((n1, n1)) < 0.5)[:, :, None, None])
+    return [coupling_from_blocks((rng.normal(size=(n1, n1, d, d))
+                                  + 1j * rng.normal(size=(n1, n1, d, d)))
+                                 * (rng.random((n1, n1)) < 0.5)[:, :, None, None])
             for _ in range(m)]
 
 
@@ -181,7 +181,7 @@ GATHER_CASES = {
 @pytest.mark.parametrize("case", GATHER_CASES)
 def test_gathered_stack_matches_the_dense_stack(case, with_h, rng):
     couplings = GATHER_CASES[case](rng)
-    n1, d = couplings[0].blocks.shape[1:3] if couplings else (2, 3)
+    n1, d = (couplings[0].classical_dim, couplings[0].quantum_dim) if couplings else (2, 3)
     h = None
     if with_h or not couplings:
         a = rng.normal(size=(n1, d, d)) + 1j * rng.normal(size=(n1, d, d))
@@ -190,7 +190,7 @@ def test_gathered_stack_matches_the_dense_stack(case, with_h, rng):
     rhs, lv, (gain_offdiag, sandwich_offdiag, violations) = dense_stack_reference(
         couplings, h, n1, d)
     nonzero = [(i, g, a) for i, c in enumerate(couplings)
-               for g in range(n1) for a in range(n1) if c.blocks[g, a].any()]
+               for g in range(n1) for a in range(n1) if dense_blocks(c)[g, a].any()]
     assert sorted(map(tuple, gen.index.T.tolist())) == nonzero
     assert gen.v.shape == (len(nonzero), d, d) and not gen.v.flags.writeable
     rho = random_hybrid_state(n1, d, rng).blocks
@@ -222,7 +222,7 @@ def tiny_entry_coupling():
 def test_a_block_with_one_tiny_entry_is_gathered():
     # nonzero means != 0, not above PATTERN_ZERO_TOL: 1e-300 is gathered
     coupling = tiny_entry_coupling()
-    e = coupling.blocks[1, 0]
+    e = dense_blocks(coupling)[1, 0]
     assert coupling.support() == {(0, 1)}
     gen = Generator.prepare([coupling])
     assert gen.index.T.tolist() == [[0, 1, 0], [0, 0, 1]]
@@ -263,7 +263,7 @@ def test_evolve_n_state_matches_appendix_closed_form():
     for i in range(n):
         blocks = np.zeros((n + 1, n + 1, d, d), dtype=complex)
         blocks[0, i + 1] = math.sqrt(k) * basis_projector(d, i)
-        couplings.append(CouplingOperator(blocks))
+        couplings.append(coupling_from_blocks(blocks))
     state = product_state(basis_projector(d, 0), [1.0] + [0.0] * n)
     traj = evolve(state, couplings=couplings,
                   config=EvolutionConfig(step=0.01, duration=3.0, record_every=50))
@@ -354,7 +354,7 @@ def test_evolve_rejects_cp_violating_coupling():
     blocks[:, :] = e  # all four blocks equal: fails the structural check
     state = product_state(e, [1.0, 0.0])
     with pytest.raises(ValueError, match="CP"):
-        evolve(state, couplings=[CouplingOperator(blocks)],
+        evolve(state, couplings=[coupling_from_blocks(blocks)],
                config=EvolutionConfig(step=0.01, duration=1.0))
 
 
@@ -382,7 +382,7 @@ def test_cp_check_fails_full_block_matrix(rng):
     e = random_projector(2, rng)
     blocks = np.empty((2, 2, 2, 2), dtype=complex)
     blocks[:, :] = e
-    report = check_cp_conditions([CouplingOperator(blocks)])
+    report = check_cp_conditions([coupling_from_blocks(blocks)])
     assert not report.ok
     checks = {v[0] for v in report.violations}
     assert "gain" in checks
@@ -403,7 +403,7 @@ def test_cp_check_sandwich_violation_with_clean_gain(rng):
     blocks = np.zeros((2, 2, 2, 2), dtype=complex)
     blocks[0, 0] = e0
     blocks[0, 1] = e0
-    report = check_cp_conditions([CouplingOperator(blocks)],
+    report = check_cp_conditions([coupling_from_blocks(blocks)],
                                  probes=[random_hybrid_state(2, 2, rng)])
     assert not report.ok
     assert all(v[0] == "sandwich" for v in report.violations)
@@ -419,7 +419,7 @@ def test_exact_cp_check_matches_brute_force_sandwich(seed, n, d):
     for _ in range(rng.integers(1, 3)):
         mask = rng.random((n, n)) < 0.35
         blocks = rng.normal(size=(n, n, d, d)) + 1j * rng.normal(size=(n, n, d, d))
-        couplings.append(CouplingOperator(blocks * mask[:, :, None, None]))
+        couplings.append(coupling_from_blocks(blocks * mask[:, :, None, None]))
     report = check_cp_conditions(couplings)
 
     leaks, worst = set(), 0.0
@@ -429,7 +429,7 @@ def test_exact_cp_check_matches_brute_force_sandwich(seed, n, d):
             block = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             a[g * d:(g + 1) * d, g * d:(g + 1) * d] = block / np.linalg.norm(block)
         for i, v in enumerate(couplings):
-            dense = v.blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+            dense = dense_blocks(v).transpose(0, 2, 1, 3).reshape(n * d, n * d)
             sandwich = dense.conj().T @ a @ dense
             for alpha in range(n):
                 for beta in range(n):
@@ -477,15 +477,15 @@ def test_rate_equations_frozen_component(positions, frozen_index, rng):
     for a, b in positions:
         blocks[a, b] = random_projector(d, rng)
     state = random_hybrid_state(3, d, rng)
-    rates = classical_rate_equations(state, [CouplingOperator(blocks)])
+    rates = classical_rate_equations(state, [coupling_from_blocks(blocks)])
     assert abs(rates[frozen_index]) < 1e-12
     assert abs(rates.sum()) < 1e-12
 
 
 def test_rate_equations_equal_block_traces_of_rhs(rng):
     state = random_hybrid_state(3, 2, rng)
-    couplings = [CouplingOperator(rng.normal(size=(3, 3, 2, 2))
-                                  + 1j * rng.normal(size=(3, 3, 2, 2)))]
+    couplings = [coupling_from_blocks(rng.normal(size=(3, 3, 2, 2))
+                                      + 1j * rng.normal(size=(3, 3, 2, 2)))]
     rates = classical_rate_equations(state, couplings)
     rhs = liouville_rhs(state, couplings=couplings)
     np.testing.assert_allclose(rates, np.trace(rhs, axis1=1, axis2=2).real,
@@ -535,23 +535,101 @@ def test_trajectory_rows_is_one_array_of_the_trajectory_columns():
     np.testing.assert_array_equal(rows[:, 5], traj.min_eigenvalues())
 
 
-def test_coupling_from_grid_and_support():
+def test_coupling_from_entries_and_support():
     e = basis_projector(2, 0)
-    coupling = CouplingOperator.from_grid([[None, e], [2.0 * e, None]])
-    assert coupling.support() == {(0, 1), (1, 0)}
-    placed = CouplingOperator.from_entries(3, {(0, 2): e, (2, 1): 2.0 * e})
+    placed = CouplingOperator.from_entries(3, {(2, 1): 2.0 * e, (0, 2): e})
+    assert placed.support() == {(0, 2), (2, 1)}
+    # row-major (gamma, alpha) order, whatever the order of the mapping
+    assert placed.positions.tolist() == [[0, 2], [2, 1]]
+    np.testing.assert_array_equal(placed.entries, [e, 2.0 * e])
+    assert not placed.positions.flags.writeable and not placed.entries.flags.writeable
     expected = np.zeros((3, 3, 2, 2), dtype=complex)
     expected[0, 2], expected[2, 1] = e, 2.0 * e
-    np.testing.assert_array_equal(placed.blocks, expected)
-    empty = CouplingOperator.from_grid([[None, None], [None, None]], quantum_dim=2)
+    np.testing.assert_array_equal(dense_blocks(placed), expected)
+    empty = CouplingOperator.from_entries(2, {}, quantum_dim=3)
     assert empty.support() == frozenset()
-    assert CouplingOperator.from_entries(2, {}, quantum_dim=3).blocks.shape == (2, 2, 3, 3)
-    with pytest.raises(ValueError):
-        CouplingOperator.from_grid([[None, None], [None, None]])
-    with pytest.raises(ValueError):
+    assert empty.positions.shape == (0, 2) and empty.entries.shape == (0, 3, 3)
+    assert (empty.classical_dim, empty.quantum_dim) == (2, 3)
+    with pytest.raises(ValueError, match="quantum_dim"):
         CouplingOperator.from_entries(2, {})
-    with pytest.raises(ValueError, match="square"):
-        CouplingOperator.from_grid([[None, e]])
+    with pytest.raises(ValueError, match="outside"):
+        CouplingOperator.from_entries(2, {(0, 2): e})
+
+
+@pytest.mark.parametrize("args, error", [
+    ((0, {}, 2), ValueError),
+    ((2, {}, 0), ValueError),
+    ((2, {(0.5, 1): basis_projector(2, 0)}, None), TypeError),
+    ((2.0, {(0, 1): basis_projector(2, 0)}, None), TypeError),
+], ids=["no-classical-events", "zero-quantum-dim", "fractional-position", "float-classical-dim"])
+def test_from_entries_refuses_dimensions_and_positions_that_are_not_counts(args, error):
+    with pytest.raises(error):
+        CouplingOperator.from_entries(*args)
+
+
+def test_only_exact_zeros_are_left_out_of_the_gather():
+    # 1e-13 is below PATTERN_ZERO_TOL, so it is not in the support, but it
+    # is != 0 and is gathered; an entry that is exactly zero is in neither
+    e = basis_projector(2, 0)
+    coupling = CouplingOperator.from_entries(3, {(0, 1): e, (1, 2): 1e-13 * e, (2, 0): 0 * e})
+    assert coupling.support() == {(0, 1)}
+    gen = Generator.prepare([coupling])
+    assert gen.index.T.tolist() == [[0, 0, 1], [0, 1, 2]]
+    np.testing.assert_array_equal(gen.v, [e, 1e-13 * e])
+
+
+def dense_gather(couplings, d):
+    """(index, v) as the gather over dense (n+1, n+1, d, d) blocks formed them.
+
+    Each coupling's blocks with an entry != 0 in row-major order, couplings
+    in turn, then sorted stably by alpha: the oracle for the order and the
+    bits of ``Generator.prepare``'s stack.
+    """
+    blocks = [dense_blocks(c) for c in couplings]
+    index = sorted(((i, g, a) for i, b in enumerate(blocks)
+                    for g, a in zip(*np.nonzero(b.any(axis=(2, 3))))),
+                   key=lambda entry: entry[2])
+    v = np.array([blocks[i][g, a] for i, g, a in index], complex).reshape(-1, d, d)
+    return np.array(index, dtype=np.intp).reshape(-1, 3).T.copy(), v
+
+
+def random_pattern_couplings(rng, n1, d, cp):
+    """One to three couplings with random entries, a fifth of them exactly zero.
+
+    With `cp` each coupling is a partial permutation (at most one entry in
+    each block row and column), which passes the CP check; otherwise each
+    block is listed with probability 1/2.
+    """
+    couplings = []
+    for _ in range(rng.integers(1, 4)):
+        if cp:
+            rows = rng.permutation(n1)[:rng.integers(0, n1 + 1)]
+            positions = zip(rows.tolist(), rng.permutation(n1)[:len(rows)].tolist())
+        else:
+            positions = [(g, a) for g in range(n1) for a in range(n1) if rng.random() < 0.5]
+        entries = {pos: (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+                   * (rng.random() < 0.8) for pos in positions}
+        couplings.append(CouplingOperator.from_entries(n1, entries, d))
+    return couplings
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4), st.integers(1, 3), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_gather_equals_the_dense_gather_bit_for_bit(seed, n1, d, cp):
+    couplings = random_pattern_couplings(np.random.default_rng(seed), n1, d, cp)
+    gen = Generator.prepare(couplings)
+    index, v = dense_gather(couplings, d)
+    assert gen.index.dtype == index.dtype and gen.index.shape == index.shape
+    np.testing.assert_array_equal(gen.index, index)
+    assert gen.v.shape == v.shape and gen.v.tobytes() == v.tobytes()
+    assert gen.cp_report().ok or not cp
+
+
+def test_random_patterns_include_cp_violations():
+    reports = [Generator.prepare(random_pattern_couplings(np.random.default_rng(seed), 3, 2,
+                                                          False)).cp_report().ok
+               for seed in range(10)]
+    assert not all(reports)
 
 
 @pytest.mark.parametrize("entries", [
@@ -586,8 +664,8 @@ def hamiltonian_system():
     n, d = 3, 3
     a = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
     h = 0.5 * (a + a.conj().transpose(0, 2, 1))
-    vs = [CouplingOperator(0.5 * (rng.normal(size=(n, n, d, d))
-                                  + 1j * rng.normal(size=(n, n, d, d)))) for _ in range(2)]
+    vs = [coupling_from_blocks(0.5 * (rng.normal(size=(n, n, d, d))
+                                      + 1j * rng.normal(size=(n, n, d, d)))) for _ in range(2)]
     state = random_hybrid_state(n, d, rng)
     return Generator.prepare(vs, h, state), state, h, vs
 
@@ -602,7 +680,7 @@ def reference_exact(hamiltonian, couplings, rho, config):
     """
     n1, d = rho.shape[:2]
     h = np.zeros(rho.shape) if hamiltonian is None else hamiltonian
-    vs = np.array([v.blocks for v in couplings]).reshape(-1, n1, n1, d, d)
+    vs = np.array([dense_blocks(v) for v in couplings]).reshape(-1, n1, n1, d, d)
     dense = vs.transpose(0, 1, 3, 2, 4).reshape(len(vs), n1 * d, n1 * d)
     full = (dense @ dense.conj().swapaxes(1, 2)).sum(axis=0).reshape(n1, d, n1, d)
     gain = np.stack([full[a, :, a] for a in range(n1)])

@@ -122,7 +122,7 @@ def frozen_instances():
     return {
         "HybridState": (state, "blocks"),
         "StateReport": (states.validate_state(state), "trace_ok"),
-        "CouplingOperator": (coupling, "blocks"),
+        "CouplingOperator": (coupling, "entries"),
         "EvolutionConfig": (config, "step"),
         "Generator": (evolution.Generator.prepare([coupling]), "k"),
         "Trajectory": (evolution.evolve(state, couplings=[coupling], config=config), "times"),

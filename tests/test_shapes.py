@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from eeqt.evolution import CouplingOperator, check_cp_conditions, classical_rate_equations
+from eeqt.evolution import check_cp_conditions, classical_rate_equations
 from eeqt.shapes import (
     SHAPE_SUPPORTS_3X3,
     CataloguePattern,
@@ -19,7 +19,7 @@ from eeqt.shapes import (
 )
 from eeqt.states import basis_projector, random_projector
 
-from conftest import random_hybrid_state
+from conftest import coupling_from_blocks, dense_blocks, random_hybrid_state
 
 OFFDIAG_3 = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
 
@@ -29,7 +29,7 @@ def coupling_with_support(n, positions, rng=None, dim=2):
     for a, b in positions:
         entry = basis_projector(dim, 0) if rng is None else random_projector(dim, rng)
         blocks[a, b] = entry
-    return CouplingOperator(blocks)
+    return coupling_from_blocks(blocks)
 
 
 def orthogonal_entries(positions):
@@ -52,7 +52,7 @@ def test_top_row_pattern_rejected(rng):
 
 
 def test_zero_coupling_is_vacuously_diagonal():
-    cls = admissible_2x2(CouplingOperator(np.zeros((2, 2, 2, 2))))
+    cls = admissible_2x2(coupling_from_blocks(np.zeros((2, 2, 2, 2))))
     assert cls.tag is ShapeTag2x2.DIAGONAL
     assert cls.admissible
 
@@ -205,8 +205,8 @@ def test_instantiate_assigns_entries_in_sorted_position_order(rng):
                                ShapeTag3x3.W9)
     a, b = random_projector(2, rng), random_projector(2, rng)
     coupling = pattern.instantiate([a, b])
-    np.testing.assert_array_equal(coupling.blocks[0, 1], a)
-    np.testing.assert_array_equal(coupling.blocks[1, 0], b)
+    np.testing.assert_array_equal(dense_blocks(coupling)[0, 1], a)
+    np.testing.assert_array_equal(dense_blocks(coupling)[1, 0], b)
     cls = admissible_3x3(coupling)
     assert isinstance(cls, Classification3x3)
     assert cls.tag is ShapeTag3x3.W9

@@ -138,10 +138,9 @@ def test_hybrid_state_blocks_are_write_protected(rng):
     (np.eye(2)[None], 2),
     (np.zeros((0, 2, 2)), 3),
     (np.zeros((2, 2, 3)), 3),
-    (np.zeros((2, 3, 2, 2)), 4),
     (np.array([[1.0, np.nan], [0.0, 1.0]]), 2),
     (np.array([[1.0, 0.0], [np.inf, 1.0]]), 2),
-], ids=["axes", "empty-axis", "non-square", "non-square-block-grid", "nan", "inf"])
+], ids=["axes", "empty-axis", "non-square", "nan", "inf"])
 def test_operator_array_rejects_malformed_operators(a, ndim):
     with pytest.raises(ValueError, match="thing"):
         operator_array(a, "thing", ndim)
