@@ -366,10 +366,14 @@ def _cmd_efficiency(args):
         raise ValueError(f"family '{family}' has no closed form")
     check_record_memory(state, cfg)  # refuse what simulate refuses
     times = cfg.record_steps() * cfg.step  # the grid evolve records
-    rows = np.column_stack((times, *system.closed_form(times)))
+    unrepresentable = FloatingPointError("closed form is not finite; a constant is too "
+                                         "large or too small to represent")
+    try:  # Python float arithmetic on a rate raises instead of returning inf
+        rows = np.column_stack((times, *system.closed_form(times)))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise unrepresentable from exc
     if not np.isfinite(rows).all():
-        raise FloatingPointError("closed form is not finite; a constant is too large "
-                                 "or too small to represent")
+        raise unrepresentable
     meta = [] if system.asymptotic is None else [
         ("asymptotic", system.asymptotic(system.closed_form(np.inf)))]
     _write_system_csv(args, digest, family, system, rows, meta=meta)

@@ -19,7 +19,6 @@ rebuilt from the decay structure of its listed special cases.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -112,11 +111,16 @@ def balance_residual(spec: BinaryDetectorSpec, state: HybridState) -> float:
 
 def _check_orthogonal(projectors: dict) -> None:
     """Raise ValueError unless tr(ei ej) vanishes for every pair of named projectors."""
-    for (a, ea), (b, eb) in itertools.combinations(projectors.items(), 2):
-        overlap = abs(np.trace(ea @ eb))
-        if overlap > 1e-10:
-            raise ValueError(f"projectors {a} and {b} are not orthogonal: "
-                             f"|tr({a} {b})| = {overlap:.3g}")
+    names, e = list(projectors), np.array(list(projectors.values()))
+    n = len(e)
+    # tr(ea eb) = flat(ea) . flat(eb^T): one Gram product gives every overlap
+    overlap = np.abs(e.reshape(n, -1) @ e.swapaxes(1, 2).reshape(n, -1).T)
+    bad = np.argwhere(np.triu(overlap > 1e-10, 1))  # row-major: itertools.combinations order
+    if len(bad):
+        i, j = bad[0]
+        a, b = names[i], names[j]
+        raise ValueError(f"projectors {a} and {b} are not orthogonal: "
+                         f"|tr({a} {b})| = {overlap[i, j]:.3g}")
 
 
 class TwoStateDetectorSpec(_Frozen):

@@ -18,15 +18,16 @@ probe operators.
 L is linear and constant in time, so the record at time t is exactly
 e^{tL} rho0.  Both of ``evolve``'s paths sum one truncated Taylor series,
 ``_taylor`` (after Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 2011), at
-h ||L|| <= 1; the path is chosen by size and operation count.  The dense
-path forms the record propagator e^{tau L} - I, tau = ``record_every`` *
-``step``, from the N x N Liouvillian, N = (n+1) d^2, by scaling and squaring,
-and writes each chunk of records with one matrix-vector product.  The
-matrix-free path, for large generators and short runs, sums the series of
-e^{tau L} rho from right-hand-side calls alone.  Every record is checked as
-it is recorded: a non-finite entry or a total trace more than ``trace_tol``
-from 1 stops the run with TraceDriftError, and one with a block eigenvalue
-below -POSITIVITY_TOL with PositivityError.
+h ||L|| <= 1, in one record loop; the path is the one with fewer priced
+operations that fits a memory ceiling.  The dense path forms the record
+propagator e^{tau L} - I, tau = ``record_every`` * ``step``, from the N x N
+Liouvillian, N = (n+1) d^2, by scaling and squaring, and writes each chunk
+of records with one matrix-vector product.  The matrix-free path sums the
+series of e^{tau L} rho from right-hand-side calls alone.  Every record is
+checked as it is recorded: a non-finite entry or a total trace more than
+``trace_tol`` from 1 stops the run with TraceDriftError.  Once the run has
+finished, the first record with a block eigenvalue below -POSITIVITY_TOL
+stops it with PositivityError.
 """
 
 from __future__ import annotations
@@ -49,10 +50,8 @@ MAX_STEPS = 10 ** 7
 # The dense path holds at most four N x N complex arrays at once (L and three
 # while it sums or squares a record propagator), and its stack adds at most
 # STACK_BYTES beyond them.  It is never taken when the four need more bytes
-# than the ceiling, and always when they fit the floor (N <= 181), where a
-# record propagator takes about 10 ms at most (2 vCPUs).
+# than the ceiling; below it, _dense_pays compares operation counts alone.
 DENSE_MEMORY_CEILING = 64 * 2 ** 20
-DENSE_MEMORY_FLOOR = 2 * 2 ** 20
 # The dense path's stack of record propagators e^{j tau L} - I, j = 1..b, takes at
 # most this many bytes, or one N x N array when that is larger: on long runs
 # b = 256 at N = 8 and b = 22 at N = 27.  Each chunk of b records is one
@@ -369,10 +368,7 @@ def evolve(state: HybridState, hamiltonian=None, couplings=(), *, config: Evolut
     # rounding in a run too stiff for double precision can overflow to inf
     # and NaN; the record check reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        if _dense_pays(gen, config):
-            traj = _record_dense(gen, state.blocks, config)
-        else:
-            traj = _integrate(_series(gen, config), state.blocks, config)
+        traj = _record(gen, state.blocks, config, _dense_pays(gen, config))
     min_eig = traj.min_eigenvalues()
     k = np.argmax(min_eig < -POSITIVITY_TOL)  # the first record below, else 0
     if min_eig[k] < -POSITIVITY_TOL:
@@ -392,42 +388,45 @@ def check_record_memory(state: HybridState, config: EvolutionConfig) -> None:
 
 
 def _dense_pays(gen: Generator, config: EvolutionConfig) -> bool:
-    """Whether to record from the dense propagator rather than the series on ``rhs``.
+    """Whether the dense propagator takes fewer priced operations than the series on ``rhs``.
 
-    Between DENSE_MEMORY_FLOOR and _CEILING, when it takes at most half the
-    complex multiply-adds of the series, which holds no N x N array.  Each
-    Taylor sum is priced at TAYLOR_TERMS terms.  Dense: d^4 per block for L;
-    N^3 per term, per log2(tau beta) squaring (``_substeps``) and per stack
-    doubling; N^2 per record.  Series: per term an ``rhs`` call, two d x d
-    products per block and per K, plus RHS_CALL_FLOOR.
+    Never when its N x N arrays would need more than DENSE_MEMORY_CEILING.
+    Counted in complex multiply-adds, each Taylor sum at TAYLOR_TERMS terms.
+    Dense: d^4 per block for L; N^3 per term, per log2(tau beta) squaring
+    (``_substeps``) and per stack doubling; N^2 per record.  Series: per term
+    an ``rhs`` call, two d x d products per block and per K, plus RHS_CALL_FLOOR.
     """
     nnz, (n1, d) = len(gen.v), gen.k.shape[:2]
     size = n1 * d * d
-    if not DENSE_MEMORY_FLOOR < 4 * 16 * size ** 2 <= DENSE_MEMORY_CEILING:
-        return 4 * 16 * size ** 2 <= DENSE_MEMORY_FLOOR
+    if 4 * 16 * size ** 2 > DENSE_MEMORY_CEILING:
+        return False
     beta, total = _substeps(gen, config)
-    products = (_stack_depth(size, config.n_steps // config.record_every) - 1
+    intervals = _intervals(config)
+    products = (_stack_depth(size, intervals[0][1]) - 1
                 + sum(TAYLOR_TERMS + max(0, math.frexp(q * config.step * beta)[1])
-                      for q in _propagator_counts(config)))
+                      for q, _ in intervals))
     dense = nnz * d ** 4 + products * size ** 3 + config.n_records * size ** 2
-    return 2 * dense < total * TAYLOR_TERMS * ((nnz + n1) * 2 * d ** 3 + RHS_CALL_FLOOR)
+    return dense < total * TAYLOR_TERMS * ((nnz + n1) * 2 * d ** 3 + RHS_CALL_FLOOR)
 
 
-def _propagator_counts(config: EvolutionConfig) -> tuple:
-    """Steps per record interval (at most the run), and the rest for a last record off the grid."""
+def _intervals(config: EvolutionConfig) -> list:
+    """[(steps per record interval, at most the run; records on the grid)].
+
+    A last record off the grid adds (leftover steps, 1).
+    """
     every = min(config.record_every, config.n_steps)
-    left = config.n_steps % every
-    return (every, left) if left else (every,)
+    grid, left = divmod(config.n_steps, every)
+    return [(every, grid), (left, 1)] if left else [(every, grid)]
 
 
-def _stack_depth(size: int, n_grid: int) -> int:
-    """Record propagators in the stack, for `n_grid` records of `size` entries.
+def _stack_depth(size: int, records: int) -> int:
+    """Record propagators in the stack, for `records` records of `size` entries.
 
-    As many as STACK_BYTES holds, and at least 1.  At most n_grid / N, so
+    As many as STACK_BYTES holds, and at least 1.  At most records / N, so
     that building the stack, N^3 for each, never costs more operations than
     the N^2 for each record it serves.
     """
-    return max(1, min(n_grid // size, STACK_BYTES // (16 * size ** 2)))
+    return max(1, min(records // size, STACK_BYTES // (16 * size ** 2)))
 
 
 def _taylor(apply, x, h: float):
@@ -478,37 +477,50 @@ def _stack(d: np.ndarray, depth: int) -> np.ndarray:
     return s.reshape(-1, size)
 
 
-def _record_dense(gen: Generator, rho: np.ndarray, config: EvolutionConfig) -> Trajectory:
-    """Records on ``config.record_steps()`` from the record propagator D = e^{tau L} - I.
+def _record(gen: Generator, rho: np.ndarray, config: EvolutionConfig, dense: bool) -> Trajectory:
+    """Records on ``config.record_steps()``, by ``_dense`` movers or by ``_series`` ones.
 
-    With tau = ``record_every`` * step, a stack holds S_j = e^{j tau L} - I
-    for j = 1..b.  A chunk of up to b records after record k is then
-    records[k] + S records[k], one matrix-vector product, checked as a
-    whole.  A last record off the grid takes the propagator of the leftover
-    steps, formed once the stack is freed, so L is never kept while recording.
+    Each of ``_intervals`` gets one mover, (move, depth): ``move(v, out)``
+    writes the len(out) <= depth records after the flat record `v` into the
+    flat records `out`.  Each chunk is checked as a whole as it is written,
+    so the run stops at the first record whose total trace is more than
+    ``trace_tol`` from 1, or not finite.  One mover is dropped before the
+    next is formed, so a dense run never holds two stacks.
     """
     n1, d = rho.shape[:2]
     steps = config.record_steps()
-    every, *left = _propagator_counts(config)
-    n_grid = config.n_steps // every  # records on the grid after the first
-    size = rho.size
-    depth = _stack_depth(size, n_grid)
-    stack = _stack(_propagator(gen.liouvillian(), every * config.step), depth)
-    records = np.empty((len(steps), size), dtype=complex)
+    records = np.empty((len(steps), rho.size), dtype=complex)
     records[0] = rho.ravel()
-    trace = _trace_weights(n1, d)
-    for k in range(0, n_grid, depth):
-        c = min(depth, n_grid - k)
-        chunk = records[k + 1:k + 1 + c]
-        np.dot(stack[:c * size], records[k], out=chunk.reshape(-1))
-        chunk += records[k]
-        _check_trace(chunk, steps[k + 1:], trace, config)
-    if left:  # the last record, off the grid
-        del stack
-        last = _propagator(gen.liouvillian(), left[0] * config.step)
-        records[-1] = records[-2] + last @ records[-2]
-        _check_trace(records[-1:], steps[-1:], trace, config)
+    # the total trace of a flat record is its dot product with these weights;
+    # their zeros off the diagonal make it NaN when any entry is not finite
+    trace = np.tile(np.eye(d, dtype=complex).ravel(), n1)
+    k = 0  # the last record taken
+    for q, count in _intervals(config):
+        move, depth = (_dense if dense else _series)(gen, config, q, count)
+        for j in range(k, k + count, depth):
+            chunk = records[j + 1:min(j + depth, k + count) + 1]
+            move(records[j], chunk)
+            _check_trace(chunk, steps[j + 1:], trace, config)
+        k += count
+        del move
     return Trajectory(times=steps * config.step, blocks=records.reshape(-1, n1, d, d))
+
+
+def _dense(gen: Generator, config: EvolutionConfig, q: int, count: int) -> tuple:
+    """(move, b) over `count` intervals of `q` steps, from the stack S_j = e^{j tau L} - I, j <= b.
+
+    tau = q * step; a chunk of c <= b records after v is S_1..c v + v, one
+    matrix-vector product.  L is not kept once the stack is formed.
+    """
+    size = gen.k.size
+    depth = _stack_depth(size, count)
+    stack = _stack(_propagator(gen.liouvillian(), q * config.step), depth)
+
+    def move(v, out):
+        np.dot(stack[:len(out) * size], v, out=out.reshape(-1))
+        out += v
+
+    return move, depth
 
 
 def _substeps(gen: Generator, config: EvolutionConfig) -> tuple:
@@ -522,13 +534,12 @@ def _substeps(gen: Generator, config: EvolutionConfig) -> tuple:
     columns = np.bincount(gen.index[2], np.linalg.norm(gen.v, axis=(1, 2)) ** 2,
                           minlength=len(gen.k))
     beta = 2 * np.linalg.norm(gen.k, axis=(1, 2)).max() + columns.max()
-    counts = _propagator_counts(config)
-    each = [max(1.0, np.ceil(q * config.step * beta)) for q in counts]
-    return beta, config.n_steps // counts[0] * each[0] + sum(each[1:])
+    return beta, sum(count * max(1.0, np.ceil(q * config.step * beta))
+                     for q, count in _intervals(config))
 
 
-def _series(gen: Generator, config: EvolutionConfig):
-    """advance(v, steps): the flat state v moved on by `steps` steps with ``_taylor`` on ``rhs``.
+def _series(gen: Generator, config: EvolutionConfig, q: int, count: int) -> tuple:
+    """(move, 1): one record from ceil(tau beta) ``_taylor`` substeps on ``rhs``, tau = q * step.
 
     Each substep has h ||L|| <= 1 (``_substeps``).  Raises ValueError,
     before any ``rhs`` call, when the run would take more than MAX_STEPS.
@@ -537,42 +548,15 @@ def _series(gen: Generator, config: EvolutionConfig):
     if total > MAX_STEPS:
         raise ValueError(f"{total:.3g} series substeps exceed the limit of {MAX_STEPS} "
                          "(MAX_STEPS); shorten the duration")
+    n = max(1, math.ceil(q * config.step * beta))
 
-    def advance(v, steps):
-        n = max(1, math.ceil(steps * config.step * beta))
+    def move(v, out):
         rho = v.reshape(gen.k.shape)
         for _ in range(n):
-            rho = rho + _taylor(gen.rhs, rho, steps * config.step / n)
-        return rho.reshape(-1)
+            rho = rho + _taylor(gen.rhs, rho, q * config.step / n)
+        out[0] = rho.reshape(-1)
 
-    return advance
-
-
-def _integrate(advance, rho: np.ndarray, config: EvolutionConfig) -> Trajectory:
-    """Record on ``config.record_steps()``, moving on with ``advance(v, steps)``.
-
-    `advance` returns the flat state `v` moved on by `steps` steps.  Each
-    record is checked as it is stored, so the run stops at the first whose
-    total trace is more than ``trace_tol`` from 1, or not finite.
-    """
-    n1, d = rho.shape[:2]
-    steps = config.record_steps()
-    records = np.empty((len(steps), rho.size), dtype=complex)
-    records[0] = rho.ravel()
-    trace = _trace_weights(n1, d)
-    for k in range(1, len(steps)):
-        records[k] = advance(records[k - 1], steps[k] - steps[k - 1])
-        _check_trace(records[k:k + 1], steps[k:], trace, config)
-    return Trajectory(times=steps * config.step, blocks=records.reshape(-1, n1, d, d))
-
-
-def _trace_weights(n1: int, d: int) -> np.ndarray:
-    """The total trace of a flat record as one dot product with this vector.
-
-    Its zero weights on off-diagonal entries make the product NaN when any
-    entry is inf or NaN (0 * inf is NaN).
-    """
-    return np.tile(np.eye(d, dtype=complex).ravel(), n1)
+    return move, 1
 
 
 def _check_trace(records: np.ndarray, steps: np.ndarray, trace: np.ndarray,

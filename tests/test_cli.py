@@ -742,7 +742,9 @@ def test_unrepresentable_closed_form_exits_3(tmp_path, capsys, text):
     config = write(tmp_path, "extreme.ini", text)
     out = tmp_path / "eff.csv"
     assert main(["efficiency", "--config", config, "--output", str(out)]) == EXIT_NUMERIC
-    assert "numerical guard" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical guard: closed form is not finite; a constant is too large or too small "
+        "to represent"]
     assert not out.exists()
 
 

@@ -173,6 +173,14 @@ class TestNState:
     def make(self, n, k=1.0):
         return NStateDetectorSpec(k, tuple(basis_projector(5, i) for i in range(n)))
 
+    def test_first_overlapping_pair_is_named(self):
+        # e2 = e5 and e3 = e4 overlap; (e2, e5) comes first among the pairs
+        # in combinations order, (e3, e4) first by column
+        e = [basis_projector(5, i) for i in (0, 1, 2, 2, 1)]
+        with pytest.raises(ValueError, match=r"^projectors e2 and e5 are not orthogonal: "
+                                             r"\|tr\(e2 e5\)\| = 1$"):
+            NStateDetectorSpec(1.0, tuple(e))
+
     def test_initial_condition(self):
         p = n_state_trajectory(self.make(3), 1, 0.0)
         assert p[0] == 1.0 and p[1:].sum() == 0.0

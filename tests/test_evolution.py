@@ -18,9 +18,7 @@ from eeqt.evolution import (
     Generator,
     TraceDriftError,
     _dense_pays,
-    _integrate,
-    _record_dense,
-    _series,
+    _record,
     check_cp_conditions,
     classical_rate_equations,
     evolve,
@@ -709,50 +707,62 @@ def test_liouvillian_matches_rhs(name, rng):
     np.testing.assert_allclose(lv @ rho.ravel(), gen.rhs(rho).ravel(), rtol=0, atol=1e-14)
 
 
-def record_matrix_free(gen, rho, config):
-    return _integrate(_series(gen, config), rho, config)
-
-
 # (duration, record_every) at step 0.01: a record every tenth step, every
 # step recorded, a last record off the record grid, more records than one
-# dense-path stack holds (at most 256 at these sizes), and a record interval
-# longer than the run
-GRIDS = [(2.0, 10), (0.5, 1), (2.07, 10), (3.0, 1), (0.2, 1000)]
+# dense-path stack holds (at most 256 at these sizes), a record interval
+# longer than the run, and 257 grid records in chunks of 32 at N = 8, the
+# last chunk partial, then a record off the grid
+GRIDS = [(2.0, 10), (0.5, 1), (2.07, 10), (3.0, 1), (0.2, 1000), (25.73, 10)]
 
 
 # The name and ids are kept so that the test ids stay stable; the reference
 # is exact.
-@pytest.mark.parametrize("record", [_record_dense, record_matrix_free],
-                         ids=["_dense_step", "_matrix_free_step"])
+@pytest.mark.parametrize("dense", [True, False], ids=["_dense_step", "_matrix_free_step"])
 @pytest.mark.parametrize("name", SYSTEMS)
-def test_both_paths_match_the_reference_rk4_loop(name, record):
+def test_both_paths_match_the_reference_rk4_loop(name, dense):
     gen, state, hamiltonian, couplings = SYSTEMS[name]()
     for duration, every in GRIDS:
         config = EvolutionConfig(step=0.01, duration=duration, record_every=every)
-        traj = record(gen, state.blocks, config)
+        traj = _record(gen, state.blocks, config, dense)
         reference = reference_exact(hamiltonian, couplings, state.blocks, config)
         np.testing.assert_allclose(traj.blocks, reference, rtol=0, atol=1e-12,
                                    err_msg=f"duration {duration}, record_every {every}")
         assert traj.times.tolist() == [step * 0.01 for step in config.record_steps()]
 
 
-# The large-dim benchmark shapes (family, quantum dim, channels, steps): above
-# the dense memory floor, where a dense N x N propagator would need more memory
-# than the ceiling or save less than half the operations of the series.
-LARGE_SHAPES = [("n_state", 8, 3, 60), ("n_state", 12, 4, 20),
-                ("filter", 24, 1, 30), ("filter", 36, 1, 10)]
-
-
-@pytest.mark.parametrize("family, dim, channels, steps", LARGE_SHAPES)
-def test_path_rule_takes_matrix_free_for_large_generators(family, dim, channels, steps):
+def large_generator(family, dim, channels):
     if family == "n_state":
         couplings = NStateDetectorSpec(1.0, tuple(basis_projector(dim, i)
                                                   for i in range(channels))).couplings()
     else:
         couplings = [FilterSpec(1.0, basis_projector(dim, 0)).coupling()]
     state = product_state(basis_projector(dim, 0), [1.0] + [0.0] * channels)
-    gen = Generator.prepare(couplings, state=state)
-    assert not _dense_pays(gen, EvolutionConfig(step=1.0, duration=steps))
+    return Generator.prepare(couplings, state=state)
+
+
+# The large-dim benchmark shapes (family, quantum dim, channels, steps,
+# record_every) at the benchmark's largest step, 0.01, where a dense N x N
+# propagator would need more memory than the ceiling or more operations than
+# the series: at N = 256 the series takes 0.7 ms, the dense path 22 ms.
+LARGE_SHAPES = [("n_state", 8, 3, 60, 30), ("n_state", 12, 4, 20, 10),
+                ("filter", 24, 1, 30, 15), ("filter", 36, 1, 10, 5)]
+
+
+@pytest.mark.parametrize("family, dim, channels, steps, every", LARGE_SHAPES,
+                         ids=["-".join(map(str, shape[:4])) for shape in LARGE_SHAPES])
+def test_path_rule_takes_matrix_free_for_large_generators(family, dim, channels, steps, every):
+    gen = large_generator(family, dim, channels)
+    config = EvolutionConfig(step=0.01, duration=steps * 0.01, record_every=every)
+    assert not _dense_pays(gen, config)
+
+
+def test_path_rule_takes_the_propagator_when_every_step_is_recorded():
+    # n_state, d = 8, 3 channels, N = 256, at step 1: 60 records take 27 ms
+    # dense and 62 ms on the series (best of 5, 2 vCPUs), since each record
+    # costs the series three Taylor sums of rhs calls but the dense path one
+    # N x N product
+    gen = large_generator("n_state", 8, 3)
+    assert _dense_pays(gen, EvolutionConfig(step=1.0, duration=60))
 
 
 def test_path_rule_keeps_the_dense_path_under_its_memory_ceiling(monkeypatch):
@@ -773,8 +783,8 @@ def test_path_rule_keeps_the_dense_path_under_its_memory_ceiling(monkeypatch):
 
 @pytest.mark.parametrize("steps, every", [(20, 1), (200, 1), (10, 10 ** 6)])
 def test_path_rule_takes_the_propagator_for_short_small_runs(steps, every):
-    # N = 8 is under the dense memory floor, so however its run is gridded a
-    # small system takes the propagator, never the slower matrix-free series
+    # however its run is gridded, a small system (N = 8) takes the
+    # propagator, never the slower matrix-free series
     e = basis_projector(2, 0)
     gen = Generator.prepare([binary_coupling(1.0, 0.3, e)], state=product_state(e, [1.0, 0.0]))
     assert _dense_pays(gen, EvolutionConfig(step=1.0, duration=steps, record_every=every))
@@ -787,11 +797,11 @@ def test_path_rule_takes_the_propagator_for_shipped_configs(path):
     assert _dense_pays(gen, config)
 
 
-# The path of every perfbench simulate invocation at seed 1, as the dense
-# coupling stack priced it: large-dim goes matrix-free, all else is dense.
+# The path of every perfbench simulate invocation at seeds 1-3: large-dim and
+# detector-mix's n_state go matrix-free, all else is dense.
 BENCH_PATHS = {
     "detector-mix": {"mix0-binary-d2": True, "mix1-two_state-d3": True,
-                     "mix2-n_state-d5": True, "mix3-filter-d3": True},
+                     "mix2-n_state-d5": False, "mix3-filter-d3": True},
     "large-dim": {"big0-n_state-d8": False, "big1-n_state-d12": False,
                   "big2-filter-d24": False, "big3-filter-d36": False},
     "dense-record": {"dense0-binary-d2": True, "dense1-two_state-d3": True,
@@ -806,31 +816,36 @@ def test_path_rule_keeps_each_benchmark_invocation_on_its_path(workload, tmp_pat
     import workloads
 
     dense = {}
-    for inv in workloads.generate(workload, 1):
-        if inv.command == "simulate":
-            path = tmp_path / inv.config_name
-            path.write_text(inv.config_text)
-            _, _, system, state, config = cli._load_system(str(path))
-            gen = Generator.prepare(system.couplings, state=state)
-            dense[inv.key.removeprefix("simulate/")] = _dense_pays(gen, config)
-    assert dense == BENCH_PATHS[workload]
+    for seed in (1, 2, 3):
+        for inv in workloads.generate(workload, seed):
+            if inv.command == "simulate":
+                path = tmp_path / inv.config_name
+                path.write_text(inv.config_text)
+                _, _, system, state, config = cli._load_system(str(path))
+                gen = Generator.prepare(system.couplings, state=state)
+                dense[seed, inv.key.removeprefix("simulate/")] = _dense_pays(gen, config)
+    assert dense == {(seed, key): path for seed in (1, 2, 3)
+                     for key, path in BENCH_PATHS[workload].items()}
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_integration_stops_at_the_first_non_finite_record(bad):
+def test_integration_stops_at_the_first_non_finite_record(bad, monkeypatch):
     # an off-diagonal entry leaves the trace alone; it must still be caught
     state = product_state(basis_projector(2, 0), [1.0, 0.0])
     calls = []
 
-    def advance(v, steps):
-        calls.append(v)
-        v = v.copy()
-        if len(calls) == 3:
-            v[1] = bad  # block 0, row 0, column 1
-        return v
+    def series(gen, config, q, count):
+        def move(v, out):
+            calls.append(v)
+            out[0] = v
+            if len(calls) == 3:
+                out[0, 1] = bad  # block 0, row 0, column 1
+        return move, 1
 
+    monkeypatch.setattr(evolution, "_series", series)
+    gen = Generator.prepare(state=state)
     with np.errstate(invalid="ignore"), pytest.raises(TraceDriftError, match="t=0.3"):
-        _integrate(advance, state.blocks, EvolutionConfig(step=0.1, duration=100.0))
+        _record(gen, state.blocks, EvolutionConfig(step=0.1, duration=100.0), dense=False)
     assert len(calls) == 3
 
 
