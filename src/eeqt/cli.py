@@ -27,8 +27,8 @@ With the default ``--output -`` the CSV goes to stdout and the summaries of
 ``plan`` and ``validate`` go to stderr, so stdout holds nothing but the CSV;
 with an output file they go to stdout.
 
-Only simulate, efficiency, validate and reproduce import numpy, each where it
-computes, so argparse answers ``--version``, ``--help`` and every usage error
+Only simulate, efficiency and reproduce import numpy, each where it computes,
+so argparse answers ``--version``, ``--help`` and every usage error
 without loading numpy or any eeqt module.  No command loads OpenSSL (through ``hashlib``) or
 ``numpy.random``.  A process runs ``console_main``, which is
 ``main`` with the cyclic garbage collector off.
@@ -60,12 +60,11 @@ from . import __version__
 # plan`` never loads the integrator and ``--version`` loads no eeqt module.
 _LIBRARY = {
     "states": ("basis_projector", "offdiagonal_element", "product_state", "validate_state"),
-    "evolution": ("EvolutionConfig", "check_cp_conditions", "check_record_memory", "evolve",
-                  "trajectory_rows"),
+    "evolution": ("EvolutionConfig", "check_record_memory", "evolve", "trajectory_rows"),
     "detectors": ("BinaryDetectorSpec", "FilterSpec", "NStateDetectorSpec",
                   "SignalDecomposition", "TwoStateDetectorSpec", "binary_trajectory",
                   "filter_classical_output", "n_state_trajectory", "two_state_trajectory"),
-    "shapes": ("TOPOLOGY_BY_TAG", "admissible_2x2", "admissible_3x3",
+    "shapes": ("TOPOLOGY_BY_TAG", "classify_2x2", "classify_3x3",
                "enumerate_admissible_patterns"),
     "planner": ("TransmissionScenario", "di_confirmation_count", "minimal_m", "plan_for_m",
                 "scan_rows"),
@@ -313,7 +312,10 @@ def _build_system(config):
     family = config.value("detector", "family", str)
     if family not in FAMILIES:
         raise ValueError(f"unknown detector family '{family}'")
-    system = FAMILIES[family](config, config.value("detector", "dim", int, 2))
+    dim = config.value("detector", "dim", int, 2)
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    system = FAMILIES[family](config, dim)
     state = product_state(system.rho_q, np.eye(system.classical_dim)[0])  # p = (1, 0, ...)
     report = validate_state(state)
     if not report.ok:
@@ -380,48 +382,26 @@ def _cmd_efficiency(args):
     return EXIT_OK
 
 
-def _orthogonal_entries(pattern, rng):
-    """Instantiate a catalogue pattern with orthogonal random projectors.
-
-    The projectors come from the QR factor of a 4 x 4 complex matrix whose
-    real and imaginary parts are standard Gaussian draws of `rng`, a
-    ``random.Random``.  The CSV reads only the pattern's structure, which
-    holds for any orthogonal projectors, so the seed changes no byte of it.
-    """
-    import numpy as np
-
-    dim = 4
-    mat = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * dim * dim)]).reshape(2, dim, dim)
-    q, _ = np.linalg.qr(mat[0] + 1j * mat[1])
-    positions = sorted(pattern.support)
-    return {
-        pos: np.outer(q[:, k], q[:, k].conj()) for k, pos in enumerate(positions)
-    }
-
-
 def _cmd_validate(args):
-    import random
-
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
-    _library("evolution", "shapes")
-    rng = random.Random(args.seed)
+    _library("shapes")
     rows = []
     report_lines = []
     for dim in (2, 3):
         for pattern in enumerate_admissible_patterns(dim):
-            coupling = pattern.instantiate(_orthogonal_entries(pattern, rng))
-            cp = check_cp_conditions([coupling])
-            cls = (admissible_2x2 if dim == 2 else admissible_3x3)(coupling)
+            cls = (classify_2x2 if dim == 2 else classify_3x3)(pattern.support)
+            # with distinct orthogonal rank-1 projectors only blocks sharing a row fail CP
+            cp_pass = len({g for g, _ in pattern.support}) == len(pattern.support)
             topology = TOPOLOGY_BY_TAG[cls.tag].value if cls.tag in TOPOLOGY_BY_TAG else ""
             support = ";".join(f"{a}{b}" for a, b in sorted(pattern.support))
             rows.append((dim, pattern.label, support,
                          cls.tag.name if cls.tag else "REJECTED",
-                         topology, "yes" if cp.ok else "no",
+                         topology, "yes" if cp_pass else "no",
                          pattern.duplicate_of or ""))
             report_lines.append(
                 f"dim {dim} pattern {pattern.label:<20} tag={rows[-1][3]:<12} "
-                f"topology={topology or '-':<24} cp={'pass' if cp.ok else 'FAIL'}"
+                f"topology={topology or '-':<24} cp={'pass' if cp_pass else 'FAIL'}"
                 + (f" duplicate of {pattern.duplicate_of}" if pattern.duplicate_of else "")
             )
     header = ["classical_dim", "pattern", "support", "tag", "topology", "cp_pass",

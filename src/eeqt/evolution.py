@@ -138,7 +138,9 @@ class EvolutionConfig(_Frozen):
 
     Records fall on every ``record_every``-th multiple of ``step`` and at
     ``duration``, a whole number of steps.  Propagation is exact to rounding,
-    so ``step`` sets where records fall, not how accurate they are.
+    so ``step`` sets where records fall, not how accurate they are.  A
+    ``record_every`` that is not an integer raises TypeError, and a
+    ``trace_tol`` that is negative or NaN raises ValueError.
     """
 
     __slots__ = ("step", "duration", "record_every", "trace_tol")
@@ -153,8 +155,11 @@ class EvolutionConfig(_Frozen):
         # relative tolerance: 0.12 / 0.002 is 59.99999999999999
         if abs(math.remainder(duration, step)) > 1e-9 * duration:
             raise ValueError(f"duration {duration:g} is not a whole multiple of step {step:g}")
+        record_every = operator.index(record_every)
         if record_every < 1:
             raise ValueError("record_every must be a positive integer")
+        if not trace_tol >= 0:  # also refuses NaN
+            raise ValueError(f"trace_tol must be a non-negative number, got {trace_tol}")
         self._set(step=step, duration=duration, record_every=record_every, trace_tol=trace_tol)
 
     @property

@@ -7,7 +7,8 @@ tags the classical-evolution topology each shape induces, and enumerates the
 full catalogue.
 
 Classification is by exact zero-pattern (blocks compared to zero at 1e-12),
-not by operator values.
+not by operator values.  ``classify_2x2`` and ``classify_3x3`` take a support
+alone; only ``CataloguePattern.instantiate`` imports ``evolution`` and numpy.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 from enum import Enum
 
 from . import _Frozen
-from .evolution import CouplingOperator
 
 
 class ShapeTag2x2(Enum):
@@ -144,11 +144,8 @@ class Classification3x3(_Frozen):
         self._set(tag=tag, admissible=admissible, violated=violated, support=support)
 
 
-def admissible_2x2(coupling: CouplingOperator) -> Classification2x2:
-    """Classify a 2-event coupling against the six catalogued patterns."""
-    if coupling.classical_dim != 2:
-        raise ValueError("admissible_2x2 requires classical_dim == 2")
-    support = coupling.support()
+def classify_2x2(support: frozenset) -> Classification2x2:
+    """Classify the (gamma, alpha) block positions of a 2-event coupling."""
     violated = _violated_conjuncts(support, _CONJUNCTS_2X2)
     if violated:
         return Classification2x2(None, False, violated, support)
@@ -166,16 +163,13 @@ def structural_condition_3x3(support) -> tuple:
     return _violated_conjuncts(support, _CONJUNCTS_3X3)
 
 
-def admissible_3x3(coupling: CouplingOperator) -> Classification3x3:
-    """Classify a 3-event coupling against the eleven catalogued shapes.
+def classify_3x3(support: frozenset) -> Classification3x3:
+    """Classify the (gamma, alpha) block positions of a 3-event coupling.
 
     Supports that are proper subsets of a catalogued shape get the tag of the
     lowest-numbered superset (the degenerate-case convention also used for
     the 2x2 family).  W10 is preferred over its duplicate W11.
     """
-    if coupling.classical_dim != 3:
-        raise ValueError("admissible_3x3 requires classical_dim == 3")
-    support = coupling.support()
     violated = structural_condition_3x3(support)
     admissible = not violated
     diagonal_part = {pos for pos in support if pos[0] == pos[1]}
@@ -189,6 +183,20 @@ def admissible_3x3(coupling: CouplingOperator) -> Classification3x3:
         if offdiag < shape_support:
             return Classification3x3(tag, admissible, violated, support)
     return Classification3x3(ShapeTag3x3.INADMISSIBLE, admissible, violated, support)
+
+
+def admissible_2x2(coupling: CouplingOperator) -> Classification2x2:
+    """Classify a 2-event coupling against the six catalogued patterns."""
+    if coupling.classical_dim != 2:
+        raise ValueError("admissible_2x2 requires classical_dim == 2")
+    return classify_2x2(coupling.support())
+
+
+def admissible_3x3(coupling: CouplingOperator) -> Classification3x3:
+    """Classify a 3-event coupling against the eleven catalogued shapes; see ``classify_3x3``."""
+    if coupling.classical_dim != 3:
+        raise ValueError("admissible_3x3 requires classical_dim == 3")
+    return classify_3x3(coupling.support())
 
 
 def classify_topology(tag: ShapeTag3x3) -> TopologyTag:
@@ -213,6 +221,8 @@ class CataloguePattern(_Frozen):
         ``entries`` maps each support position to a matrix, or is a single
         sequence of matrices assigned to the sorted support positions.
         """
+        from .evolution import CouplingOperator
+
         if not isinstance(entries, dict):
             entries = dict(zip(sorted(self.support), entries))
         return CouplingOperator.from_entries(

@@ -8,6 +8,7 @@ import io
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import types
@@ -230,7 +231,7 @@ def test_validate_reports_both_catalogues(tmp_path, capsys):
 
 
 def test_validate_body_is_the_same_at_every_seed(tmp_path):
-    # the seed draws the projectors; the CSV reads only each pattern's structure
+    # the seed only labels the metadata: validate reads each pattern's support alone
     bodies = set()
     for seed in (0, 7, 123):
         out = tmp_path / f"shapes{seed}.csv"
@@ -498,6 +499,31 @@ def test_bad_config_values_exit_2(tmp_path, capsys, command, text):
     out = tmp_path / "out.csv"
     assert main([command, "--config", config, "--output", str(out)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# One config of each family; each sets the quantum dim on a line "dim = <n>".
+FAMILY_CONFIGS = {
+    "binary": BINARY_CONFIG,
+    "two_state": TWO_STATE_CONFIG,
+    "n_state": (SHIPPED_CONFIGS[0].parent / "n_state.ini").read_text(),
+    "filter": FILTER_CONFIG,
+    "none": FREE_CONFIG,
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "efficiency"])
+@pytest.mark.parametrize("dim", ["0", "-3"])
+@pytest.mark.parametrize("family", sorted(FAMILY_CONFIGS))
+def test_a_quantum_dim_below_1_names_the_dim_key(tmp_path, capsys, family, dim, command):
+    assert set(FAMILY_CONFIGS) == set(FAMILIES)
+    text = FAMILY_CONFIGS[family]
+    assert text.count("\ndim = ") == 1
+    config = write(tmp_path, "dim.ini", re.sub(r"\ndim = \d+", f"\ndim = {dim}", text))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", config, "--output", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {config}: dim must be at least 1"]
     assert not out.exists()
 
 

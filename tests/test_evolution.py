@@ -314,6 +314,21 @@ def test_config_counts_its_records(step, duration, every):
     assert config.n_records == len(steps)
 
 
+def test_config_refuses_a_record_every_that_is_not_an_integer():
+    # read with operator.index, so 2.5 fails here and not later in n_records
+    with pytest.raises(TypeError):
+        EvolutionConfig(step=0.1, duration=1.0, record_every=2.5)
+    config = EvolutionConfig(step=0.1, duration=1.0, record_every=np.int64(2))
+    assert type(config.record_every) is int and config.n_records == 6
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-8, -math.inf])
+def test_config_refuses_a_nan_or_negative_trace_tol(tol):
+    # with such a tolerance every record would count as drifting
+    with pytest.raises(ValueError, match="trace_tol"):
+        EvolutionConfig(step=0.1, duration=1.0, trace_tol=tol)
+
+
 def test_evolve_refuses_records_beyond_max_record_bytes(monkeypatch):
     # 101 records of 8 complex entries take 101 * 128 bytes; a run over the
     # bound is refused before any step is taken or any record allocated

@@ -44,18 +44,26 @@ PUBLIC = [
 SYSTEM = {"states", "evolution", "detectors"}
 
 
-def run_fresh(code: str) -> str:
-    """Stdout of `code` run in a fresh interpreter that imports eeqt from this tree."""
+def run_fresh(code: str, *flags: str) -> str:
+    """Stdout of `code` run by a fresh interpreter, with `flags`, that imports this tree's eeqt."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True,
                           env=env, cwd=ROOT, check=True)
     return proc.stdout
 
 
-def all_loaded_modules(code: str) -> set:
+def all_loaded_modules(code: str, *flags: str) -> set:
     """Every module a fresh interpreter holds after running `code`."""
-    return set(run_fresh(f"import sys\n{code}\nprint(' '.join(sys.modules))").split())
+    return set(run_fresh(f"import sys\n{code}\nprint(' '.join(sys.modules))", *flags).split())
+
+
+def main_code(argv) -> str:
+    """Code that runs ``main(argv)`` with its output discarded."""
+    return ("import contextlib, io\nfrom eeqt.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    try:\n        main({argv!r})\n    except SystemExit:\n        pass")
 
 
 def eeqt_modules(loaded: set) -> set:
@@ -67,11 +75,17 @@ def test_import_eeqt_loads_no_submodule():
     assert eeqt_modules(all_loaded_modules("import eeqt; eeqt.__version__")) == set()
 
 
+def test_import_shapes_loads_no_numpy():
+    loaded = all_loaded_modules("import eeqt.shapes")
+    assert eeqt_modules(loaded) == {"shapes"}
+    assert "numpy" not in loaded
+
+
 # argparse alone answers --version, --help and usage errors; every command
-# but plan imports numpy.  No command loads OpenSSL's ``_hashlib``: the config and
-# flag digests come from CPython's builtin SHA-256, and validate draws its
-# projectors from ``random``, not ``numpy.random`` (whose ``secrets`` import
-# would load ``hashlib``).
+# but plan and validate imports numpy.  No command loads OpenSSL's ``_hashlib``
+# (the config and flag digests come from CPython's builtin SHA-256) or
+# ``numpy.random``, whose ``secrets`` import would load ``hashlib``; validate
+# classifies supports alone, so it loads neither ``random`` nor numpy.
 @pytest.mark.parametrize("argv, modules, numpy", [
     (["--version"], set(), False),
     ([], set(), False),                                # usage error
@@ -81,19 +95,20 @@ def test_import_eeqt_loads_no_submodule():
     (PLAN, {"planner"}, False),
     (["simulate", "--config", BINARY], SYSTEM, True),
     (["efficiency", "--config", BINARY], SYSTEM, True),
-    (["validate"], {"states", "evolution", "shapes"}, True),
+    (["validate"], {"shapes"}, False),
     (["reproduce"], SYSTEM | {"planner"}, True),
 ], ids=["version", "usage", "help", "plan-help", "plan-bad-flag", "plan", "simulate",
         "efficiency", "validate", "reproduce"])
 def test_each_command_loads_only_its_modules(argv, modules, numpy):
-    code = ("import contextlib, io\nfrom eeqt.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()), "
-            "contextlib.redirect_stderr(io.StringIO()):\n"
-            f"    try:\n        main({argv!r})\n    except SystemExit:\n        pass")
-    loaded = all_loaded_modules(code)
+    loaded = all_loaded_modules(main_code(argv))
     assert eeqt_modules(loaded) == {"cli"} | modules
     assert ("numpy" in loaded) == numpy
     assert not {"_hashlib", "numpy.random"} & loaded
+
+
+def test_validate_loads_no_random():
+    # -S skips the site hooks, which may load tempfile, and with it random, at start-up
+    assert "random" not in all_loaded_modules(main_code(["validate"]), "-S")
 
 
 def test_no_command_loads_dataclasses():

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from eeqt.evolution import check_cp_conditions, classical_rate_equations
+from eeqt.evolution import CouplingOperator, check_cp_conditions, classical_rate_equations
 from eeqt.shapes import (
     SHAPE_SUPPORTS_3X3,
     CataloguePattern,
@@ -13,6 +13,8 @@ from eeqt.shapes import (
     TopologyTag,
     admissible_2x2,
     admissible_3x3,
+    classify_2x2,
+    classify_3x3,
     classify_topology,
     enumerate_admissible_patterns,
     structural_condition_3x3,
@@ -198,6 +200,25 @@ def test_enumerated_patterns_pass_exact_cp_check():
             coupling = pattern.instantiate(orthogonal_entries(pattern.support))
             report = check_cp_conditions([coupling])
             assert report.ok, (pattern.label, report.summary())
+
+
+@pytest.mark.parametrize("n, classify, admissible", [
+    (2, classify_2x2, admissible_2x2), (3, classify_3x3, admissible_3x3),
+])
+def test_support_rules_match_the_coupling_checks_on_every_support(n, classify, admissible):
+    # validate reads the CP verdict and the shape from the support alone: with
+    # distinct orthogonal projectors the gain products vanish, so the exact CP
+    # check fails exactly where two blocks share a row
+    positions = list(itertools.product(range(n), repeat=2))
+    for mask in itertools.product([False, True], repeat=n * n):
+        support = frozenset(pos for pos, on in zip(positions, mask) if on)
+        coupling = CouplingOperator.from_entries(n, orthogonal_entries(support),
+                                                 quantum_dim=max(len(support), 1))
+        rows_distinct = len({g for g, _ in support}) == len(support)
+        assert rows_distinct == check_cp_conditions([coupling]).ok, support
+        by_support, by_coupling = classify(support), admissible(coupling)
+        for field in ("tag", "admissible", "violated", "support"):
+            assert getattr(by_support, field) == getattr(by_coupling, field), (support, field)
 
 
 def test_instantiate_assigns_entries_in_sorted_position_order(rng):
