@@ -17,21 +17,26 @@ at a time.  The bytes are those of formatting each value with ``_fmt``.
 
 ``simulate`` and ``efficiency`` read an INI config whose ``[detector] family``
 names an entry of ``FAMILIES``.  That entry is the only code that reads the
-family's keys; it builds the couplings, the quantum signal, the classical
-dimension, a lazily evaluated closed form and the format of its t = inf
-metadata.  Every ValueError raised while serving a config, from a missing key
-to a signal that is not a density matrix or a duration the step does not
+family's keys.  It checks them without numpy and returns a ``Family``: the
+classical dimension, the quantum signal as numbers, a builder of the
+couplings that only ``simulate`` calls, a lazily evaluated closed form and
+the format of its t = inf metadata.  Both commands refuse a config with the
+same message.  Every ValueError raised while serving a config, from a missing
+key to a signal that is not a density matrix or a duration the step does not
 divide, is a config error.
 
 With the default ``--output -`` the CSV goes to stdout and the summaries of
 ``plan`` and ``validate`` go to stderr, so stdout holds nothing but the CSV;
 with an output file they go to stdout.
 
-Only simulate, efficiency and reproduce import numpy, each where it computes,
-so argparse answers ``--version``, ``--help`` and every usage error
-without loading numpy or any eeqt module.  No command loads OpenSSL (through ``hashlib``) or
-``numpy.random``.  A process runs ``console_main``, which is
-``main`` with the cyclic garbage collector off.
+Only simulate and reproduce import numpy, each where it computes, so argparse
+answers ``--version``, ``--help`` and every usage error without loading numpy
+or any eeqt module.  ``efficiency`` evaluates the closed forms on ``math`` and
+checks the signal with ``limits.certainly_density_matrix``; only a signal
+that test cannot pass loads numpy, to be checked as ``simulate`` checks it.
+No command loads OpenSSL (through ``hashlib``) or ``numpy.random``.  A
+process runs ``console_main``, which is ``main`` with the cyclic garbage
+collector off.
 
 Exit codes: 0 success, 1 usage error (including a bad ``plan`` flag, NaN
 among them, an ``--output`` that cannot be written and a stdout that cannot
@@ -46,9 +51,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import gc
 import importlib
 import itertools
+import math
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -59,11 +66,15 @@ from . import __version__
 # modules it runs and binds their names here with ``_library``, so ``eeqt
 # plan`` never loads the integrator and ``--version`` loads no eeqt module.
 _LIBRARY = {
+    "limits": ("EvolutionConfig", "certainly_density_matrix", "check_basis_index",
+               "check_offdiagonal_index", "check_record_memory"),
     "states": ("basis_projector", "offdiagonal_element", "product_state", "validate_state"),
-    "evolution": ("EvolutionConfig", "check_record_memory", "evolve", "trajectory_rows"),
-    "detectors": ("BinaryDetectorSpec", "FilterSpec", "NStateDetectorSpec",
-                  "SignalDecomposition", "TwoStateDetectorSpec", "binary_trajectory",
-                  "filter_classical_output", "n_state_trajectory", "two_state_trajectory"),
+    "evolution": ("evolve", "trajectory_rows"),
+    "detectors": ("BinaryConstants", "BinaryDetectorSpec", "FilterConstants", "FilterSpec",
+                  "NStateConstants", "NStateDetectorSpec", "SignalDecomposition",
+                  "TwoStateConstants", "TwoStateDetectorSpec", "binary_trajectory",
+                  "check_basis_orthogonal", "filter_classical_output", "n_state_trajectory",
+                  "two_state_trajectory"),
     "shapes": ("TOPOLOGY_BY_TAG", "classify_2x2", "classify_3x3",
                "enumerate_admissible_patterns"),
     "planner": ("TransmissionScenario", "di_confirmation_count", "minimal_m", "plan_for_m",
@@ -182,58 +193,78 @@ class _Config(configparser.ConfigParser):
             raise ValueError(f"bad value for [{section}] {key}: {exc}") from exc
 
 
-class System(NamedTuple):
-    """What a detector family builds from a config.
+class Family(NamedTuple):
+    """What a detector family reads and checks in a config, without numpy.
 
-    ``closed_form`` maps a time array t to (p_0, ..., p_n), each shaped like
-    t; it is lazy, so it may reject a config that integrates fine.
+    The quantum signal is ``weights`` on the diagonal (basis index ->
+    weight) plus ``coherences``, the ``offdiag_i_j`` entries as ((i, j),
+    value) pairs in config order.  ``couplings`` builds the coupling
+    operators with numpy; only ``simulate`` calls it.  ``closed_form``
+    returns the map from a time t to (p_0, ..., p_n) on the family's
+    constants; only ``efficiency`` calls it, after every check ``simulate``
+    makes, so its own checks may reject a config that integrates fine.
     ``asymptotic`` formats those values at t = inf for the metadata.  Either
     is None when the family has none.
     """
 
-    couplings: list
-    rho_q: np.ndarray
     classical_dim: int
+    weights: dict
+    coherences: tuple
+    couplings: Callable
     closed_form: Callable | None = None
     asymptotic: Callable | None = None
+
+
+class System(NamedTuple):
+    """The arrays ``simulate`` builds from a Family: couplings and signal matrix."""
+
+    couplings: list
+    rho_q: np.ndarray
 
 
 def _binary(config, dim):
     get = config.value
     idx = get("detector", "projector", int, 0)
-    spec = BinaryDetectorSpec(get("detector", "k1"), get("detector", "k2"),
-                              basis_projector(dim, idx))
+    k1, k2 = get("detector", "k1"), get("detector", "k2")
+    check_basis_index(dim, idx)
+    constants = BinaryConstants(k1, k2)
     a0 = get("signal", "aligned", default=1.0)
     b0 = get("signal", "orthogonal", default=0.0)
     if b0 > 0 and dim < 2:
         raise ValueError("orthogonal weight needs quantum dim >= 2")
     if 1.0 - a0 - b0 > 1e-12:
         raise ValueError("binary signal weights must sum to 1")
-    rho_q = a0 * spec.e
-    if b0 > 0:
-        rho_q = rho_q + b0 * basis_projector(dim, (idx + 1) % dim)
-    return System([spec.coupling()], rho_q, 2,
-                  lambda t: binary_trajectory(spec, SignalDecomposition(a0, b0), t),
+    weights = {idx: a0, **({(idx + 1) % dim: b0} if b0 > 0 else {})}
+    return Family(2, weights, (),
+                  lambda: [BinaryDetectorSpec(k1, k2, basis_projector(dim, idx)).coupling()],
+                  lambda: functools.partial(binary_trajectory, constants,
+                                            SignalDecomposition(a0, b0)),
                   lambda p: f"p_0={_fmt(p[0])} p_1={_fmt(p[1])}")
 
 
 def _two_state(config, dim):
     get = config.value
-    constants = [get("detector", key) for key in ("k1", "k2", "n1", "n2")]
+    k = [get("detector", key) for key in ("k1", "k2", "n1", "n2")]
     i2 = get("detector", "projector2", int, 0)
     i3 = get("detector", "projector3", int, 1)
-    spec = TwoStateDetectorSpec(*constants, basis_projector(dim, i2), basis_projector(dim, i3))
+    check_basis_index(dim, i2)
+    check_basis_index(dim, i3)
+    constants = TwoStateConstants(*k)
+    check_basis_orthogonal({"e2": i2, "e3": i3})
     a0 = get("signal", "aligned", default=1.0)
     b0 = get("signal", "orthogonal", default=0.0)
-    rho_q = a0 * spec.e2 + b0 * spec.e3
+    weights = {i2: a0, i3: b0}
     rest = 1.0 - a0 - b0
     if rest > 1e-12:
         # the inert weight goes on the highest basis index neither projector uses
         free = [i for i in range(dim) if i not in (i2, i3)]
         if not free:
             raise ValueError("inert weight needs quantum dim >= 3")
-        rho_q = rho_q + rest * basis_projector(dim, free[-1])
-    return System(spec.couplings(), rho_q, 3, lambda t: two_state_trajectory(spec, a0, b0, t),
+        weights[free[-1]] = rest
+    return Family(3, weights, (),
+                  lambda: TwoStateDetectorSpec(*k, basis_projector(dim, i2),
+                                               basis_projector(dim, i3)).couplings(),
+                  lambda: functools.partial(two_state_trajectory, constants, a0, b0),
                   lambda p: f"p_1={_fmt(p[1])} p_2={_fmt(p[2])} efficiency={_fmt(p[1] + p[2])}")
 
 
@@ -242,59 +273,60 @@ def _n_state(config, dim):
     channels = get("detector", "channels", int)
     if not 1 <= channels <= dim:
         raise ValueError(f"channels = {channels} must lie in 1..{dim}, the quantum dim")
-    spec = NStateDetectorSpec(get("detector", "k"),
-                              tuple(basis_projector(dim, i) for i in range(channels)))
+    constants = NStateConstants(get("detector", "k"), channels)
     aligned = get("detector", "aligned_channel", int, 0)
     if not 0 <= aligned < channels:
         raise ValueError("aligned_channel out of range")
-    return System(spec.couplings(), basis_projector(dim, aligned), channels + 1,
-                  lambda t: n_state_trajectory(spec, aligned, t),
+    return Family(channels + 1, {aligned: 1.0}, (),
+                  lambda: NStateDetectorSpec(constants.k, tuple(
+                      basis_projector(dim, i) for i in range(channels))).couplings(),
+                  lambda: functools.partial(n_state_trajectory, constants, aligned),
                   lambda p: f"p_{aligned + 1}={_fmt(p[aligned + 1])}")
 
 
 def _weighted_signal(config, dim, default_weights=None):
-    """Diagonal ``weights`` plus named coherences ``offdiag_i_j``, as a matrix."""
+    """Diagonal ``weights``, by basis index, and the ``offdiag_i_j`` coherences of [signal]."""
     weights = config.value("signal", "weights", lambda raw: [float(v) for v in raw.split(",")],
                            default_weights)
     if len(weights) > dim:
         raise ValueError(f"{len(weights)} signal weights for quantum dim {dim}")
-    import numpy as np
-
-    rho_q = np.zeros((dim, dim), dtype=complex)
-    for i, w in enumerate(weights):
-        rho_q += w * basis_projector(dim, i)
+    coherences = []
     for key in config.options("signal") if config.has_section("signal") else ():
         if key.startswith("offdiag_"):
             try:
                 _, i, j = key.split("_")
-                unit = offdiagonal_element(dim, int(i), int(j))
+                i, j = int(i), int(j)
+                check_offdiagonal_index(dim, i, j)
             except ValueError as exc:
                 raise ValueError(f"bad off-diagonal key '{key}': {exc}") from exc
-            rho_q += config.value("signal", key) * unit
-    return rho_q
+            coherences.append(((i, j), config.value("signal", key)))
+    return dict(enumerate(weights)), tuple(coherences)
 
 
 def _filter(config, dim):
-    spec = FilterSpec(config.value("detector", "k"),
-                      basis_projector(dim, config.value("detector", "projector", int, 0)))
-    rho_q = _weighted_signal(config, dim)
-    q1 = float((spec.e1 @ rho_q).trace().real)  # the weight on the detector projector
-    return System([spec.coupling()], rho_q, 2,
-                  lambda t: filter_classical_output(1.0, 0.0, q1, spec.k, t))
+    k = config.value("detector", "k")
+    projector = config.value("detector", "projector", int, 0)
+    check_basis_index(dim, projector)
+    FilterConstants(k)  # the checks of the rate
+    weights, coherences = _weighted_signal(config, dim)
+    q1 = weights.get(projector, 0.0)  # tr(e1 rho_q), the weight on the detector projector
+    return Family(2, weights, coherences,
+                  lambda: [FilterSpec(k, basis_projector(dim, projector)).coupling()],
+                  lambda: functools.partial(filter_classical_output, 1.0, 0.0, q1, k))
 
 
 def _none(config, dim):
     classical_dim = config.value("detector", "classical_dim", int, 2)
     if classical_dim < 1:
         raise ValueError("classical_dim must be at least 1")
-    return System([], _weighted_signal(config, dim, [1.0]), classical_dim)
+    return Family(classical_dim, *_weighted_signal(config, dim, [1.0]), lambda: [])
 
 
-# The modules that build and run a configured system (simulate, efficiency).
-_SYSTEM_MODULES = ("states", "evolution", "detectors")
+# The modules that build and run a configured system (simulate, reproduce).
+_SYSTEM_MODULES = ("limits", "states", "evolution", "detectors")
 
-# Detector family -> builder(config, quantum dim) -> System.  A family's
-# config keys are read in its builder and nowhere else.
+# Detector family -> reader(config, quantum dim) -> Family.  A family's
+# config keys are read in its reader and nowhere else.
 FAMILIES = {
     "binary": _binary,
     "two_state": _two_state,
@@ -304,29 +336,8 @@ FAMILIES = {
 }
 
 
-def _build_system(config):
-    """Detector family, its System and the initial hybrid state of a config."""
-    import numpy as np
-
-    _library(*_SYSTEM_MODULES)
-    family = config.value("detector", "family", str)
-    if family not in FAMILIES:
-        raise ValueError(f"unknown detector family '{family}'")
-    dim = config.value("detector", "dim", int, 2)
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    system = FAMILIES[family](config, dim)
-    state = product_state(system.rho_q, np.eye(system.classical_dim)[0])  # p = (1, 0, ...)
-    report = validate_state(state)
-    if not report.ok:
-        raise ValueError(f"signal is not a density matrix: Hermiticity deviation "
-                         f"{report.hermiticity_deviation:.3g}, min eigenvalue "
-                         f"{report.min_eigenvalue:.3g}")
-    return family, system, state
-
-
-def _load_system(path):
-    """Config hash, family, System, initial state and EvolutionConfig of a file."""
+def _read_config(path):
+    """Config hash and parsed config of a file."""
     config = _Config()
     try:
         with open(path) as fh:
@@ -334,18 +345,76 @@ def _load_system(path):
         config.read_string(raw, source=path)
     except (OSError, configparser.Error) as exc:
         raise ValueError(f"cannot read config: {exc}") from exc
-    family, system, state = _build_system(config)
-    evolution = EvolutionConfig(
+    return _digest(raw), config
+
+
+def _read_family(config):
+    """Detector family name, quantum dim and Family of a config, without numpy."""
+    family = config.value("detector", "family", str)
+    if family not in FAMILIES:
+        raise ValueError(f"unknown detector family '{family}'")
+    dim = config.value("detector", "dim", int, 2)
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    return family, dim, FAMILIES[family](config, dim)
+
+
+def _evolution_config(config):
+    return EvolutionConfig(
         step=config.value("evolution", "step", default=0.005),
         duration=config.value("evolution", "duration", default=10.0),
         record_every=config.value("evolution", "record_every", int, 10),
     )
-    return _digest(raw), family, system, state, evolution
 
 
-def _write_system_csv(args, digest, family, system, rows, columns=(), meta=()):
+def _signal_matrix(dim, family):
+    """The d x d signal of `family`: zero plus each weight's projector, then each coherence.
+
+    A value that is not finite makes NaN of inf * 0 without a numpy warning;
+    ``product_state`` refuses the matrix on one line.
+    """
+    import numpy as np
+
+    rho_q = np.zeros((dim, dim), dtype=complex)
+    with np.errstate(invalid="ignore"):
+        for i, w in family.weights.items():
+            rho_q += w * basis_projector(dim, i)
+        for (i, j), value in family.coherences:
+            rho_q += value * offdiagonal_element(dim, i, j)
+    return rho_q
+
+
+def _initial_state(rho_q, classical_dim):
+    """The product of `rho_q` and p = (1, 0, ...), refused unless it is a density matrix."""
+    import numpy as np
+
+    state = product_state(rho_q, np.eye(classical_dim)[0])
+    report = validate_state(state)
+    if not report.ok:
+        raise ValueError(f"signal is not a density matrix: Hermiticity deviation "
+                         f"{report.hermiticity_deviation:.3g}, min eigenvalue "
+                         f"{report.min_eigenvalue:.3g}")
+    return state
+
+
+def _build_system(config):
+    """Detector family, its System and the initial hybrid state of a config."""
+    _library(*_SYSTEM_MODULES)
+    family, dim, spec = _read_family(config)
+    system = System(spec.couplings(), _signal_matrix(dim, spec))
+    return family, system, _initial_state(system.rho_q, spec.classical_dim)
+
+
+def _load_system(path):
+    """Config hash, family, System, initial state and EvolutionConfig of a file."""
+    digest, config = _read_config(path)
+    family, system, state = _build_system(config)
+    return digest, family, system, state, _evolution_config(config)
+
+
+def _write_system_csv(args, digest, family, classical_dim, rows, columns=(), meta=()):
     """CSV of t, p_0..p_n and `columns`, with the metadata of simulate and efficiency."""
-    header = ["t"] + [f"p_{i}" for i in range(system.classical_dim)] + list(columns)
+    header = ["t"] + [f"p_{i}" for i in range(classical_dim)] + list(columns)
     _write_csv(args, header, rows, digest, [("family", family), *meta])
 
 
@@ -355,30 +424,39 @@ def _cmd_simulate(args):
     traj = evolve(state, couplings=system.couplings, config=cfg)
     rows = trajectory_rows(traj)
     del traj  # the records are freed before the text is formatted
-    _write_system_csv(args, digest, family, system, rows, ["trace_drift", "min_eigenvalue"])
+    _write_system_csv(args, digest, family, state.classical_dim, rows,
+                      ["trace_drift", "min_eigenvalue"])
     return EXIT_OK
 
 
 def _cmd_efficiency(args):
-    import numpy as np
+    """The closed form on simulate's record grid, after simulate's checks, without numpy.
 
-    _library(*_SYSTEM_MODULES)
-    digest, family, system, state, cfg = _load_system(args.config)
-    if system.closed_form is None:
+    Only a signal that ``certainly_density_matrix`` cannot pass loads numpy,
+    to be checked as ``simulate`` checks it.
+    """
+    _library("limits", "detectors")
+    digest, config = _read_config(args.config)
+    family, dim, spec = _read_family(config)
+    if not certainly_density_matrix(dim, spec.weights, spec.coherences):
+        _library("states")
+        _initial_state(_signal_matrix(dim, spec), spec.classical_dim)
+    cfg = _evolution_config(config)
+    if spec.closed_form is None:
         raise ValueError(f"family '{family}' has no closed form")
-    check_record_memory(state, cfg)  # refuse what simulate refuses
-    times = cfg.record_steps() * cfg.step  # the grid evolve records
+    check_record_memory(cfg, (spec.classical_dim, dim, dim))  # refuse what simulate refuses
     unrepresentable = FloatingPointError("closed form is not finite; a constant is too "
                                          "large or too small to represent")
+    closed_form = spec.closed_form()
     try:  # Python float arithmetic on a rate raises instead of returning inf
-        rows = np.column_stack((times, *system.closed_form(times)))
+        rows = [(t, *closed_form(t)) for t in cfg.record_times()]
     except (OverflowError, ZeroDivisionError) as exc:
         raise unrepresentable from exc
-    if not np.isfinite(rows).all():
+    if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
         raise unrepresentable
-    meta = [] if system.asymptotic is None else [
-        ("asymptotic", system.asymptotic(system.closed_form(np.inf)))]
-    _write_system_csv(args, digest, family, system, rows, meta=meta)
+    meta = [] if spec.asymptotic is None else [
+        ("asymptotic", spec.asymptotic(closed_form(math.inf)))]
+    _write_system_csv(args, digest, family, spec.classical_dim, rows, meta=meta)
     return EXIT_OK
 
 

@@ -4,11 +4,18 @@ These evaluators solve the classical rate equations of the four detector
 families analytically.  They serve both as fast replacements for numeric
 integration and as independent oracles against it.
 
-The classical solutions take a time array t and return their n+1 channel
-values first, each shaped like t; their long-time limits are the same
-functions at t = inf.  Rates and prefactors stay Python floats, so a
-constant whose square overflows raises OverflowError, and a binary rate that
-underflows to zero raises ZeroDivisionError.
+Each family's coupling constants, with their checks, form a value class that
+holds no array: ``BinaryConstants``, ``TwoStateConstants``, ``NStateConstants``
+and ``FilterConstants``.  Its detector spec is a subclass that adds the
+projectors.  The classical solutions read only the constants: they take one
+time t and return their n+1 channel values as Python floats from
+``math.exp``, and their long-time limits are the same functions at t = inf.
+A constant whose square overflows raises OverflowError, and a binary rate
+that underflows to zero raises ZeroDivisionError.
+
+``import eeqt.detectors`` loads no numpy: the spec constructors, the
+couplings, ``balance_residual`` and ``filter_quantum_marginal`` import it
+when they run.
 
 Two printed solutions required correction to be consistent with their own
 asymptotics and with numeric integration of the unambiguous rate equations:
@@ -19,13 +26,10 @@ rebuilt from the decay structure of its listed special cases.
 
 from __future__ import annotations
 
+import itertools
 import math
 
-import numpy as np
-
 from . import _Frozen
-from .evolution import CouplingOperator
-from .states import HybridState, check_projector, operator_array
 
 
 def _check_finite(*constants) -> None:
@@ -38,23 +42,81 @@ def _check_finite(*constants) -> None:
         raise ValueError("coupling constants must be finite")
 
 
-class BinaryDetectorSpec(_Frozen):
-    """Yes/no detector with antidiagonal coupling blocks k1*e and k2*e."""
+def _check_rate(k: float) -> None:
+    """Raise ValueError unless the common rate k of an n-state detector or filter is usable."""
+    if k <= 0:
+        raise ValueError("coupling constant k must be positive")
+    _check_finite(k)
 
-    __slots__ = ("k1", "k2", "e")
 
-    def __init__(self, k1: float, k2: float, e):
+def _not_orthogonal(a: str, b: str, overlap: float) -> ValueError:
+    return ValueError(f"projectors {a} and {b} are not orthogonal: "
+                      f"|tr({a} {b})| = {overlap:.3g}")
+
+
+def _check_orthogonal(projectors: dict) -> None:
+    """Raise ValueError unless tr(ei ej) vanishes for every pair of named projectors."""
+    import numpy as np
+
+    names, e = list(projectors), np.array(list(projectors.values()))
+    n = len(e)
+    # tr(ea eb) = flat(ea) . flat(eb^T): one Gram product gives every overlap
+    overlap = np.abs(e.reshape(n, -1) @ e.swapaxes(1, 2).reshape(n, -1).T)
+    bad = np.argwhere(np.triu(overlap > 1e-10, 1))  # row-major: itertools.combinations order
+    if len(bad):
+        i, j = bad[0]
+        raise _not_orthogonal(names[i], names[j], overlap[i, j])
+
+
+def check_basis_orthogonal(indices: dict) -> None:
+    """``_check_orthogonal`` for basis projectors, named -> basis index, without numpy.
+
+    tr(ei ej) is 1 for two projectors on one basis vector and 0 otherwise.
+    """
+    for (a, i), (b, j) in itertools.combinations(indices.items(), 2):
+        if i == j:
+            raise _not_orthogonal(a, b, 1.0)
+
+
+class BinaryConstants(_Frozen):
+    """Gain and loss constants k1, k2 of the binary detector."""
+
+    __slots__ = ("k1", "k2")
+
+    def __init__(self, k1: float, k2: float):
         if k1 < 0 or k2 < 0:
             raise ValueError("coupling constants must be non-negative")
         if k1 + k2 == 0:
             raise ValueError("at least one coupling constant must be positive")
         _check_finite(k1, k2)
-        self._set(k1=k1, k2=k2, e=check_projector(e))
+        self._set(k1=k1, k2=k2)
+
+
+class BinaryDetectorSpec(BinaryConstants):
+    """Yes/no detector with antidiagonal coupling blocks k1*e and k2*e."""
+
+    __slots__ = ("e",)
+
+    def __init__(self, k1: float, k2: float, e):
+        from .states import check_projector
+
+        super().__init__(k1, k2)
+        self._set(e=check_projector(e))
 
     def coupling(self) -> CouplingOperator:
         """Antidiagonal coupling operator over a 2-event classical space."""
+        from .evolution import CouplingOperator
+
         return CouplingOperator.from_entries(2, {(0, 1): self.k1 * self.e,
                                                  (1, 0): self.k2 * self.e})
+
+
+def _check_weights(a0: float, b0: float) -> None:
+    """Raise ValueError unless a0 and b0 are non-negative signal weights of sum at most 1."""
+    if a0 < 0 or b0 < 0:
+        raise ValueError("signal weights must be non-negative")
+    if a0 + b0 > 1 + 1e-12:
+        raise ValueError(f"a0 + b0 = {a0 + b0:.12g} exceeds 1")
 
 
 class SignalDecomposition(_Frozen):
@@ -63,26 +125,21 @@ class SignalDecomposition(_Frozen):
     __slots__ = ("a0", "b0")
 
     def __init__(self, a0: float, b0: float):
-        if a0 < 0 or b0 < 0:
-            raise ValueError("signal weights must be non-negative")
-        if a0 + b0 > 1 + 1e-12:
-            raise ValueError(f"a0 + b0 = {a0 + b0:.12g} exceeds 1")
+        _check_weights(a0, b0)
         self._set(a0=a0, b0=b0)
 
 
-def _decay(rate: float, t) -> np.ndarray:
-    """exp(-rate t) on the time array `t`; ValueError if any time is negative.
+def _decay(rate: float, t: float) -> float:
+    """exp(-rate t); ValueError if the time is negative.
 
-    An exponent that is inf * 0 gives NaN without a numpy warning.
+    An exponent that is inf * 0 gives NaN.
     """
-    t = np.asarray(t, dtype=float)
-    if (t < 0).any():
+    if t < 0:
         raise ValueError("time must be non-negative")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.exp(-rate * t)
+    return math.exp(-rate * t)
 
 
-def binary_trajectory(spec: BinaryDetectorSpec, sig: SignalDecomposition, t):
+def binary_trajectory(spec: BinaryConstants, sig: SignalDecomposition, t: float) -> tuple:
     """Probabilities (p0(t), p1(t)) of the binary detector.
 
     p1(t) = a0 * k1^2/(k1^2 + k2^2) * (1 - exp(-(k1^2 + k2^2) t)) and
@@ -100,6 +157,8 @@ def balance_residual(spec: BinaryDetectorSpec, state: HybridState) -> float:
 
     Zero exactly when the classical evolution has reached balance.
     """
+    import numpy as np
+
     if state.classical_dim != 2:
         raise ValueError("balance residual requires a 2-event state")
     if state.quantum_dim != spec.e.shape[0]:
@@ -109,38 +168,38 @@ def balance_residual(spec: BinaryDetectorSpec, state: HybridState) -> float:
     return spec.k2 ** 2 * tr1 - spec.k1 ** 2 * tr0
 
 
-def _check_orthogonal(projectors: dict) -> None:
-    """Raise ValueError unless tr(ei ej) vanishes for every pair of named projectors."""
-    names, e = list(projectors), np.array(list(projectors.values()))
-    n = len(e)
-    # tr(ea eb) = flat(ea) . flat(eb^T): one Gram product gives every overlap
-    overlap = np.abs(e.reshape(n, -1) @ e.swapaxes(1, 2).reshape(n, -1).T)
-    bad = np.argwhere(np.triu(overlap > 1e-10, 1))  # row-major: itertools.combinations order
-    if len(bad):
-        i, j = bad[0]
-        a, b = names[i], names[j]
-        raise ValueError(f"projectors {a} and {b} are not orthogonal: "
-                         f"|tr({a} {b})| = {overlap[i, j]:.3g}")
+class TwoStateConstants(_Frozen):
+    """Constants (k1, k2) of the e2 channel and (n1, n2) of the e3 channel."""
 
+    __slots__ = ("k1", "k2", "n1", "n2")
 
-class TwoStateDetectorSpec(_Frozen):
-    """Detector distinguishing two signals via orthogonal projectors e2, e3."""
-
-    __slots__ = ("k1", "k2", "n1", "n2", "e2", "e3")
-
-    def __init__(self, k1: float, k2: float, n1: float, n2: float, e2, e3):
+    def __init__(self, k1: float, k2: float, n1: float, n2: float):
         for k in (k1, k2, n1, n2):
             if k < 0:
                 raise ValueError("coupling constants must be non-negative")
         if k1 + k2 == 0 and n1 + n2 == 0:
             raise ValueError("at least one channel must have a positive constant")
         _check_finite(k1, k2, n1, n2)
+        self._set(k1=k1, k2=k2, n1=n1, n2=n2)
+
+
+class TwoStateDetectorSpec(TwoStateConstants):
+    """Detector distinguishing two signals via orthogonal projectors e2, e3."""
+
+    __slots__ = ("e2", "e3")
+
+    def __init__(self, k1: float, k2: float, n1: float, n2: float, e2, e3):
+        from .states import check_projector
+
+        super().__init__(k1, k2, n1, n2)
         e2, e3 = check_projector(e2), check_projector(e3)
         _check_orthogonal({"e2": e2, "e3": e3})
-        self._set(k1=k1, k2=k2, n1=n1, n2=n2, e2=e2, e3=e3)
+        self._set(e2=e2, e3=e3)
 
     def couplings(self) -> list:
         """The pair of single-focus coupling operators over 3 classical events."""
+        from .evolution import CouplingOperator
+
         return [
             CouplingOperator.from_entries(3, {(0, 1): self.k1 * self.e2,
                                               (1, 0): self.k2 * self.e2}),
@@ -149,55 +208,64 @@ class TwoStateDetectorSpec(_Frozen):
         ]
 
 
-def _channel(weight: float, gain: float, loss: float, t, name: str):
+def _channel(weight: float, gain: float, loss: float, t: float, name: str) -> float:
     rate = gain ** 2 + loss ** 2
     decay = _decay(rate, t)
     if rate == 0:
         if weight > 0:
             raise ValueError(f"channel {name} has weight but zero coupling constants")
-        return np.zeros_like(decay)[()]  # [()]: a scalar for a scalar t
+        return 0.0
     return weight * gain ** 2 / rate * (1.0 - decay)
 
 
-def two_state_trajectory(spec: TwoStateDetectorSpec, a0: float, b0: float, t):
+def two_state_trajectory(spec: TwoStateConstants, a0: float, b0: float, t: float) -> tuple:
     """Probabilities (p0(t), p1(t), p2(t)) of the two-state detector.
 
     a0 is the initial weight on e2, b0 on e3; remaining weight is inert.  At
     t = inf the total efficiency p1 + p2 is one exactly when k2 = n2 = 0 and
     a0 + b0 = 1.
     """
-    SignalDecomposition(a0, b0)  # reuse the range checks
+    _check_weights(a0, b0)
     p1 = _channel(a0, spec.k1, spec.k2, t, "e2")
     p2 = _channel(b0, spec.n1, spec.n2, t, "e3")
     return 1.0 - p1 - p2, p1, p2
 
 
-class NStateDetectorSpec(_Frozen):
+class NStateConstants(_Frozen):
+    """Common rate k and number of channels of the n-state detector."""
+
+    __slots__ = ("k", "n_channels")
+
+    def __init__(self, k: float, n_channels: int):
+        _check_rate(k)
+        self._set(k=k, n_channels=n_channels)
+
+
+class NStateDetectorSpec(NStateConstants):
     """Detector registering n distinguishable signals at a common rate k."""
 
-    __slots__ = ("k", "projectors")
+    __slots__ = ("projectors",)
 
     def __init__(self, k: float, projectors: tuple):
-        if k <= 0:
-            raise ValueError("coupling constant k must be positive")
-        _check_finite(k)
+        from .states import check_projector
+
+        projectors = tuple(projectors)
+        super().__init__(k, len(projectors))
         projectors = tuple(check_projector(e) for e in projectors)
         _check_orthogonal({f"e{i}": e for i, e in enumerate(projectors, start=1)})
-        self._set(k=k, projectors=projectors)
-
-    @property
-    def n_channels(self) -> int:
-        return len(self.projectors)
+        self._set(projectors=projectors)
 
     def couplings(self) -> list:
         """One coupling per channel: sqrt(k) e_i in block (0, i)."""
+        from .evolution import CouplingOperator
+
         root_k = math.sqrt(self.k)
         return [CouplingOperator.from_entries(self.n_channels + 1, {(0, i): root_k * e})
                 for i, e in enumerate(self.projectors, start=1)]
 
 
-def n_state_trajectory(spec: NStateDetectorSpec, j: int, t) -> np.ndarray:
-    """Probabilities, shape (n+1, *t.shape), for a signal aligned with channel j.
+def n_state_trajectory(spec: NStateConstants, j: int, t: float) -> tuple:
+    """Probabilities (p0(t), ..., pn(t)) for a signal aligned with channel j.
 
     p0 = exp(-k t), p_j = 1 - exp(-k t), all other channels stay at zero;
     the registered probability does not depend on the number of channels.
@@ -205,31 +273,43 @@ def n_state_trajectory(spec: NStateDetectorSpec, j: int, t) -> np.ndarray:
     if not 0 <= j < spec.n_channels:
         raise ValueError(f"channel index {j} out of range")
     decay = _decay(spec.k, t)
-    p = np.zeros((spec.n_channels + 1, *decay.shape))
+    p = [0.0] * (spec.n_channels + 1)
     p[0] = decay
     p[j + 1] = 1.0 - decay
-    return p
+    return tuple(p)
 
 
-class FilterSpec(_Frozen):
+class FilterConstants(_Frozen):
+    """Rate k of the nondemolition filter."""
+
+    __slots__ = ("k",)
+
+    def __init__(self, k: float):
+        _check_rate(k)
+        self._set(k=k)
+
+
+class FilterSpec(FilterConstants):
     """Nondemolition filter: registers without disturbing aligned signals."""
 
-    __slots__ = ("k", "e1")
+    __slots__ = ("e1",)
 
     def __init__(self, k: float, e1):
-        if k <= 0:
-            raise ValueError("coupling constant k must be positive")
-        _check_finite(k)
-        self._set(k=k, e1=check_projector(e1))
+        from .states import check_projector
+
+        super().__init__(k)
+        self._set(e1=check_projector(e1))
 
     def coupling(self) -> CouplingOperator:
         """Antidiagonal coupling sqrt(k) * e1 on both off-diagonal blocks."""
+        from .evolution import CouplingOperator
+
         root_k = math.sqrt(self.k)
         return CouplingOperator.from_entries(2, {(0, 1): root_k * self.e1,
                                                  (1, 0): root_k * self.e1})
 
 
-def filter_quantum_output(diagonal_weights, offdiagonal_weights, spec: FilterSpec,
+def filter_quantum_output(diagonal_weights, offdiagonal_weights, spec: FilterConstants,
                           t: float):
     """Quantum output of the filter in the projector-basis description.
 
@@ -247,7 +327,7 @@ def filter_quantum_output(diagonal_weights, offdiagonal_weights, spec: FilterSpe
     return dict(diagonal_weights), out_off
 
 
-def filter_quantum_marginal(rho_q: np.ndarray, spec: FilterSpec, t: float) -> np.ndarray:
+def filter_quantum_marginal(rho_q, spec: FilterSpec, t: float) -> np.ndarray:
     """Quantum marginal of the filter output for an arbitrary input matrix.
 
     rho_q(t) = rho_q + (exp(-k t / 2) - 1) ({e1, rho_q} - 2 e1 rho_q e1):
@@ -256,6 +336,8 @@ def filter_quantum_marginal(rho_q: np.ndarray, spec: FilterSpec, t: float) -> np
     `rho_q` that is not a finite square matrix and for one whose dimension
     differs from the projector's.
     """
+    from .states import operator_array
+
     decay = _decay(0.5 * spec.k, t)
     e = spec.e1
     rho_q = operator_array(rho_q, "quantum input", 2)
@@ -266,7 +348,7 @@ def filter_quantum_marginal(rho_q: np.ndarray, spec: FilterSpec, t: float) -> np
     return rho_q + (decay - 1.0) * (anti - 2.0 * (e @ rho_q @ e))
 
 
-def filter_classical_output(p0: float, p1: float, q1: float, k: float, t):
+def filter_classical_output(p0: float, p1: float, q1: float, k: float, t: float) -> tuple:
     """Classical output (p0(t), p1(t)) of the filter.
 
     q1 = tr(e1 rho_q) is the aligned weight of the quantum input; the

@@ -28,6 +28,10 @@ checked as it is recorded: a non-finite entry or a total trace more than
 ``trace_tol`` from 1 stops the run with TraceDriftError.  Once the run has
 finished, the first record with a block eigenvalue below -POSITIVITY_TOL
 stops it with PositivityError.
+
+The record grid ``EvolutionConfig``, the limits MAX_STEPS and
+MAX_RECORD_BYTES and ``check_record_memory`` need no arrays; they live in
+``limits`` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -38,15 +42,12 @@ import operator
 import numpy as np
 
 from . import _Frozen
+from .limits import MAX_RECORD_BYTES, MAX_STEPS, EvolutionConfig, check_record_memory  # noqa: F401
 from .states import (HERMITICITY_TOL, POSITIVITY_TOL, HybridState, block_eigenvalues,
                      operator_array)
 
 BLOCK_ZERO_TOL = 1e-10
 PATTERN_ZERO_TOL = 1e-12
-# EvolutionConfig refuses more steps than this, so a record grid never holds
-# more than 10^7 records; evolve refuses a matrix-free run of more series
-# substeps than this.
-MAX_STEPS = 10 ** 7
 # The dense path holds at most four N x N complex arrays at once (L and three
 # while it sums or squares a record propagator), and its stack adds at most
 # STACK_BYTES beyond them.  It is never taken when the four need more bytes
@@ -57,10 +58,6 @@ DENSE_MEMORY_CEILING = 64 * 2 ** 20
 # b = 256 at N = 8 and b = 22 at N = 27.  Each chunk of b records is one
 # matrix-vector product.
 STACK_BYTES = 256 * 2 ** 10
-# check_record_memory refuses a run whose records, kept as complex (n+1, d, d)
-# arrays, would need more bytes than this; MAX_STEPS alone still allows 10^7
-# records.  evolve applies it, and so does the CLI's efficiency command.
-MAX_RECORD_BYTES = 2 ** 30
 # Trajectory computes the smallest block eigenvalue this many records at a
 # time: one batched eigvalsh over every record would hold temporaries about
 # twice the size of the records.
@@ -131,49 +128,6 @@ class CouplingOperator(_Frozen):
         """Set of (gamma, alpha) block positions with an entry above PATTERN_ZERO_TOL."""
         above = np.abs(self.entries).max(axis=(1, 2)) > PATTERN_ZERO_TOL
         return frozenset(map(tuple, self.positions[above].tolist()))
-
-
-class EvolutionConfig(_Frozen):
-    """The record grid and the trace tolerance.
-
-    Records fall on every ``record_every``-th multiple of ``step`` and at
-    ``duration``, a whole number of steps.  Propagation is exact to rounding,
-    so ``step`` sets where records fall, not how accurate they are.  A
-    ``record_every`` that is not an integer raises TypeError, and a
-    ``trace_tol`` that is negative or NaN raises ValueError.
-    """
-
-    __slots__ = ("step", "duration", "record_every", "trace_tol")
-
-    def __init__(self, step: float, duration: float, record_every: int = 1,
-                 trace_tol: float = 1e-8):
-        if not 0 < step <= duration < math.inf:
-            raise ValueError("step and duration must satisfy 0 < step <= duration < inf")
-        if duration / step > MAX_STEPS + 0.5:
-            raise ValueError(f"{duration / step:.3g} steps exceed the limit "
-                             f"of {MAX_STEPS} (MAX_STEPS)")
-        # relative tolerance: 0.12 / 0.002 is 59.99999999999999
-        if abs(math.remainder(duration, step)) > 1e-9 * duration:
-            raise ValueError(f"duration {duration:g} is not a whole multiple of step {step:g}")
-        record_every = operator.index(record_every)
-        if record_every < 1:
-            raise ValueError("record_every must be a positive integer")
-        if not trace_tol >= 0:  # also refuses NaN
-            raise ValueError(f"trace_tol must be a non-negative number, got {trace_tol}")
-        self._set(step=step, duration=duration, record_every=record_every, trace_tol=trace_tol)
-
-    @property
-    def n_steps(self) -> int:
-        return round(self.duration / self.step)
-
-    @property
-    def n_records(self) -> int:
-        return len(range(0, self.n_steps, self.record_every)) + 1
-
-    def record_steps(self) -> np.ndarray:
-        """The recorded step numbers as int64: 0, every ``record_every``-th, and the last."""
-        return np.append(np.arange(0, self.n_steps, self.record_every, dtype=np.int64),
-                         np.int64(self.n_steps))
 
 
 class Generator(_Frozen):
@@ -364,7 +318,7 @@ def evolve(state: HybridState, hamiltonian=None, couplings=(), *, config: Evolut
     couplings fail the structural CP check, the records would need more than
     ``MAX_RECORD_BYTES`` or a matrix-free run more than MAX_STEPS substeps.
     """
-    check_record_memory(state, config)
+    check_record_memory(config, state.blocks.shape)
     gen = Generator.prepare(couplings, hamiltonian, state)
     if check_cp:
         report = gen.cp_report()
@@ -381,15 +335,6 @@ def evolve(state: HybridState, hamiltonian=None, couplings=(), *, config: Evolut
                               f"{min_eig[k]:.3g}, below -{POSITIVITY_TOL:g}; the propagation "
                               "lost accuracy at these rates")
     return traj
-
-
-def check_record_memory(state: HybridState, config: EvolutionConfig) -> None:
-    """Raise ValueError when recording `state` on config's grid needs more than MAX_RECORD_BYTES."""
-    need = config.n_records * state.blocks.nbytes
-    if need > MAX_RECORD_BYTES:
-        raise ValueError(f"{config.n_records} records of shape {state.blocks.shape} need "
-                         f"{need / 2 ** 30:.3g} GiB, above the {MAX_RECORD_BYTES / 2 ** 30:g} "
-                         f"GiB limit (MAX_RECORD_BYTES); raise record_every")
 
 
 def _dense_pays(gen: Generator, config: EvolutionConfig) -> bool:

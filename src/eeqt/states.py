@@ -12,12 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import _Frozen
-
-# Numerical tolerances (double precision with integrator headroom).
-HERMITICITY_TOL = 1e-10
-IDEMPOTENCY_TOL = 1e-10
-POSITIVITY_TOL = 1e-9
-TRACE_TOL = 1e-9
+from .limits import (HERMITICITY_TOL, IDEMPOTENCY_TOL, POSITIVITY_TOL, TRACE_TOL,
+                     check_basis_index, check_offdiagonal_index)
 
 
 def operator_array(a, name: str, ndim: int) -> np.ndarray:
@@ -41,8 +37,7 @@ def operator_array(a, name: str, ndim: int) -> np.ndarray:
 
 def basis_projector(dim: int, index: int) -> np.ndarray:
     """Rank-1 projector onto the computational basis vector `index`."""
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range for dim {dim}")
+    check_basis_index(dim, index)
     e = np.zeros((dim, dim), dtype=complex)
     e[index, index] = 1.0
     return e
@@ -63,10 +58,7 @@ def offdiagonal_element(dim: int, i: int, j: int) -> np.ndarray:
     These are the unnormalized off-diagonal basis elements used to describe
     coherences; they are not trace-1 projectors.
     """
-    if i == j:
-        raise ValueError("off-diagonal element requires i != j")
-    if not (0 <= i < dim and 0 <= j < dim):
-        raise ValueError(f"indices ({i}, {j}) out of range for dim {dim}")
+    check_offdiagonal_index(dim, i, j)
     m = np.zeros((dim, dim), dtype=complex)
     m[i, j] = 1.0
     return m

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eeqt import cli, evolution, states
+from eeqt import cli, evolution, limits, states
 from eeqt.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, FAMILIES, main
 from eeqt.detectors import n_state_trajectory
 from eeqt.evolution import PositivityError, TraceDriftError, evolve
@@ -502,6 +502,79 @@ def test_bad_config_values_exit_2(tmp_path, capsys, command, text):
     assert not out.exists()
 
 
+# The pure state 0.5 (1, 1; 1, 1) with 0.6 in place of 0.5 off the diagonal:
+# eigenvalues 1.1 and -0.1.
+COHBAD_CONFIG = FILTER_CONFIG.replace("0.7,0.3", "0.5,0.5\noffdiag_0_1 = 0.6\noffdiag_1_0 = 0.6")
+
+# Config errors that simulate and efficiency both meet before either runs.
+# Only efficiency evaluates the closed form, so it alone refuses family none
+# and a weighted two_state channel whose constants are zero.
+SHARED_CONFIG_ERRORS = {
+    **{param.id: param.values[1] for param in BAD_CONFIGS
+       if param.id != "weighted-channel-without-constants"},
+    "missing-key": "[detector]\nfamily = binary\n",
+    "unparsable": "not an ini file\n",
+    "unknown-family": "[detector]\nfamily = sundial\n\n[signal]\nweights = 1\n",
+    "binary-dim-0": BINARY_CONFIG.replace("dim = 2", "dim = 0"),
+    "channels-beyond-dim": (SHIPPED_CONFIGS[0].parent / "n_state.ini").read_text()
+    .replace("channels = 5", "channels = 6"),
+    "aligned-channel-out-of-range": (SHIPPED_CONFIGS[0].parent / "n_state.ini").read_text()
+    .replace("aligned_channel = 0", "aligned_channel = 5"),
+    "binary-projector-out-of-range": BINARY_CONFIG.replace("k2 = 0.0", "k2 = 0.0\nprojector = 2"),
+    "two_state-projector-out-of-range": TWO_STATE_CONFIG.replace("projector3 = 1",
+                                                                 "projector3 = 3"),
+    "filter-projector-out-of-range": FILTER_CONFIG.replace("k = 1.0", "k = 1.0\nprojector = -1"),
+    "orthogonal-weight-in-dim-1": BINARY_CONFIG.replace("dim = 2", "dim = 1")
+    .replace("aligned = 1.0", "aligned = 0.5\northogonal = 0.5"),
+    "inert-weight-in-dim-2": TWO_STATE_CONFIG.replace("dim = 3", "dim = 2")
+    .replace("orthogonal = 0.5", "orthogonal = 0.25"),
+    "nan-weight": FILTER_CONFIG.replace("0.7,0.3", "0.7,nan"),
+    "non-hermitian-coherence": FILTER_CONFIG.replace("0.7,0.3", "0.7,0.3\noffdiag_0_1 = 0.1"),
+    "cohbad": COHBAD_CONFIG,
+    "trace-not-1": FILTER_CONFIG.replace("0.7,0.3", "0.7,0.2"),
+    "diagonal-offdiag-key": FILTER_CONFIG.replace("0.7,0.3", "0.7,0.3\noffdiag_1_1 = 0.1"),
+    "offdiag-key-out-of-range": FILTER_CONFIG.replace("0.7,0.3", "0.7,0.3\noffdiag_0_2 = 0.1"),
+    "too-many-weights": FILTER_CONFIG.replace("0.7,0.3", "0.5,0.3,0.2"),
+}
+
+
+def both_commands(tmp_path, capsys, text):
+    """[(exit code, stderr)] of simulate and then efficiency on a config of `text`."""
+    config = write(tmp_path, "case.ini", text)
+    out = tmp_path / "out.csv"
+    return [(main([command, "--config", config, "--output", str(out)]), capsys.readouterr().err)
+            for command in ("simulate", "efficiency")]
+
+
+@pytest.mark.parametrize("text", SHARED_CONFIG_ERRORS.values(), ids=SHARED_CONFIG_ERRORS)
+def test_config_errors_are_the_same_under_both_commands(tmp_path, capsys, text):
+    simulated, closed_form = both_commands(tmp_path, capsys, text)
+    assert simulated == closed_form
+    assert simulated[0] == EXIT_CONFIG and simulated[1].startswith("config error: ")
+
+
+def test_signal_refusals_keep_their_numpy_message(tmp_path, capsys):
+    for text, message in ((COHBAD_CONFIG, "signal is not a density matrix: Hermiticity "
+                                          "deviation 0, min eigenvalue -0.1"),
+                          (FILTER_CONFIG.replace("0.7,0.3", "0.7,0.2"),
+                           "quantum state has trace 0.9, expected 1")):
+        for code, err in both_commands(tmp_path, capsys, text):
+            assert (code, err) == (EXIT_CONFIG,
+                                   f"config error: {tmp_path / 'case.ini'}: {message}\n")
+
+
+@pytest.mark.parametrize("weight, code", [
+    ("0.5000000009999999", EXIT_OK),      # trace 1 + 9.99999861e-10: inside TRACE_TOL
+    ("0.500000001", EXIT_CONFIG),         # trace 1 + 1.00000008e-09: beyond it
+], ids=["inside", "beyond"])
+def test_a_trace_at_the_tolerance_gets_one_verdict(tmp_path, capsys, weight, code):
+    # within a few ulps of TRACE_TOL the trace is left to numpy, as simulate checks it
+    assert not limits.certainly_density_matrix(2, {0: 0.5, 1: float(weight)}, ())
+    text = FILTER_CONFIG.replace("0.7,0.3", f"0.5,{weight}")
+    simulated, closed_form = both_commands(tmp_path, capsys, text)
+    assert simulated == closed_form and simulated[0] == code
+
+
 # One config of each family; each sets the quantum dim on a line "dim = <n>".
 FAMILY_CONFIGS = {
     "binary": BINARY_CONFIG,
@@ -538,6 +611,17 @@ def test_non_finite_coupling_is_refused_on_one_line(tmp_path, k1, code, message)
                           capture_output=True, text=True, timeout=60, env=cli_env())
     assert proc.returncode == code
     assert len(proc.stderr.splitlines()) == 1 and message in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["simulate", "efficiency"])
+@pytest.mark.parametrize("signal", ["weights = inf,0.3", "weights = 0.7,0.3\noffdiag_0_1 = inf"])
+def test_non_finite_signal_is_refused_on_one_line(tmp_path, command, signal):
+    # inf * 0 makes NaN while the signal matrix is built, without a numpy warning
+    config = write(tmp_path, "inf.ini", FILTER_CONFIG.replace("weights = 0.7,0.3", signal))
+    proc = subprocess.run([sys.executable, "-m", "eeqt.cli", command, "--config", config],
+                          capture_output=True, text=True, timeout=60, env=cli_env())
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr == f"config error: {config}: quantum state contains non-finite entries\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "efficiency"])
@@ -590,8 +674,9 @@ def test_n_state_runs_at_a_hundred_channels_in_bounded_memory(tmp_path):
     rows = np.array(rows, dtype=float)
     assert header[-2:] == ["trace_drift", "min_eigenvalue"] and rows.shape == (2, 104)
     # the closed form reads only k and the channel count
-    expected = n_state_trajectory(types.SimpleNamespace(k=1.0, n_channels=100), 0, rows[:, 0])
-    np.testing.assert_allclose(rows[:, 1:102], expected.T, rtol=0, atol=1e-12)
+    constants = types.SimpleNamespace(k=1.0, n_channels=100)
+    expected = [n_state_trajectory(constants, 0, t) for t in rows[:, 0]]
+    np.testing.assert_allclose(rows[:, 1:102], expected, rtol=0, atol=1e-12)
 
 
 def test_simulate_does_not_evaluate_the_closed_form(tmp_path):

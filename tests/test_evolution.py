@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from eeqt import cli
 from eeqt.detectors import FilterSpec, NStateDetectorSpec
-from eeqt import evolution
+from eeqt import evolution, limits
 from eeqt.evolution import (
     BLOCK_ZERO_TOL,
     MAX_STEPS,
@@ -304,6 +304,7 @@ def test_config_rejects_more_than_max_steps(step, duration):
 
 @pytest.mark.parametrize("step, duration, every", [
     (0.01, 1.0, 1), (0.01, 1.0, 30), (0.01, 1.0, 100), (0.01, 1.0, 150), (1.0, 1.0, 1),
+    (0.0025, 5.0, 7), (0.005, 10.0, 50),
 ])
 def test_config_counts_its_records(step, duration, every):
     config = EvolutionConfig(step=step, duration=duration, record_every=every)
@@ -312,6 +313,7 @@ def test_config_counts_its_records(step, duration, every):
     assert steps.dtype == np.int64
     np.testing.assert_array_equal(steps, np.array([*range(0, n, every), n], dtype=np.int64))
     assert config.n_records == len(steps)
+    assert config.record_times() == (steps * step).tolist()  # bit for bit, without numpy
 
 
 def test_config_refuses_a_record_every_that_is_not_an_integer():
@@ -335,9 +337,9 @@ def test_evolve_refuses_records_beyond_max_record_bytes(monkeypatch):
     state = product_state(basis_projector(2, 0), [1.0, 0.0])
     couplings = [binary_coupling(1.0, 0.0, basis_projector(2, 0))]
     config = EvolutionConfig(step=0.01, duration=1.0)
-    monkeypatch.setattr(evolution, "MAX_RECORD_BYTES", 101 * 128)
+    monkeypatch.setattr(limits, "MAX_RECORD_BYTES", 101 * 128)
     assert len(evolve(state, couplings=couplings, config=config)) == 101
-    monkeypatch.setattr(evolution, "MAX_RECORD_BYTES", 101 * 128 - 1)
+    monkeypatch.setattr(limits, "MAX_RECORD_BYTES", 101 * 128 - 1)
     with pytest.raises(ValueError, match="MAX_RECORD_BYTES"):
         evolve(state, couplings=couplings, config=config)
 

@@ -8,6 +8,7 @@ them refuses an assignment to its attributes.
 """
 
 import contextlib
+import importlib
 import io
 import os
 import pathlib
@@ -41,7 +42,7 @@ PUBLIC = [
     "two_state_trajectory", "validate_state",
 ]
 
-SYSTEM = {"states", "evolution", "detectors"}
+SYSTEM = {"limits", "states", "evolution", "detectors"}
 
 
 def run_fresh(code: str, *flags: str) -> str:
@@ -81,11 +82,18 @@ def test_import_shapes_loads_no_numpy():
     assert "numpy" not in loaded
 
 
-# argparse alone answers --version, --help and usage errors; every command
-# but plan and validate imports numpy.  No command loads OpenSSL's ``_hashlib``
-# (the config and flag digests come from CPython's builtin SHA-256) or
-# ``numpy.random``, whose ``secrets`` import would load ``hashlib``; validate
-# classifies supports alone, so it loads neither ``random`` nor numpy.
+def test_import_detectors_loads_no_numpy():
+    loaded = all_loaded_modules("import eeqt.detectors")
+    assert eeqt_modules(loaded) == {"detectors"}
+    assert "numpy" not in loaded
+
+
+# argparse alone answers --version, --help and usage errors; only simulate and
+# reproduce import numpy.  No command loads OpenSSL's ``_hashlib`` (the config
+# and flag digests come from CPython's builtin SHA-256) or ``numpy.random``,
+# whose ``secrets`` import would load ``hashlib``; validate classifies supports
+# alone and efficiency evaluates the closed forms on ``math``, so neither loads
+# ``random`` or numpy.
 @pytest.mark.parametrize("argv, modules, numpy", [
     (["--version"], set(), False),
     ([], set(), False),                                # usage error
@@ -94,7 +102,7 @@ def test_import_shapes_loads_no_numpy():
     (["plan", "--rho1", "abc"], set(), False),         # argparse rejects the value
     (PLAN, {"planner"}, False),
     (["simulate", "--config", BINARY], SYSTEM, True),
-    (["efficiency", "--config", BINARY], SYSTEM, True),
+    (["efficiency", "--config", BINARY], {"limits", "detectors"}, False),
     (["validate"], {"shapes"}, False),
     (["reproduce"], SYSTEM | {"planner"}, True),
 ], ids=["version", "usage", "help", "plan-help", "plan-bad-flag", "plan", "simulate",
@@ -111,6 +119,78 @@ def test_validate_loads_no_random():
     assert "random" not in all_loaded_modules(main_code(["validate"]), "-S")
 
 
+def efficiency_loads(configs, *flags, output=None) -> set:
+    """Every module a fresh interpreter with `flags` holds after `efficiency` on each config.
+
+    Each run must exit 0; the last writes its CSV to `output` when one is given.
+    """
+    argvs = [["efficiency", "--config", str(c), "--output", "-"] for c in configs]
+    if output is not None:
+        argvs[-1][-1] = str(output)
+    code = ("import contextlib, io\nfrom eeqt.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [main(argv) for argv in {argvs!r}]\n"
+            "assert codes == [0] * len(codes), codes")
+    return all_loaded_modules(code, *flags)
+
+
+def test_efficiency_loads_no_numpy_or_random(tmp_path, monkeypatch):
+    # every shipped config, and every efficiency input of detector-mix at seeds 1-3
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    configs = sorted((ROOT / "configs").glob("*.ini"))
+    for seed in (1, 2, 3):
+        calls = [inv for inv in workloads.generate("detector-mix", seed)
+                 if inv.command == "efficiency"]
+        directory = tmp_path / f"seed-{seed}"
+        directory.mkdir()
+        workloads.write_inputs(calls, directory)
+        configs += [directory / inv.config_name for inv in calls]
+    assert len(configs) == 4 + 3 * 4
+    # -S skips the site hooks, which may load tempfile, and with it random, at start-up
+    loaded = efficiency_loads(configs, "-S")
+    assert eeqt_modules(loaded) == {"cli", "limits", "detectors"}
+    assert not {"numpy", "random"} & loaded
+
+
+FILTER_SIGNAL = """\
+[detector]
+family = filter
+dim = 2
+k = 1.0
+
+[signal]
+weights = {}
+offdiag_0_1 = {}
+offdiag_1_0 = {}
+
+[evolution]
+step = 0.01
+duration = 1.0
+record_every = 10
+"""
+
+
+def csv_body(path) -> list:
+    return [line for line in pathlib.Path(path).read_text().splitlines()
+            if not line.startswith("#")]
+
+
+@pytest.mark.parametrize("weights, coherence, numpy", [
+    ("0.5,0.5", "0.5", False),    # a pure state: both discs end at 0
+    ("0.36,0.64", "0.48", True),  # a pure state whose first disc reaches -0.12
+], ids=["disc-edge", "outside-the-discs"])
+def test_only_a_signal_outside_the_discs_loads_numpy(tmp_path, weights, coherence, numpy):
+    config = tmp_path / "signal.ini"
+    config.write_text(FILTER_SIGNAL.format(weights, coherence, coherence))
+    diagonal = tmp_path / "diagonal.ini"  # the same closed form: q1 is the weight on e1
+    diagonal.write_text(FILTER_SIGNAL.format(weights, 0, 0))
+    loaded = efficiency_loads([config], output=tmp_path / "signal.csv")
+    assert ("numpy" in loaded) == numpy
+    efficiency_loads([diagonal], output=tmp_path / "diagonal.csv")
+    assert csv_body(tmp_path / "signal.csv") == csv_body(tmp_path / "diagonal.csv")
+
+
 def test_no_command_loads_dataclasses():
     # a frozen dataclass generates its methods with exec when its module loads
     commands = [PLAN, ["simulate", "--config", BINARY], ["efficiency", "--config", BINARY],
@@ -120,8 +200,8 @@ def test_no_command_loads_dataclasses():
             f"    codes = [main(argv) for argv in {commands!r}]\n"
             "assert codes == [0, 0, 0, 0, 3], codes")  # reproduce fails on P(15) alone
     loaded = all_loaded_modules(code)
-    assert eeqt_modules(loaded) == {"cli", "states", "evolution", "detectors", "shapes",
-                                    "planner"}
+    assert eeqt_modules(loaded) == {"cli", "limits", "states", "evolution", "detectors",
+                                    "shapes", "planner"}
     assert "dataclasses" not in loaded
 
 
