@@ -11,29 +11,31 @@ reproduce   recompute the reference worked-example values and report pass/fail
 All CSV output starts with '#'-prefixed metadata lines (tool version, config
 hash, random seed) so identical inputs produce byte-identical files.  The
 body goes through one %-template per file, ``%.12g`` for numeric columns and
-``%s`` for text ones (only ``validate`` has any); simulate and efficiency
-hand over one float array and plan its six columns, formatted a block of rows
-at a time.  The bytes are those of formatting each value with ``_fmt``.
+``%s`` for text ones (only ``validate`` has any); every command hands over
+an iterable of rows, formatted a block of rows at a time.  The bytes are
+those of formatting each value with ``_fmt``.
 
 ``simulate`` and ``efficiency`` read an INI config whose ``[detector] family``
 names an entry of ``FAMILIES``.  That entry is the only code that reads the
 family's keys.  It checks them without numpy and returns a ``Family``: the
-classical dimension, the quantum signal as numbers, a builder of the
-couplings that only ``simulate`` calls, a lazily evaluated closed form and
-the format of its t = inf metadata.  Both commands refuse a config with the
-same message.  Every ValueError raised while serving a config, from a missing
-key to a signal that is not a density matrix or a duration the step does not
-divide, is a config error.
+classical dimension, the quantum signal and the coupling table as numbers, a
+lazily evaluated closed form and the format of its t = inf metadata.  Both
+commands refuse a config with the same message.  Every ValueError raised
+while serving a config, from a missing key to a signal that is not a density
+matrix or a duration the step does not divide, is a config error.
 
 With the default ``--output -`` the CSV goes to stdout and the summaries of
 ``plan`` and ``validate`` go to stderr, so stdout holds nothing but the CSV;
 with an output file they go to stdout.
 
-Only simulate and reproduce import numpy, each where it computes, so argparse
-answers ``--version``, ``--help`` and every usage error without loading numpy
-or any eeqt module.  ``efficiency`` evaluates the closed forms on ``math`` and
-checks the signal with ``limits.certainly_density_matrix``; only a signal
-that test cannot pass loads numpy, to be checked as ``simulate`` checks it.
+Only reproduce always imports numpy, so argparse answers ``--version``,
+``--help`` and every usage error without loading numpy or any eeqt module.
+``efficiency`` evaluates the closed forms on ``math``, and ``simulate``
+propagates the coupling table sector by sector with ``sectors``.  Both check
+the signal with ``limits.certainly_density_matrix``; only a signal that test
+cannot pass loads numpy, to be checked by ``states.validate_state``, and
+``simulate`` loads it besides only for the eigenvalues of a coherence
+component of 3 or more indices on a long run (``sectors.JACOBI_PRICE``).
 No command loads OpenSSL (through ``hashlib``) or ``numpy.random``.  A
 process runs ``console_main``, which is ``main`` with the cyclic garbage
 collector off.
@@ -67,14 +69,14 @@ from . import __version__
 # plan`` never loads the integrator and ``--version`` loads no eeqt module.
 _LIBRARY = {
     "limits": ("EvolutionConfig", "certainly_density_matrix", "check_basis_index",
-               "check_offdiagonal_index", "check_record_memory"),
-    "states": ("basis_projector", "offdiagonal_element", "product_state", "validate_state"),
+               "check_offdiagonal_index", "check_record_memory", "signal_entries"),
+    "states": ("basis_projector", "product_state", "validate_state"),
     "evolution": ("evolve", "trajectory_rows"),
-    "detectors": ("BinaryConstants", "BinaryDetectorSpec", "FilterConstants", "FilterSpec",
+    "detectors": ("BinaryConstants", "BinaryDetectorSpec", "FilterConstants",
                   "NStateConstants", "NStateDetectorSpec", "SignalDecomposition",
-                  "TwoStateConstants", "TwoStateDetectorSpec", "binary_trajectory",
-                  "check_basis_orthogonal", "filter_classical_output", "n_state_trajectory",
-                  "two_state_trajectory"),
+                  "TwoStateConstants", "binary_trajectory", "check_basis_orthogonal",
+                  "filter_classical_output", "n_state_trajectory", "two_state_trajectory"),
+    "sectors": ("sector_columns",),
     "shapes": ("TOPOLOGY_BY_TAG", "classify_2x2", "classify_3x3",
                "enumerate_admissible_patterns"),
     "planner": ("TransmissionScenario", "di_confirmation_count", "minimal_m", "plan_for_m",
@@ -153,9 +155,9 @@ def _write_csv(args, header, rows, digest=None, meta=(), text=()):
     """CSV to ``args.output`` after the metadata: tool, command, digest (if any), seed, `meta`.
 
     Each row goes through one template: ``%s`` in the columns named in `text`,
-    ``%.12g`` in the others.  `rows` is a 2-D array or any iterable of rows,
-    formatted CSV_BLOCK_FIELDS // len(header) rows at a time (at least
-    one).  The whole text is formatted before the file is opened.
+    ``%.12g`` in the others.  `rows` is any iterable of rows, formatted
+    CSV_BLOCK_FIELDS // len(header) rows at a time (at least one).  The whole
+    text is formatted before the file is opened.
     """
     meta = [("tool", f"eeqt {__version__}"), ("command", args.command),
             *([] if digest is None else [("config_sha256", digest)]),
@@ -163,11 +165,8 @@ def _write_csv(args, header, rows, digest=None, meta=(), text=()):
     parts = [f"# {key}: {value}\n" for key, value in meta] + [",".join(header) + "\n"]
     template = ",".join("%s" if name in text else "%.12g" for name in header) + "\n"
     size = max(1, CSV_BLOCK_FIELDS // len(header))
-    if type(rows).__module__ == "numpy":  # an ndarray, known without importing numpy
-        blocks = (rows[b:b + size].tolist() for b in range(0, len(rows), size))
-    else:
-        rows = iter(rows)
-        blocks = iter(lambda: list(itertools.islice(rows, size)), [])
+    rows = iter(rows)
+    blocks = iter(lambda: list(itertools.islice(rows, size)), [])
     parts += ["".join([template % tuple(row) for row in block]) for block in blocks]
     if args.output == "-":
         sys.stdout.writelines(parts)
@@ -198,11 +197,13 @@ class Family(NamedTuple):
 
     The quantum signal is ``weights`` on the diagonal (basis index ->
     weight) plus ``coherences``, the ``offdiag_i_j`` entries as ((i, j),
-    value) pairs in config order.  ``couplings`` builds the coupling
-    operators with numpy; only ``simulate`` calls it.  ``closed_form``
-    returns the map from a time t to (p_0, ..., p_n) on the family's
-    constants; only ``efficiency`` calls it, after every check ``simulate``
-    makes, so its own checks may reject a config that integrates fine.
+    value) pairs in config order.  ``couplings`` is the coupling table that
+    ``sectors.sector_columns`` reads: one tuple of ((gamma, alpha), {m: v})
+    block entries per coupling, each block the diagonal matrix with entries
+    v at basis indices m.  ``closed_form`` returns the map from a time t to
+    (p_0, ..., p_n) on the family's constants; only ``efficiency`` calls
+    it, after every check ``simulate`` makes, so its own checks may reject a
+    config that integrates fine.
     ``asymptotic`` formats those values at t = inf for the metadata.  Either
     is None when the family has none.
     """
@@ -210,16 +211,9 @@ class Family(NamedTuple):
     classical_dim: int
     weights: dict
     coherences: tuple
-    couplings: Callable
+    couplings: tuple
     closed_form: Callable | None = None
     asymptotic: Callable | None = None
-
-
-class System(NamedTuple):
-    """The arrays ``simulate`` builds from a Family: couplings and signal matrix."""
-
-    couplings: list
-    rho_q: np.ndarray
 
 
 def _binary(config, dim):
@@ -235,8 +229,7 @@ def _binary(config, dim):
     if 1.0 - a0 - b0 > 1e-12:
         raise ValueError("binary signal weights must sum to 1")
     weights = {idx: a0, **({(idx + 1) % dim: b0} if b0 > 0 else {})}
-    return Family(2, weights, (),
-                  lambda: [BinaryDetectorSpec(k1, k2, basis_projector(dim, idx)).coupling()],
+    return Family(2, weights, (), ((((0, 1), {idx: k1}), ((1, 0), {idx: k2})),),
                   lambda: functools.partial(binary_trajectory, constants,
                                             SignalDecomposition(a0, b0)),
                   lambda p: f"p_0={_fmt(p[0])} p_1={_fmt(p[1])}")
@@ -261,9 +254,9 @@ def _two_state(config, dim):
         if not free:
             raise ValueError("inert weight needs quantum dim >= 3")
         weights[free[-1]] = rest
-    return Family(3, weights, (),
-                  lambda: TwoStateDetectorSpec(*k, basis_projector(dim, i2),
-                                               basis_projector(dim, i3)).couplings(),
+    couplings = ((((0, 1), {i2: k[0]}), ((1, 0), {i2: k[1]})),
+                 (((0, 2), {i3: k[2]}), ((2, 0), {i3: k[3]})))
+    return Family(3, weights, (), couplings,
                   lambda: functools.partial(two_state_trajectory, constants, a0, b0),
                   lambda p: f"p_1={_fmt(p[1])} p_2={_fmt(p[2])} efficiency={_fmt(p[1] + p[2])}")
 
@@ -277,9 +270,9 @@ def _n_state(config, dim):
     aligned = get("detector", "aligned_channel", int, 0)
     if not 0 <= aligned < channels:
         raise ValueError("aligned_channel out of range")
+    root_k = math.sqrt(constants.k)
     return Family(channels + 1, {aligned: 1.0}, (),
-                  lambda: NStateDetectorSpec(constants.k, tuple(
-                      basis_projector(dim, i) for i in range(channels))).couplings(),
+                  tuple((((0, i + 1), {i: root_k}),) for i in range(channels)),
                   lambda: functools.partial(n_state_trajectory, constants, aligned),
                   lambda p: f"p_{aligned + 1}={_fmt(p[aligned + 1])}")
 
@@ -310,8 +303,9 @@ def _filter(config, dim):
     FilterConstants(k)  # the checks of the rate
     weights, coherences = _weighted_signal(config, dim)
     q1 = weights.get(projector, 0.0)  # tr(e1 rho_q), the weight on the detector projector
+    root_k = math.sqrt(k)
     return Family(2, weights, coherences,
-                  lambda: [FilterSpec(k, basis_projector(dim, projector)).coupling()],
+                  ((((0, 1), {projector: root_k}), ((1, 0), {projector: root_k})),),
                   lambda: functools.partial(filter_classical_output, 1.0, 0.0, q1, k))
 
 
@@ -319,10 +313,10 @@ def _none(config, dim):
     classical_dim = config.value("detector", "classical_dim", int, 2)
     if classical_dim < 1:
         raise ValueError("classical_dim must be at least 1")
-    return Family(classical_dim, *_weighted_signal(config, dim, [1.0]), lambda: [])
+    return Family(classical_dim, *_weighted_signal(config, dim, [1.0]), ())
 
 
-# The modules that build and run a configured system (simulate, reproduce).
+# The modules that build and run a numpy system (reproduce).
 _SYSTEM_MODULES = ("limits", "states", "evolution", "detectors")
 
 # Detector family -> reader(config, quantum dim) -> Family.  A family's
@@ -368,19 +362,16 @@ def _evolution_config(config):
 
 
 def _signal_matrix(dim, family):
-    """The d x d signal of `family`: zero plus each weight's projector, then each coherence.
+    """The d x d signal of `family`, its ``signal_entries`` and zeros elsewhere.
 
-    A value that is not finite makes NaN of inf * 0 without a numpy warning;
-    ``product_state`` refuses the matrix on one line.
+    A value that is not finite stays in place; ``product_state`` refuses the
+    matrix on one line.
     """
     import numpy as np
 
     rho_q = np.zeros((dim, dim), dtype=complex)
-    with np.errstate(invalid="ignore"):
-        for i, w in family.weights.items():
-            rho_q += w * basis_projector(dim, i)
-        for (i, j), value in family.coherences:
-            rho_q += value * offdiagonal_element(dim, i, j)
+    for pos, value in signal_entries(family.weights, family.coherences).items():
+        rho_q[pos] = value
     return rho_q
 
 
@@ -397,19 +388,24 @@ def _initial_state(rho_q, classical_dim):
     return state
 
 
-def _build_system(config):
-    """Detector family, its System and the initial hybrid state of a config."""
-    _library(*_SYSTEM_MODULES)
-    family, dim, spec = _read_family(config)
-    system = System(spec.couplings(), _signal_matrix(dim, spec))
-    return family, system, _initial_state(system.rho_q, spec.classical_dim)
+def _check_signal(dim, family):
+    """Refuse the signal of `family` unless it is a density matrix, numpy only where needed.
+
+    ``certainly_density_matrix`` accepts most signals; any other goes to
+    ``_initial_state``, and with it numpy's ``validate_state``.
+    """
+    if not certainly_density_matrix(dim, family.weights, family.coherences):
+        _library("states")
+        _initial_state(_signal_matrix(dim, family), family.classical_dim)
 
 
-def _load_system(path):
-    """Config hash, family, System, initial state and EvolutionConfig of a file."""
+def _read_system(path):
+    """Config hash, family name, quantum dim, Family and EvolutionConfig of a file, with the
+    checks that simulate and efficiency both make, in the same order."""
     digest, config = _read_config(path)
-    family, system, state = _build_system(config)
-    return digest, family, system, state, _evolution_config(config)
+    family, dim, spec = _read_family(config)
+    _check_signal(dim, spec)
+    return digest, family, dim, spec, _evolution_config(config)
 
 
 def _write_system_csv(args, digest, family, classical_dim, rows, columns=(), meta=()):
@@ -419,12 +415,12 @@ def _write_system_csv(args, digest, family, classical_dim, rows, columns=(), met
 
 
 def _cmd_simulate(args):
-    _library(*_SYSTEM_MODULES)
-    digest, family, system, state, cfg = _load_system(args.config)
-    traj = evolve(state, couplings=system.couplings, config=cfg)
-    rows = trajectory_rows(traj)
-    del traj  # the records are freed before the text is formatted
-    _write_system_csv(args, digest, family, state.classical_dim, rows,
+    """The records of the coupling table, propagated sector by sector without numpy."""
+    _library("limits", "detectors", "sectors")
+    digest, family, dim, spec, cfg = _read_system(args.config)
+    columns = sector_columns(spec.couplings, signal_entries(spec.weights, spec.coherences),
+                            (spec.classical_dim, dim), cfg)
+    _write_system_csv(args, digest, family, spec.classical_dim, zip(*columns),
                       ["trace_drift", "min_eigenvalue"])
     return EXIT_OK
 
@@ -436,12 +432,7 @@ def _cmd_efficiency(args):
     to be checked as ``simulate`` checks it.
     """
     _library("limits", "detectors")
-    digest, config = _read_config(args.config)
-    family, dim, spec = _read_family(config)
-    if not certainly_density_matrix(dim, spec.weights, spec.coherences):
-        _library("states")
-        _initial_state(_signal_matrix(dim, spec), spec.classical_dim)
-    cfg = _evolution_config(config)
+    digest, family, dim, spec, cfg = _read_system(args.config)
     if spec.closed_form is None:
         raise ValueError(f"family '{family}' has no closed form")
     check_record_memory(cfg, (spec.classical_dim, dim, dim))  # refuse what simulate refuses
@@ -679,7 +670,7 @@ def _run(argv) -> int:
             return EXIT_USAGE
         print(f"config error: {args.config}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ArithmeticError as exc:  # evolution.TraceDriftError and PositivityError among them
+    except ArithmeticError as exc:  # limits.TraceDriftError and PositivityError among them
         print(f"numerical guard: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

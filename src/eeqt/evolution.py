@@ -30,8 +30,10 @@ finished, the first record with a block eigenvalue below -POSITIVITY_TOL
 stops it with PositivityError.
 
 The record grid ``EvolutionConfig``, the limits MAX_STEPS and
-MAX_RECORD_BYTES and ``check_record_memory`` need no arrays; they live in
-``limits`` and are re-exported here.
+MAX_RECORD_BYTES, ``check_record_memory``, TAYLOR_TERMS, BLOCK_ZERO_TOL and
+the two guard errors need no arrays; they live in ``limits`` and are
+re-exported here.  ``sectors`` propagates the CLI's projector generators
+without numpy; ``evolve`` is the general integrator it is tested against.
 """
 
 from __future__ import annotations
@@ -42,11 +44,11 @@ import operator
 import numpy as np
 
 from . import _Frozen
-from .limits import MAX_RECORD_BYTES, MAX_STEPS, EvolutionConfig, check_record_memory  # noqa: F401
+from .limits import (BLOCK_ZERO_TOL, MAX_RECORD_BYTES, MAX_STEPS, TAYLOR_TERMS,  # noqa: F401
+                     EvolutionConfig, PositivityError, TraceDriftError, check_record_memory)
 from .states import (HERMITICITY_TOL, POSITIVITY_TOL, HybridState, block_eigenvalues,
                      operator_array)
 
-BLOCK_ZERO_TOL = 1e-10
 PATTERN_ZERO_TOL = 1e-12
 # The dense path holds at most four N x N complex arrays at once (L and three
 # while it sums or squares a record propagator), and its stack adds at most
@@ -65,9 +67,6 @@ EIG_BLOCK_RECORDS = 1024
 # _dense_pays prices numpy's fixed cost of one ``rhs`` call in a series term,
 # about 16 us, at the 10^4 complex multiply-adds per us of N x N products (2 vCPUs).
 RHS_CALL_FLOOR = 160_000
-# _taylor adds at most this many terms; at h ||L|| <= 1 the 19th is already
-# below 2^-53 of the first.
-TAYLOR_TERMS = 30
 
 
 class CouplingOperator(_Frozen):
@@ -297,14 +296,6 @@ class Trajectory(_Frozen):
         return self._min_eig
 
 
-class TraceDriftError(ArithmeticError):
-    """Raised when a record's total trace is not finite or drifts beyond tolerance."""
-
-
-class PositivityError(ArithmeticError):
-    """Raised when a record has a block eigenvalue below -POSITIVITY_TOL."""
-
-
 def evolve(state: HybridState, hamiltonian=None, couplings=(), *, config: EvolutionConfig,
            check_cp: bool = True) -> Trajectory:
     """Propagate the Liouville equation onto the record grid of `config`.
@@ -351,22 +342,12 @@ def _dense_pays(gen: Generator, config: EvolutionConfig) -> bool:
     if 4 * 16 * size ** 2 > DENSE_MEMORY_CEILING:
         return False
     beta, total = _substeps(gen, config)
-    intervals = _intervals(config)
+    intervals = config.intervals()
     products = (_stack_depth(size, intervals[0][1]) - 1
                 + sum(TAYLOR_TERMS + max(0, math.frexp(q * config.step * beta)[1])
                       for q, _ in intervals))
     dense = nnz * d ** 4 + products * size ** 3 + config.n_records * size ** 2
     return dense < total * TAYLOR_TERMS * ((nnz + n1) * 2 * d ** 3 + RHS_CALL_FLOOR)
-
-
-def _intervals(config: EvolutionConfig) -> list:
-    """[(steps per record interval, at most the run; records on the grid)].
-
-    A last record off the grid adds (leftover steps, 1).
-    """
-    every = min(config.record_every, config.n_steps)
-    grid, left = divmod(config.n_steps, every)
-    return [(every, grid), (left, 1)] if left else [(every, grid)]
 
 
 def _stack_depth(size: int, records: int) -> int:
@@ -430,7 +411,7 @@ def _stack(d: np.ndarray, depth: int) -> np.ndarray:
 def _record(gen: Generator, rho: np.ndarray, config: EvolutionConfig, dense: bool) -> Trajectory:
     """Records on ``config.record_steps()``, by ``_dense`` movers or by ``_series`` ones.
 
-    Each of ``_intervals`` gets one mover, (move, depth): ``move(v, out)``
+    Each of ``config.intervals()`` gets one mover, (move, depth): ``move(v, out)``
     writes the len(out) <= depth records after the flat record `v` into the
     flat records `out`.  Each chunk is checked as a whole as it is written,
     so the run stops at the first record whose total trace is more than
@@ -445,7 +426,7 @@ def _record(gen: Generator, rho: np.ndarray, config: EvolutionConfig, dense: boo
     # their zeros off the diagonal make it NaN when any entry is not finite
     trace = np.tile(np.eye(d, dtype=complex).ravel(), n1)
     k = 0  # the last record taken
-    for q, count in _intervals(config):
+    for q, count in config.intervals():
         move, depth = (_dense if dense else _series)(gen, config, q, count)
         for j in range(k, k + count, depth):
             chunk = records[j + 1:min(j + depth, k + count) + 1]
@@ -485,7 +466,7 @@ def _substeps(gen: Generator, config: EvolutionConfig) -> tuple:
                           minlength=len(gen.k))
     beta = 2 * np.linalg.norm(gen.k, axis=(1, 2)).max() + columns.max()
     return beta, sum(count * max(1.0, np.ceil(q * config.step * beta))
-                     for q, count in _intervals(config))
+                     for q, count in config.intervals())
 
 
 def _series(gen: Generator, config: EvolutionConfig, q: int, count: int) -> tuple:

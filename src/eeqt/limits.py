@@ -1,8 +1,10 @@
 """Tolerances, limits and the record grid: the checks that need no arrays.
 
 A configured detector is read, checked and sized against these before any
-array exists, so ``eeqt efficiency`` runs without numpy; ``states`` and
-``evolution`` import them from here.  This module loads no numpy.
+array exists, so ``eeqt efficiency`` and ``eeqt simulate`` run without
+numpy; ``states``, ``evolution`` and ``sectors`` import them from here, with
+the two guard errors that both propagators raise.  This module loads no
+numpy.
 """
 
 from __future__ import annotations
@@ -18,6 +20,11 @@ HERMITICITY_TOL = 1e-10
 IDEMPOTENCY_TOL = 1e-10
 POSITIVITY_TOL = 1e-9
 TRACE_TOL = 1e-9
+# The structural CP check reports an off-diagonal block only above this magnitude.
+BLOCK_ZERO_TOL = 1e-10
+# A truncated Taylor sum of a propagator adds at most this many terms; at
+# h ||L|| <= 1 the 19th is already below 2^-53 of the first.
+TAYLOR_TERMS = 30
 
 # EvolutionConfig refuses more steps than this, so a record grid never holds
 # more than 10^7 records; evolve refuses a matrix-free run of more series
@@ -27,6 +34,14 @@ MAX_STEPS = 10 ** 7
 # arrays, would need more bytes than this; MAX_STEPS alone still allows 10^7
 # records.  evolve applies it, and so does the CLI's efficiency command.
 MAX_RECORD_BYTES = 2 ** 30
+
+
+class TraceDriftError(ArithmeticError):
+    """Raised when a record's total trace is not finite or drifts beyond tolerance."""
+
+
+class PositivityError(ArithmeticError):
+    """Raised when a record has a block eigenvalue below -POSITIVITY_TOL."""
 
 
 def check_basis_index(dim: int, index: int) -> None:
@@ -41,6 +56,15 @@ def check_offdiagonal_index(dim: int, i: int, j: int) -> None:
         raise ValueError("off-diagonal element requires i != j")
     if not (0 <= i < dim and 0 <= j < dim):
         raise ValueError(f"indices ({i}, {j}) out of range for dim {dim}")
+
+
+def signal_entries(weights: dict, coherences) -> dict:
+    """{(m, w): value} of the nonzero entries of a signal, the d x d matrix with diagonal
+    `weights` (basis index -> weight) plus its ((i, j), value) `coherences`, summed in order."""
+    entries = {(i, i): 0.0 + w for i, w in weights.items()}
+    for pos, value in coherences:
+        entries[pos] = entries.get(pos, 0.0) + value
+    return {pos: value for pos, value in entries.items() if value != 0}
 
 
 def certainly_density_matrix(dim: int, weights: dict, coherences) -> bool:
@@ -130,6 +154,15 @@ class EvolutionConfig(_Frozen):
 
         return np.append(np.arange(0, self.n_steps, self.record_every, dtype=np.int64),
                          np.int64(self.n_steps))
+
+    def intervals(self) -> list:
+        """[(steps per record interval, at most the run; records on the grid)].
+
+        A last record off the grid adds (leftover steps, 1).
+        """
+        every = min(self.record_every, self.n_steps)
+        grid, left = divmod(self.n_steps, every)
+        return [(every, grid), (left, 1)] if left else [(every, grid)]
 
     def record_times(self) -> list:
         """The record times as floats, k * step over ``record_steps()``: bit for bit its

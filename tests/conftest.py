@@ -1,8 +1,11 @@
 """Shared helpers for the test suite."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
+from eeqt import cli
 from eeqt.evolution import CouplingOperator
 from eeqt.states import HybridState
 
@@ -40,6 +43,35 @@ def dense_blocks(coupling: CouplingOperator) -> np.ndarray:
     blocks = np.zeros((n1, n1, d, d), dtype=complex)
     blocks[tuple(coupling.positions.T)] = coupling.entries
     return blocks
+
+
+def config_system(text: str) -> tuple:
+    """Numpy couplings, initial state and EvolutionConfig of the config `text`, for ``evolve``.
+
+    One CouplingOperator per coupling of the family's table, each block the
+    diagonal matrix of its entries; the state is the product of the checked
+    signal with p = (1, 0, ...), as ``simulate`` propagates it.
+    """
+    cli._library("limits", "states", "detectors")
+    config = cli._Config()
+    config.read_string(text)
+    _, dim, family = cli._read_family(config)
+    state = cli._initial_state(cli._signal_matrix(dim, family), family.classical_dim)
+    couplings = table_couplings(family.couplings, family.classical_dim, dim)
+    return couplings, state, cli._evolution_config(config)
+
+
+def table_couplings(table, classical_dim: int, dim: int) -> list:
+    """One CouplingOperator per coupling of a ``sectors`` coupling table, of diagonal blocks."""
+    return [CouplingOperator.from_entries(
+        classical_dim,
+        {pos: np.diag([entries.get(m, 0.0) for m in range(dim)]) for pos, entries in coupling},
+        dim) for coupling in table]
+
+
+def load_system(path) -> tuple:
+    """``config_system`` of the config file at `path`."""
+    return config_system(pathlib.Path(path).read_text())
 
 
 @pytest.fixture

@@ -18,10 +18,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eeqt import cli, evolution, limits, states
+from eeqt import cli, evolution, limits, sectors, states
 from eeqt.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, FAMILIES, main
 from eeqt.detectors import n_state_trajectory
 from eeqt.evolution import PositivityError, TraceDriftError, evolve
+
+from conftest import load_system
 
 SHIPPED_CONFIGS = sorted((pathlib.Path(__file__).parents[1] / "configs").glob("*.ini"))
 
@@ -693,14 +695,21 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+def identity_rows(rows, scale):
+    """`scale` times the identity, in the row lists of a sector matrix like `rows`."""
+    return [[scale * (i == j) for j in range(len(rows))] for i in range(len(rows))]
+
+
 def test_trace_drift_guard_exits_3(tmp_path, capsys, monkeypatch):
     # main catches ArithmeticError alone; the drift guard is one.  An injected
-    # record propagator adds half of each record to it, so the trace drifts.
+    # record propagator adds half of each record to it, so the trace drifts,
+    # in the sector kernel that simulate runs and in evolve alike.
+    monkeypatch.setattr(sectors, "_propagator", lambda rows, tau: identity_rows(rows, 0.5))
     monkeypatch.setattr(evolution, "_propagator", lambda lv, tau: 0.5 * np.eye(len(lv)))
     config = write(tmp_path, "drift.ini", BINARY_CONFIG)
-    _, _, system, state, cfg = cli._load_system(config)
+    couplings, state, cfg = load_system(config)
     with pytest.raises(TraceDriftError) as raised:
-        evolve(state, couplings=system.couplings, config=cfg)
+        evolve(state, couplings=couplings, config=cfg)
     assert isinstance(raised.value, ArithmeticError)
     assert main(["simulate", "--config", config, "--output", "-"]) == EXIT_NUMERIC
     assert capsys.readouterr() == ("", f"numerical guard: {raised.value}\n")
@@ -712,15 +721,18 @@ COARSE_BINARY_CONFIG = BINARY_CONFIG.replace("k1 = 1.0", "k1 = 4.0").replace(
 
 
 def test_negative_record_exits_3(tmp_path, capsys, monkeypatch):
-    # An injected record propagator doubles the exact change of each record:
-    # the trace stays 1, but at t = 0.4 the unregistered weight becomes
-    # 2 exp(-6.4) - 1, about -0.997.
-    exact = evolution._propagator
+    # An injected record propagator doubles the exact change of each record,
+    # in the sector kernel that simulate runs and in evolve alike: the trace
+    # stays 1, but at t = 0.4 the unregistered weight becomes 2 exp(-6.4) - 1,
+    # about -0.997.
+    exact, sector_exact = evolution._propagator, sectors._propagator
     monkeypatch.setattr(evolution, "_propagator", lambda lv, tau: 2 * exact(lv, tau))
+    monkeypatch.setattr(sectors, "_propagator",
+                        lambda rows, tau: [[2 * x for x in row] for row in sector_exact(rows, tau)])
     config = write(tmp_path, "coarse.ini", COARSE_BINARY_CONFIG.replace("step = 0.01", "step = 0.4"))
-    _, _, system, state, cfg = cli._load_system(config)
+    couplings, state, cfg = load_system(config)
     with pytest.raises(PositivityError, match=r"record 1 at t=0\.4 ") as raised:
-        evolve(state, couplings=system.couplings, config=cfg)
+        evolve(state, couplings=couplings, config=cfg)
     assert isinstance(raised.value, ArithmeticError)
     out = tmp_path / "coarse.csv"
     assert main(["simulate", "--config", config, "--output", str(out)]) == EXIT_NUMERIC
@@ -762,26 +774,17 @@ def test_every_record_matches_the_closed_form(tmp_path, k1, k2, step, duration):
     np.testing.assert_allclose(simulated, closed_form, rtol=0, atol=1e-12)
 
 
-def test_matrix_free_run_beyond_max_steps_substeps_exits_2(tmp_path, capsys, monkeypatch):
-    # N = 2 * 24^2 = 1152 is above the dense memory ceiling; k = 1e8 bounds
-    # the norm of L by 2e8, so one unit of time takes 2e8 series substeps
-    calls = []
-    rhs = evolution.Generator.rhs
-
-    def counted(gen, rho):
-        calls.append(rho)
-        return rhs(gen, rho)
-
-    monkeypatch.setattr(evolution.Generator, "rhs", counted)
+def test_stiff_filter_beyond_max_steps_substeps_matches_the_closed_form(tmp_path):
+    # N = 2 * 24^2 = 1152 and k = 1e8: evolve's matrix-free path would need
+    # 2e8 series substeps, beyond MAX_STEPS, and refuses the run.  No sector
+    # has more than 2 states, and the one that decays at rate 2k is squared
+    # 28 times in the I + A form.
     config = write(tmp_path, "stiff.ini", FILTER_CONFIG.replace("dim = 2", "dim = 24")
                    .replace("k = 1.0", "k = 1e8").replace("step = 0.01", "step = 1.0")
                    .replace("duration = 2.0", "duration = 1.0"))
-    out = tmp_path / "out.csv"
-    assert main(["simulate", "--config", config, "--output", str(out)]) == EXIT_CONFIG
-    assert capsys.readouterr().err.splitlines() == [
-        f"config error: {config}: 2e+08 series substeps exceed the limit of 10000000 "
-        "(MAX_STEPS); shorten the duration"]
-    assert calls == [] and not out.exists()
+    simulated, closed_form = simulated_and_closed_form(tmp_path, config)
+    assert len(simulated) == 2
+    np.testing.assert_allclose(simulated, closed_form, rtol=0, atol=1e-12)
 
 
 def count_eigenvalue_calls(monkeypatch):
@@ -804,36 +807,56 @@ def count_eigenvalue_calls(monkeypatch):
 
 
 def test_simulate_computes_the_record_eigenvalues_once(tmp_path, monkeypatch):
-    # one block_eigenvalues call for the signal check, one over every record
-    # for both the positivity guard and the min_eigenvalue column; a binary
-    # detector keeps its diagonal signal diagonal, so LAPACK never runs
+    # one pass over every record serves both the positivity guard and the
+    # min_eigenvalue column; the signal passes its disc test, and a binary
+    # detector keeps its diagonal signal diagonal, so numpy never runs
+    passes = []
+    min_eigenvalues = sectors._min_eigenvalues
+
+    def counted(values, n1, d, n_records):
+        passes.append((n1, d, n_records))
+        return min_eigenvalues(values, n1, d, n_records)
+
+    monkeypatch.setattr(sectors, "_min_eigenvalues", counted)
     blocks, lapack = count_eigenvalue_calls(monkeypatch)
     config = write(tmp_path, "binary.ini", BINARY_CONFIG)
     assert main(["simulate", "--config", config, "--output", str(tmp_path / "s.csv")]) == EXIT_OK
-    assert blocks == [(2, 2, 2), (5, 2, 2, 2)]  # the signal's blocks, then 5 records
-    assert lapack == []
+    assert passes == [(2, 2, 5)]  # 2 blocks of dim 2, 5 records
+    assert blocks == [] and lapack == []
 
 
 def test_only_the_blocks_with_a_coherence_reach_eigvalsh(tmp_path, monkeypatch):
-    # the filter leaves block 0's coherence in place and moves only the
-    # diagonal e1 rho e1 into block 1, so block 0 of the signal and of each of
-    # the 3 records is the only matrix that goes to LAPACK
+    # the filter leaves block 0's coherences in place and moves only the
+    # diagonal e1 rho e1 into block 1.  Block 0's three indices form one
+    # coherence component, and at 4001 records its Jacobi sweeps are priced
+    # above a numpy import, so that component of each record is the only
+    # matrix that goes to LAPACK; a 2-index component never does.
     blocks, lapack = count_eigenvalue_calls(monkeypatch)
-    text = FILTER_CONFIG.replace("0.7,0.3", "0.7,0.3\noffdiag_0_1 = 0.2\noffdiag_1_0 = 0.2")
+    text = (FILTER_CONFIG.replace("dim = 2", "dim = 3").replace("step = 0.01", "step = 0.001")
+            .replace("duration = 2.0", "duration = 4.0").replace("record_every = 100",
+                                                                  "record_every = 1")
+            .replace("0.7,0.3", "0.5,0.3,0.2\noffdiag_0_1 = 0.1\noffdiag_1_0 = 0.1\n"
+                     "offdiag_1_2 = 0.1\noffdiag_2_1 = 0.1"))
+    assert 4001 * 3 ** 3 > sectors.JACOBI_PRICE
     config = write(tmp_path, "coherent.ini", text)
     assert main(["simulate", "--config", config, "--output", str(tmp_path / "s.csv")]) == EXIT_OK
-    assert blocks == [(2, 2, 2), (3, 2, 2, 2)]
-    assert [a.shape for a in lapack] == [(1, 2, 2), (3, 2, 2)]
-    for a in lapack:
-        assert (a[:, 0, 1] != 0).all()
+    assert blocks == [(4001, 3, 3)]
+    assert [a.shape for a in lapack] == [(4001, 3, 3)]
+    assert (lapack[0][:, 0, 1] != 0).all() and (lapack[0][:, 1, 2] != 0).all()
+    blocks.clear()
+    pair = FILTER_CONFIG.replace("0.7,0.3", "0.7,0.3\noffdiag_0_1 = 0.2\noffdiag_1_0 = 0.2")
+    config = write(tmp_path, "pair.ini", pair.replace("step = 0.01", "step = 0.0005")
+                   .replace("record_every = 100", "record_every = 1"))
+    assert main(["simulate", "--config", config, "--output", str(tmp_path / "p.csv")]) == EXIT_OK
+    assert blocks == [] and len(lapack) == 1
 
 
 def test_nan_trace_drift_exits_3(tmp_path, capsys, monkeypatch):
-    # an injected infinite record propagator drives the records to NaN
-    # (inf * 0); NaN drift must still trip the guard instead of producing an
-    # exit-0 CSV of NaN rows, with no numpy overflow or invalid-value warning
-    # on the way
-    monkeypatch.setattr(evolution, "_propagator", lambda lv, tau: np.full_like(lv, np.inf))
+    # an injected infinite record propagator in the sector kernel drives the
+    # records to NaN (inf * 0); NaN drift must still trip the guard instead of
+    # producing an exit-0 CSV of NaN rows, with no warning on the way
+    monkeypatch.setattr(sectors, "_propagator", lambda rows, tau: [[math.inf] * len(rows)
+                                                                   for _ in rows])
     config = write(tmp_path, "unstable.ini", BINARY_CONFIG)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -33,7 +33,8 @@ from eeqt.states import (
     validate_state,
 )
 
-from conftest import coupling_from_blocks, dense_blocks, random_density, random_hybrid_state
+from conftest import (config_system, coupling_from_blocks, dense_blocks, load_system,
+                      random_density, random_hybrid_state)
 from test_exact_propagator import exact_records
 
 
@@ -342,6 +343,31 @@ def test_evolve_refuses_records_beyond_max_record_bytes(monkeypatch):
     monkeypatch.setattr(limits, "MAX_RECORD_BYTES", 101 * 128 - 1)
     with pytest.raises(ValueError, match="MAX_RECORD_BYTES"):
         evolve(state, couplings=couplings, config=config)
+
+
+def test_evolve_refuses_a_matrix_free_run_beyond_max_steps_substeps(monkeypatch):
+    # A Hamiltonian 1e8 (|0><1| + |1><0|) in each block of a filter at d = 24:
+    # N = 2 * 24^2 = 1152 is above the dense memory ceiling, and the norm of
+    # L is bounded by 2 ||K||_F + k, about 2.83e8, so one unit of time would
+    # take 2.83e8 series substeps.  The run is refused before any rhs call.
+    calls = []
+    rhs = Generator.rhs
+
+    def counted(gen, rho):
+        calls.append(rho)
+        return rhs(gen, rho)
+
+    monkeypatch.setattr(Generator, "rhs", counted)
+    d = 24
+    hamiltonian = np.zeros((2, d, d))
+    hamiltonian[:, 0, 1] = hamiltonian[:, 1, 0] = 1e8
+    e = basis_projector(d, 0)
+    state = product_state(e, [1.0, 0.0])
+    with pytest.raises(ValueError, match=r"^2\.83e\+08 series substeps exceed the limit of "
+                                         r"10000000 \(MAX_STEPS\); shorten the duration$"):
+        evolve(state, hamiltonian, [FilterSpec(1.0, e).coupling()],
+               config=EvolutionConfig(step=1.0, duration=1.0))
+    assert calls == []
 
 
 def test_config_accepts_whole_multiples_up_to_rounding():
@@ -667,10 +693,8 @@ FAMILY_CONFIGS["none"] = "[detector]\nfamily = none\ndim = 2\nclassical_dim = 3\
 def family_system(family):
     """Generator, initial state, Hamiltonian (None) and couplings that
     cli.FAMILIES builds for a config of `family`."""
-    config = cli._Config()
-    config.read_string(FAMILY_CONFIGS[family])
-    _, system, state = cli._build_system(config)
-    return Generator.prepare(system.couplings, state=state), state, None, system.couplings
+    couplings, state, _ = config_system(FAMILY_CONFIGS[family])
+    return Generator.prepare(couplings, state=state), state, None, couplings
 
 
 def hamiltonian_system():
@@ -809,8 +833,8 @@ def test_path_rule_takes_the_propagator_for_short_small_runs(steps, every):
 
 @pytest.mark.parametrize("path", sorted(SHIPPED_CONFIGS.glob("*.ini")), ids=lambda p: p.stem)
 def test_path_rule_takes_the_propagator_for_shipped_configs(path):
-    _, _, system, state, config = cli._load_system(str(path))
-    gen = Generator.prepare(system.couplings, state=state)
+    couplings, state, config = load_system(path)
+    gen = Generator.prepare(couplings, state=state)
     assert _dense_pays(gen, config)
 
 
@@ -838,8 +862,8 @@ def test_path_rule_keeps_each_benchmark_invocation_on_its_path(workload, tmp_pat
             if inv.command == "simulate":
                 path = tmp_path / inv.config_name
                 path.write_text(inv.config_text)
-                _, _, system, state, config = cli._load_system(str(path))
-                gen = Generator.prepare(system.couplings, state=state)
+                couplings, state, config = load_system(path)
+                gen = Generator.prepare(couplings, state=state)
                 dense[seed, inv.key.removeprefix("simulate/")] = _dense_pays(gen, config)
     assert dense == {(seed, key): path for seed in (1, 2, 3)
                      for key, path in BENCH_PATHS[workload].items()}

@@ -18,6 +18,8 @@ from eeqt.detectors import (BinaryDetectorSpec, SignalDecomposition, TwoStateDet
 from eeqt.evolution import Generator, evolve
 from eeqt.states import basis_projector, product_state
 
+from conftest import load_system
+
 
 def expm(a: np.ndarray) -> np.ndarray:
     """e^a: a degree-20 Taylor sum of a / 2^s, where ||a / 2^s||_1 <= 1/2, squared s times.
@@ -88,9 +90,9 @@ def test_family_configs_cover_every_family():
 def test_every_record_is_within_1e_10_of_the_exact_propagator(tmp_path, monkeypatch, text, path):
     monkeypatch.setattr(evolution, "_dense_pays", lambda gen, n_steps: path == "dense")
     (tmp_path / "case.ini").write_text(text)
-    _, _, system, state, config = cli._load_system(tmp_path / "case.ini")
-    traj = evolve(state, couplings=system.couplings, config=config)
-    lv = Generator.prepare(system.couplings, state=state).liouvillian()
+    couplings, state, config = load_system(tmp_path / "case.ini")
+    traj = evolve(state, couplings=couplings, config=config)
+    lv = Generator.prepare(couplings, state=state).liouvillian()
     exact = exact_records(lv, state.blocks, config)
     assert np.abs(traj.blocks - exact).max() <= 1e-12
 

@@ -1,15 +1,15 @@
 """The import boundary: which modules each entry point loads.
 
 ``import eeqt`` resolves its names lazily, each CLI command imports only
-the eeqt modules it runs, and only a command that computes imports numpy;
-these tests pin all three, in fresh interpreters.  The value classes are
+the eeqt modules it runs, and only ``reproduce`` always imports numpy;
+``simulate`` and ``efficiency`` load it only for a signal outside their
+disc test, and ``simulate`` besides only past its Jacobi price.  These
+tests pin all of it, in fresh interpreters.  The value classes are
 plain classes, so no command imports ``dataclasses`` either, and each of
 them refuses an assignment to its attributes.
 """
 
-import contextlib
 import importlib
-import io
 import os
 import pathlib
 import subprocess
@@ -18,7 +18,7 @@ import sys
 import pytest
 
 import eeqt
-from eeqt import cli
+from eeqt import cli, sectors
 
 ROOT = pathlib.Path(__file__).parents[1]
 SRC = pathlib.Path(eeqt.__file__).parents[1]
@@ -88,12 +88,12 @@ def test_import_detectors_loads_no_numpy():
     assert "numpy" not in loaded
 
 
-# argparse alone answers --version, --help and usage errors; only simulate and
-# reproduce import numpy.  No command loads OpenSSL's ``_hashlib`` (the config
-# and flag digests come from CPython's builtin SHA-256) or ``numpy.random``,
-# whose ``secrets`` import would load ``hashlib``; validate classifies supports
-# alone and efficiency evaluates the closed forms on ``math``, so neither loads
-# ``random`` or numpy.
+# argparse alone answers --version, --help and usage errors; only reproduce
+# imports numpy.  No command loads OpenSSL's ``_hashlib`` (the config and flag
+# digests come from CPython's builtin SHA-256) or ``numpy.random``, whose
+# ``secrets`` import would load ``hashlib``; validate classifies supports
+# alone, efficiency evaluates the closed forms on ``math`` and simulate
+# propagates sectors on the standard library, so none of them loads numpy.
 @pytest.mark.parametrize("argv, modules, numpy", [
     (["--version"], set(), False),
     ([], set(), False),                                # usage error
@@ -101,7 +101,7 @@ def test_import_detectors_loads_no_numpy():
     (["plan", "--help"], set(), False),
     (["plan", "--rho1", "abc"], set(), False),         # argparse rejects the value
     (PLAN, {"planner"}, False),
-    (["simulate", "--config", BINARY], SYSTEM, True),
+    (["simulate", "--config", BINARY], {"limits", "detectors", "sectors"}, False),
     (["efficiency", "--config", BINARY], {"limits", "detectors"}, False),
     (["validate"], {"shapes"}, False),
     (["reproduce"], SYSTEM | {"planner"}, True),
@@ -119,12 +119,12 @@ def test_validate_loads_no_random():
     assert "random" not in all_loaded_modules(main_code(["validate"]), "-S")
 
 
-def efficiency_loads(configs, *flags, output=None) -> set:
-    """Every module a fresh interpreter with `flags` holds after `efficiency` on each config.
+def efficiency_loads(configs, *flags, output=None, command="efficiency") -> set:
+    """Every module a fresh interpreter with `flags` holds after `command` on each config.
 
     Each run must exit 0; the last writes its CSV to `output` when one is given.
     """
-    argvs = [["efficiency", "--config", str(c), "--output", "-"] for c in configs]
+    argvs = [[command, "--config", str(c), "--output", "-"] for c in configs]
     if output is not None:
         argvs[-1][-1] = str(output)
     code = ("import contextlib, io\nfrom eeqt.cli import main\n"
@@ -201,7 +201,7 @@ def test_no_command_loads_dataclasses():
             "assert codes == [0, 0, 0, 0, 3], codes")  # reproduce fails on P(15) alone
     loaded = all_loaded_modules(code)
     assert eeqt_modules(loaded) == {"cli", "limits", "states", "evolution", "detectors",
-                                    "shapes", "planner"}
+                                    "sectors", "shapes", "planner"}
     assert "dataclasses" not in loaded
 
 
@@ -286,23 +286,67 @@ def test_cli_library_names_resolve_from_outside():
         cli.no_such_name  # noqa: B018
 
 
-def test_simulate_calls_the_evolve_and_rows_bound_on_the_module(monkeypatch):
-    # A traced benchmark run wraps these two module attributes before it
-    # calls main(); simulate must call the wrappers, not its own imports.
-    calls = []
-    evolve, trajectory_rows = cli.evolve, cli.trajectory_rows
+def test_simulate_loads_no_numpy(tmp_path, monkeypatch):
+    # every shipped config, and every simulate input of every workload at seeds 1-3
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    configs = sorted((ROOT / "configs").glob("*.ini"))
+    for workload in sorted(workloads.WORKLOADS):
+        for seed in (1, 2, 3):
+            calls = [inv for inv in workloads.generate(workload, seed)
+                     if inv.command == "simulate"]
+            directory = tmp_path / f"{workload}-{seed}"
+            directory.mkdir()
+            workloads.write_inputs(calls, directory)
+            configs += [directory / inv.config_name for inv in calls]
+    assert len(configs) == 4 + 3 * (4 + 4 + 3 + 2)
+    loaded = efficiency_loads(configs, "-S", command="simulate")
+    assert eeqt_modules(loaded) == {"cli", "limits", "detectors", "sectors"}
+    assert "numpy" not in loaded
 
-    def traced_evolve(*args, **kwargs):
-        calls.append("evolve")
-        return evolve(*args, **kwargs)
 
-    def traced_rows(traj):
-        calls.append("trajectory_rows")
-        return trajectory_rows(traj)
+@pytest.mark.parametrize("weights, coherence, numpy", [
+    ("0.5,0.5", "0.5", False),    # a pure state: both discs end at 0
+    ("0.36,0.64", "0.48", True),  # a pure state whose first disc reaches -0.12
+], ids=["disc-edge", "outside-the-discs"])
+def test_simulate_loads_numpy_only_for_a_signal_outside_the_discs(tmp_path, weights, coherence,
+                                                                  numpy):
+    config = tmp_path / "signal.ini"
+    config.write_text(FILTER_SIGNAL.format(weights, coherence, coherence))
+    loaded = efficiency_loads([config], command="simulate")
+    assert ("numpy" in loaded) == numpy
+    assert eeqt_modules(loaded) == {"cli", "limits", "detectors", "sectors"} | (
+        {"states"} if numpy else set())
 
-    monkeypatch.setattr(cli, "evolve", traced_evolve)
-    monkeypatch.setattr(cli, "trajectory_rows", traced_rows)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["simulate", "--config", BINARY]) == cli.EXIT_OK
-    assert calls == ["evolve", "trajectory_rows"]
-    assert cli.evolve is traced_evolve
+
+# A filter whose three basis indices form one coherence component in block 0.
+COMPONENT = """\
+[detector]
+family = filter
+dim = 3
+k = 1.0
+
+[signal]
+weights = 0.5,0.3,0.2
+offdiag_0_1 = 0.1
+offdiag_1_0 = 0.1
+offdiag_1_2 = 0.1
+offdiag_2_1 = 0.1
+
+[evolution]
+step = 0.001
+duration = {}
+record_every = 1
+"""
+
+
+@pytest.mark.parametrize("beyond", [False, True], ids=["at-the-price", "past-the-price"])
+def test_simulate_loads_numpy_only_past_the_jacobi_price(tmp_path, beyond):
+    # records * 3^3 against the price: the last record count at it, and one more
+    records = sectors.JACOBI_PRICE // 27 + beyond
+    config = tmp_path / "component.ini"
+    config.write_text(COMPONENT.format(repr((records - 1) * 0.001)))
+    loaded = efficiency_loads([config], command="simulate")
+    assert ("numpy" in loaded) == beyond
+    assert eeqt_modules(loaded) == {"cli", "limits", "detectors", "sectors"} | (
+        {"states"} if beyond else set())
