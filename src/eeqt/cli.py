@@ -32,10 +32,12 @@ Only reproduce always imports numpy, so argparse answers ``--version``,
 ``--help`` and every usage error without loading numpy or any eeqt module.
 ``efficiency`` evaluates the closed forms on ``math``, and ``simulate``
 propagates the coupling table sector by sector with ``sectors``.  Both check
-the signal with ``limits.certainly_density_matrix``; only a signal that test
-cannot pass loads numpy, to be checked by ``states.validate_state``, and
-``simulate`` loads it besides only for the eigenvalues of a coherence
-component of 3 or more indices on a long run (``sectors.JACOBI_PRICE``).
+the signal with ``limits.check_signal``, whose smallest eigenvalue is the
+one ``simulate`` computes for every record.  Either command loads numpy
+only for eigenvalues whose Jacobi sweeps would cost more than the import
+(``limits.JACOBI_PRICE``): in the signal, a coherence component of 45 or
+more indices; in ``simulate``'s records besides, a component of 3 or more
+on a long run.
 No command loads OpenSSL (through ``hashlib``) or ``numpy.random``.  A
 process runs ``console_main``, which is ``main`` with the cyclic garbage
 collector off.
@@ -68,9 +70,9 @@ from . import __version__
 # modules it runs and binds their names here with ``_library``, so ``eeqt
 # plan`` never loads the integrator and ``--version`` loads no eeqt module.
 _LIBRARY = {
-    "limits": ("EvolutionConfig", "certainly_density_matrix", "check_basis_index",
-               "check_offdiagonal_index", "check_record_memory", "signal_entries"),
-    "states": ("basis_projector", "product_state", "validate_state"),
+    "limits": ("EvolutionConfig", "check_basis_index", "check_offdiagonal_index",
+               "check_record_memory", "check_signal", "signal_entries"),
+    "states": ("basis_projector", "product_state"),
     "evolution": ("evolve", "trajectory_rows"),
     "detectors": ("BinaryConstants", "BinaryDetectorSpec", "FilterConstants",
                   "NStateConstants", "NStateDetectorSpec", "SignalDecomposition",
@@ -361,50 +363,12 @@ def _evolution_config(config):
     )
 
 
-def _signal_matrix(dim, family):
-    """The d x d signal of `family`, its ``signal_entries`` and zeros elsewhere.
-
-    A value that is not finite stays in place; ``product_state`` refuses the
-    matrix on one line.
-    """
-    import numpy as np
-
-    rho_q = np.zeros((dim, dim), dtype=complex)
-    for pos, value in signal_entries(family.weights, family.coherences).items():
-        rho_q[pos] = value
-    return rho_q
-
-
-def _initial_state(rho_q, classical_dim):
-    """The product of `rho_q` and p = (1, 0, ...), refused unless it is a density matrix."""
-    import numpy as np
-
-    state = product_state(rho_q, np.eye(classical_dim)[0])
-    report = validate_state(state)
-    if not report.ok:
-        raise ValueError(f"signal is not a density matrix: Hermiticity deviation "
-                         f"{report.hermiticity_deviation:.3g}, min eigenvalue "
-                         f"{report.min_eigenvalue:.3g}")
-    return state
-
-
-def _check_signal(dim, family):
-    """Refuse the signal of `family` unless it is a density matrix, numpy only where needed.
-
-    ``certainly_density_matrix`` accepts most signals; any other goes to
-    ``_initial_state``, and with it numpy's ``validate_state``.
-    """
-    if not certainly_density_matrix(dim, family.weights, family.coherences):
-        _library("states")
-        _initial_state(_signal_matrix(dim, family), family.classical_dim)
-
-
 def _read_system(path):
     """Config hash, family name, quantum dim, Family and EvolutionConfig of a file, with the
     checks that simulate and efficiency both make, in the same order."""
     digest, config = _read_config(path)
     family, dim, spec = _read_family(config)
-    _check_signal(dim, spec)
+    check_signal(dim, spec.classical_dim, spec.weights, spec.coherences)
     return digest, family, dim, spec, _evolution_config(config)
 
 
@@ -426,11 +390,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_efficiency(args):
-    """The closed form on simulate's record grid, after simulate's checks, without numpy.
-
-    Only a signal that ``certainly_density_matrix`` cannot pass loads numpy,
-    to be checked as ``simulate`` checks it.
-    """
+    """The closed form on simulate's record grid, after simulate's checks, without numpy."""
     _library("limits", "detectors")
     digest, family, dim, spec, cfg = _read_system(args.config)
     if spec.closed_form is None:

@@ -30,10 +30,11 @@ finished, the first record with a block eigenvalue below -POSITIVITY_TOL
 stops it with PositivityError.
 
 The record grid ``EvolutionConfig``, the limits MAX_STEPS and
-MAX_RECORD_BYTES, ``check_record_memory``, TAYLOR_TERMS, BLOCK_ZERO_TOL and
-the two guard errors need no arrays; they live in ``limits`` and are
-re-exported here.  ``sectors`` propagates the CLI's projector generators
-without numpy; ``evolve`` is the general integrator it is tested against.
+MAX_RECORD_BYTES, ``check_record_memory``, TAYLOR_TERMS, BLOCK_ZERO_TOL,
+``CPReport`` and the two guard errors need no arrays; they live in
+``limits`` and are re-exported here.  ``sectors`` propagates the CLI's
+projector generators without numpy; ``evolve`` is the general integrator
+it is tested against.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ import operator
 import numpy as np
 
 from . import _Frozen
-from .limits import (BLOCK_ZERO_TOL, MAX_RECORD_BYTES, MAX_STEPS, TAYLOR_TERMS,  # noqa: F401
-                     EvolutionConfig, PositivityError, TraceDriftError, check_record_memory)
+from .limits import (BLOCK_ZERO_TOL, K_NOT_FINITE, MAX_RECORD_BYTES,  # noqa: F401
+                     MAX_STEPS, TAYLOR_TERMS, CPReport, EvolutionConfig, PositivityError,
+                     TraceDriftError, check_record_memory)
 from .states import (HERMITICITY_TOL, POSITIVITY_TOL, HybridState, block_eigenvalues,
                      operator_array)
 
@@ -196,7 +198,7 @@ class Generator(_Frozen):
             if hamiltonian is not None:
                 k -= 1j * h
         if not np.isfinite(k).all():
-            raise OverflowError("K = -iH - G/2 is not finite: a coupling entry is too large")
+            raise OverflowError(K_NOT_FINITE)
         return cls(k, v, index)
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
@@ -312,9 +314,7 @@ def evolve(state: HybridState, hamiltonian=None, couplings=(), *, config: Evolut
     check_record_memory(config, state.blocks.shape)
     gen = Generator.prepare(couplings, hamiltonian, state)
     if check_cp:
-        report = gen.cp_report()
-        if not report.ok:
-            raise ValueError(f"coupling operators fail CP conditions: {report.summary()}")
+        gen.cp_report().check()
     # rounding in a run too stiff for double precision can overflow to inf
     # and NaN; the record check reports it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -322,9 +322,7 @@ def evolve(state: HybridState, hamiltonian=None, couplings=(), *, config: Evolut
     min_eig = traj.min_eigenvalues()
     k = np.argmax(min_eig < -POSITIVITY_TOL)  # the first record below, else 0
     if min_eig[k] < -POSITIVITY_TOL:
-        raise PositivityError(f"record {k} at t={traj.times[k]:g} has block eigenvalue "
-                              f"{min_eig[k]:.3g}, below -{POSITIVITY_TOL:g}; the propagation "
-                              "lost accuracy at these rates")
+        raise PositivityError(k, traj.times[k], min_eig[k])
     return traj
 
 
@@ -497,38 +495,7 @@ def _check_trace(records: np.ndarray, steps: np.ndarray, trace: np.ndarray,
     bad = ~(drift <= config.trace_tol)  # also catches NaN
     if bad.any():
         i = bad.argmax()
-        raise TraceDriftError(f"trace drift {drift[i]:.3g} at t={steps[i] * config.step:g} "
-                              f"exceeds {config.trace_tol:.3g}; the propagation lost "
-                              "accuracy at these rates")
-
-
-class CPReport(_Frozen):
-    """Result of the structural complete-positivity checks.
-
-    ``gain_offdiag``: largest off-diagonal block magnitude of sum_i Vi Vi*.
-    ``sandwich_offdiag``: largest bound, over i and alpha != beta, on the
-    (alpha, beta) block of Vi* A Vi for block-diagonal A with unit-norm
-    blocks.  ``violations`` lists (check, i, alpha, beta, value).
-    """
-
-    __slots__ = ("gain_offdiag", "sandwich_offdiag", "violations")
-
-    def __init__(self, gain_offdiag: float, sandwich_offdiag: float, violations: tuple):
-        self._set(gain_offdiag=gain_offdiag, sandwich_offdiag=sandwich_offdiag,
-                  violations=violations)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def summary(self) -> str:
-        if self.ok:
-            return "pass"
-        worst = max(self.violations, key=lambda v: v[-1])
-        return (
-            f"{len(self.violations)} violating blocks; worst {worst[0]} "
-            f"block ({worst[2]}, {worst[3]}) magnitude {worst[4]:.3g}"
-        )
+        raise TraceDriftError(drift[i], steps[i] * config.step, config.trace_tol)
 
 
 def check_cp_conditions(couplings, probes=()) -> CPReport:

@@ -3,15 +3,19 @@
 A configured detector is read, checked and sized against these before any
 array exists, so ``eeqt efficiency`` and ``eeqt simulate`` run without
 numpy; ``states``, ``evolution`` and ``sectors`` import them from here, with
-the two guard errors that both propagators raise.  This module loads no
-numpy.
+the guard errors, the CP report and the messages that both propagators
+raise.  ``min_eigenvalues`` decides the positivity of the records of
+``sectors`` and, through ``check_signal``, of the quantum signal itself.  It
+loads numpy only when the sum of c^3 over the coherence components of c >= 3
+indices, times the records, exceeds JACOBI_PRICE: for the signal alone, one
+record, a component of c >= 45 indices.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
-import sys
 
 from . import _Frozen
 
@@ -30,18 +34,82 @@ TAYLOR_TERMS = 30
 # more than 10^7 records; evolve refuses a matrix-free run of more series
 # substeps than this.
 MAX_STEPS = 10 ** 7
-# check_record_memory refuses a run whose records, kept as complex (n+1, d, d)
-# arrays, would need more bytes than this; MAX_STEPS alone still allows 10^7
-# records.  evolve applies it, and so does the CLI's efficiency command.
+# check_record_memory refuses a run whose records, sized as the complex
+# (n+1, d, d) arrays that evolve holds, would need more bytes than this;
+# MAX_STEPS alone still allows 10^7 records.  evolve, sectors and the CLI's
+# efficiency command all apply it, though sectors keeps only the nonzero
+# sector columns as floats and efficiency keeps no record at all.
 MAX_RECORD_BYTES = 2 ** 30
+# Records times the sum of c^3 over the coherence components of c >= 3
+# indices, above which min_eigenvalues hands them to numpy.  Cyclic Jacobi
+# takes 1.3-1.9 us per c^3 per record in CPython 3.11 on 2 vCPUs (35 us for a
+# 3 x 3 block, 1.4 ms for 9 x 9), and importing numpy and eeqt.states adds
+# 0.1-0.2 s to a process: the price is 90 000 x 1.5 us, about 0.13 s of Jacobi.
+JACOBI_PRICE = 90_000
+# Cyclic Jacobi stops after this many sweeps; a symmetric matrix of the
+# sizes it prices converges in under 10.
+JACOBI_SWEEPS = 50
+
+# What both propagators raise when K = -iH - G/2 overflows.
+K_NOT_FINITE = "K = -iH - G/2 is not finite: a coupling entry is too large"
 
 
 class TraceDriftError(ArithmeticError):
     """Raised when a record's total trace is not finite or drifts beyond tolerance."""
 
+    def __init__(self, drift: float, t: float, tol: float):
+        super().__init__(drift, t, tol)
+
+    def __str__(self) -> str:
+        drift, t, tol = self.args
+        return (f"trace drift {drift:.3g} at t={t:g} exceeds {tol:.3g}; the propagation lost "
+                "accuracy at these rates")
+
 
 class PositivityError(ArithmeticError):
     """Raised when a record has a block eigenvalue below -POSITIVITY_TOL."""
+
+    def __init__(self, record: int, t: float, eigenvalue: float):
+        super().__init__(record, t, eigenvalue)
+
+    def __str__(self) -> str:
+        record, t, eigenvalue = self.args
+        return (f"record {record} at t={t:g} has block eigenvalue {eigenvalue:.3g}, below "
+                f"-{POSITIVITY_TOL:g}; the propagation lost accuracy at these rates")
+
+
+class CPReport(_Frozen):
+    """Result of the structural complete-positivity checks.
+
+    ``gain_offdiag``: largest off-diagonal block magnitude of sum_i Vi Vi*.
+    ``sandwich_offdiag``: largest bound, over i and alpha != beta, on the
+    (alpha, beta) block of Vi* A Vi for block-diagonal A with unit-norm
+    blocks.  ``violations`` lists (check, i, alpha, beta, value).
+    """
+
+    __slots__ = ("gain_offdiag", "sandwich_offdiag", "violations")
+
+    def __init__(self, gain_offdiag: float, sandwich_offdiag: float, violations: tuple):
+        self._set(gain_offdiag=gain_offdiag, sandwich_offdiag=sandwich_offdiag,
+                  violations=violations)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def summary(self) -> str:
+        if self.ok:
+            return "pass"
+        worst = max(self.violations, key=lambda v: v[-1])
+        return (
+            f"{len(self.violations)} violating blocks; worst {worst[0]} "
+            f"block ({worst[2]}, {worst[3]}) magnitude {worst[4]:.3g}"
+        )
+
+    def check(self) -> None:
+        """Raise ValueError with the summary unless the couplings pass."""
+        if not self.ok:
+            raise ValueError(f"coupling operators fail CP conditions: {self.summary()}")
 
 
 def check_basis_index(dim: int, index: int) -> None:
@@ -67,42 +135,137 @@ def signal_entries(weights: dict, coherences) -> dict:
     return {pos: value for pos, value in entries.items() if value != 0}
 
 
-def certainly_density_matrix(dim: int, weights: dict, coherences) -> bool:
-    """Whether a real signal passes ``states.validate_state`` for certain, decided without numpy.
+def check_signal(dim: int, classical_dim: int, weights: dict, coherences) -> None:
+    """Raise ValueError unless the real signal of ``signal_entries`` is a density matrix.
 
-    The signal is the d x d matrix with diagonal ``weights`` (basis index ->
-    entry, zero elsewhere) plus the sum of its ``coherences``, ((i, j),
-    value) pairs.  True when every value is finite, the matrix is exactly
-    symmetric, its trace is within TRACE_TOL of 1 and every Gershgorin disc
-    lies in [-POSITIVITY_TOL, inf), the last two by a margin that the
-    rounding of numpy's trace and of ``eigvalsh`` cannot cross.  A disc test
-    is sufficient, not necessary: False means only that numpy must decide.
+    The checks and messages, in order, of ``states.product_state`` and
+    ``validate_state`` on the product of the d x d signal with p = (1, 0,
+    ...) on `classical_dim` events: every entry finite, the trace (by
+    ``math.fsum``) within TRACE_TOL of 1, and then the Hermiticity deviation
+    and the smallest block eigenvalue, which ``min_eigenvalues`` takes as
+    record 0 of a run.
     """
-    entries = {}
-    for pos, value in coherences:
-        entries[pos] = entries.get(pos, 0.0) + value
-    values = [*weights.values(), *entries.values()]
-    if not all(map(math.isfinite, values)):
-        return False
-    if any(entries.get((j, i), 0.0) != value for (i, j), value in entries.items()):
-        return False
-    eps = sys.float_info.epsilon
-    # numpy sums the diagonal within (d - 1) u sum|w|, u = eps / 2
-    diagonal = weights.values()
-    if abs(math.fsum(diagonal) - 1.0) > TRACE_TOL - dim * eps * math.fsum(map(abs, diagonal)):
-        return False
-    radius = dict.fromkeys(weights, 0.0)
-    for (i, _), value in entries.items():
-        radius[i] = radius.get(i, 0.0) + abs(value)
-    norm = max((abs(weights.get(i, 0.0)) + r for i, r in radius.items()), default=0.0)
-    # eigvalsh is backward stable: its eigenvalues are exact for A + E, |E| <= p(d) eps |A|
-    floor = -POSITIVITY_TOL + dim * dim * eps * norm
-    return all(weights.get(i, 0.0) - r >= floor for i, r in radius.items())
+    entries = signal_entries(weights, coherences)
+    if not all(map(math.isfinite, entries.values())):
+        raise ValueError("quantum state contains non-finite entries")
+    trace = math.fsum(value for (m, w), value in entries.items() if m == w)
+    if abs(trace - 1.0) > TRACE_TOL:
+        raise ValueError(f"quantum state has trace {trace:.12g}, expected 1")
+    herm = max((abs(value - entries.get((w, m), 0.0)) for (m, w), value in entries.items()),
+               default=0.0)
+    low = min_eigenvalues({pos: {0: [value]} for pos, value in entries.items()},
+                          classical_dim, dim, 1)[0]
+    if not (herm <= HERMITICITY_TOL and low >= -POSITIVITY_TOL):
+        raise ValueError(f"signal is not a density matrix: Hermiticity deviation {herm:.3g}, "
+                         f"min eigenvalue {low:.3g}")
+
+
+def _components(indices, edges) -> list:
+    """The connected components of the graph on `indices` with `edges`, as sorted lists."""
+    parent = {i: i for i in indices}
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for m, w in edges:
+        parent[root(m)] = root(w)
+    groups = {}
+    for i in sorted(indices):
+        groups.setdefault(root(i), []).append(i)
+    return list(groups.values())
+
+
+def min_eigenvalues(values, n1: int, d: int, n_records: int) -> list:
+    """The smallest eigenvalue of the Hermitian part of any block, per record.
+
+    `values` maps the positions (m, w) of the entries that are ever nonzero
+    to {alpha: the entry in block alpha, a list over the records}, for
+    `n1` blocks of dimension `d`.  The coherences of a block fall into
+    components of basis indices that stay fixed over the run.  A component
+    of one index is its own entry, one of two takes the 2 x 2 closed form, a
+    larger one cyclic Jacobi, or ``states.block_eigenvalues`` when Jacobi
+    would cost more than JACOBI_PRICE.  An index with no entry in a block
+    gives it the eigenvalue 0.
+    """
+    zeros = [0.0] * n_records
+    columns, large = [], []
+    for alpha in range(n1):
+        at = {pos: by_state[alpha] for pos, by_state in values.items() if alpha in by_state}
+        indices = {i for pos in at for i in pos}
+        if len(indices) < d:
+            columns.append(zeros)
+        for comp in _components(indices, [pos for pos in at if pos[0] != pos[1]]):
+            if len(comp) == 1:
+                columns.append(at[comp[0], comp[0]])
+            elif len(comp) == 2:
+                m, w = comp
+                a, c = at.get((m, m), zeros), at.get((w, w), zeros)
+                b = map(lambda x, y: 0.5 * (x + y), at.get((m, w), zeros), at.get((w, m), zeros))
+                columns.append([0.5 * (x + z) - math.hypot(0.5 * (x - z), y)
+                                for x, y, z in zip(a, b, c)])
+            else:
+                large.append([[at.get((m, w), zeros) for w in comp] for m in comp])
+    if n_records * sum(len(comp) ** 3 for comp in large) > JACOBI_PRICE:
+        columns += _lapack_minima(large)
+    else:
+        for comp in large:
+            columns.append([_jacobi_min([[0.5 * (comp[i][j][r] + comp[j][i][r])
+                                          for j in range(len(comp))] for i in range(len(comp))])
+                            for r in range(n_records)])
+    return [min(t) for t in zip(*columns)]
+
+
+def _lapack_minima(large) -> list:
+    """The smallest eigenvalue per record of each component, by ``states.block_eigenvalues``."""
+    import numpy as np
+
+    from .states import block_eigenvalues
+
+    return [block_eigenvalues(np.array(comp).transpose(2, 0, 1))[:, 0].tolist()
+            for comp in large]
+
+
+def _jacobi_min(a) -> float:
+    """The smallest eigenvalue of the real symmetric matrix `a` (changed in place), by cyclic
+    Jacobi rotations until the off-diagonal part is below 2^-53 of the whole.
+
+    A matrix whose largest entry lies outside 2^+-500 is scaled by a power of
+    two first, so that no square in the stopping test overflows or underflows.
+    """
+    c = len(a)
+    top = max(abs(x) for row in a for x in row)
+    scale = 0 if top == 0 or 2.0 ** -500 < top < 2.0 ** 500 else math.frexp(top)[1]
+    if scale:
+        a[:] = [[math.ldexp(x, -scale) for x in row] for row in a]
+    pairs = list(itertools.combinations(range(c), 2))
+    for _ in range(JACOBI_SWEEPS):
+        if not (sum(a[p][q] * a[p][q] for p, q in pairs)
+                > 2.0 ** -106 * sum(x * x for row in a for x in row)):
+            break
+        for p, q in pairs:
+            if a[p][q] == 0:
+                continue
+            theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
+            t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+            cos = 1.0 / math.sqrt(t * t + 1.0)
+            sin = t * cos
+            for row in a:
+                row[p], row[q] = cos * row[p] - sin * row[q], sin * row[p] + cos * row[q]
+            a[p], a[q] = ([cos * x - sin * y for x, y in zip(a[p], a[q])],
+                          [sin * x + cos * y for x, y in zip(a[p], a[q])])
+    return math.ldexp(min(a[i][i] for i in range(c)), scale)
 
 
 def check_record_memory(config: "EvolutionConfig", shape: tuple) -> None:
     """Raise ValueError when recording complex arrays of `shape` on config's grid needs
-    more than MAX_RECORD_BYTES."""
+    more than MAX_RECORD_BYTES.
+
+    The bound sizes the complex (n+1, d, d) records of ``evolve``; ``sectors``
+    and ``efficiency`` apply it unchanged, so all three refuse the same grids,
+    though neither holds such records.
+    """
     need = config.n_records * 16 * math.prod(shape)  # 16 bytes a complex128 entry
     if need > MAX_RECORD_BYTES:
         raise ValueError(f"{config.n_records} records of shape {shape} need "

@@ -24,9 +24,11 @@ with the same errors and messages.  A coupling table is a sequence of
 couplings, each a sequence of ((gamma, alpha), {m: v}) block entries, the
 diagonal v of the block at (gamma, alpha) by basis index.
 
-Only a block with a coherence component of 3 or more indices, on a run long
-enough for the component's Jacobi sweeps to cost more than importing numpy,
-loads numpy, for ``states.block_eigenvalues``.
+The record eigenvalues come from ``limits.min_eigenvalues``, which checks
+the signal too.  Only a block with a coherence component of 3 or more
+indices, on a run long enough for the component's Jacobi sweeps to cost
+more than importing numpy (``limits.JACOBI_PRICE``), loads numpy, for
+``states.block_eigenvalues``.
 """
 
 from __future__ import annotations
@@ -36,23 +38,14 @@ import math
 from array import array
 from operator import mul
 
-from .limits import (BLOCK_ZERO_TOL, POSITIVITY_TOL, TAYLOR_TERMS, PositivityError,
-                     TraceDriftError, check_record_memory)
+from .limits import (BLOCK_ZERO_TOL, K_NOT_FINITE, POSITIVITY_TOL, TAYLOR_TERMS, CPReport,
+                     PositivityError, TraceDriftError, check_record_memory, min_eigenvalues)
 
 # A sector of c states holds a stack of at most this many c x c record
 # propagators, the depth of ``evolution``'s dense stack at N = 8, and at most
 # one per c records of the interval, so that building it (c^3 each) never
 # costs more than the c^2 per record it serves.
 STACK_DEPTH = 256
-# Records times the sum of c^3 over the coherence components of c >= 3
-# indices, above which their eigenvalues go to numpy.  Cyclic Jacobi takes
-# 1.3-1.9 us per c^3 per record in CPython 3.11 on 2 vCPUs (35 us for a 3 x 3
-# block, 1.4 ms for 9 x 9), and importing numpy and eeqt.states adds 0.1-0.2 s
-# to a process: the price is 90 000 x 1.5 us, about 0.13 s of Jacobi.
-JACOBI_PRICE = 90_000
-# Cyclic Jacobi stops after this many sweeps; a symmetric matrix of the
-# sizes it prices converges in under 10.
-JACOBI_SWEEPS = 50
 
 
 def _gather(couplings, n1: int) -> tuple:
@@ -68,12 +61,12 @@ def _gather(couplings, n1: int) -> tuple:
         for m, v in entries.items():
             kappa[g][m] = kappa[g].get(m, 0.0) - 0.5 * (v * v)
     if not all(math.isfinite(k) for row in kappa for k in row.values()):
-        raise OverflowError("K = -iH - G/2 is not finite: a coupling entry is too large")
+        raise OverflowError(K_NOT_FINITE)
     return blocks, kappa
 
 
 def _check_cp(couplings) -> None:
-    """``evolution.Generator.cp_report`` for diagonal blocks; ValueError with its summary.
+    """``evolution.Generator.cp_report`` for diagonal blocks; ValueError unless it passes.
 
     Two blocks of one coupling in one column and different rows give sum V V*
     an off-diagonal block, the sum of their elementwise products; two in one
@@ -91,15 +84,11 @@ def _check_cp(couplings) -> None:
             elif g == h and a != b:
                 at = (i, a, b)
                 leak[at] = leak.get(at, 0.0) + math.hypot(*e.values()) * math.hypot(*f.values())
-    violations = [("gain", None, *at, max(map(abs, block.values()), default=0.0))
-                  for at, block in sorted(gain.items())]
+    gain = {at: max(map(abs, block.values()), default=0.0) for at, block in gain.items()}
+    violations = [("gain", None, *at, mag) for at, mag in sorted(gain.items())]
     violations += [("sandwich", *at, mag) for at, mag in sorted(leak.items())]
-    violations = [v for v in violations if v[-1] > BLOCK_ZERO_TOL]
-    if violations:
-        worst = max(violations, key=lambda v: v[-1])
-        raise ValueError(f"coupling operators fail CP conditions: {len(violations)} violating "
-                         f"blocks; worst {worst[0]} block ({worst[2]}, {worst[3]}) magnitude "
-                         f"{worst[4]:.3g}")
+    CPReport(max(gain.values(), default=0.0), max(leak.values(), default=0.0),
+             tuple(v for v in violations if v[-1] > BLOCK_ZERO_TOL)).check()
 
 
 def _sector(m: int, w: int, blocks, kappa) -> tuple:
@@ -235,12 +224,10 @@ def sector_columns(couplings, signal: dict, shape: tuple, config) -> list:
     traces = [sum(t) for t in zip(*probs)]
     drift = [abs(x - 1.0) for x in traces]
     _check_trace(values, traces, drift, times, config)
-    min_eig = _min_eigenvalues(values, n1, d, len(times))
+    min_eig = min_eigenvalues(values, n1, d, len(times))
     k = next((r for r, x in enumerate(min_eig) if x < -POSITIVITY_TOL), None)
     if k is not None:
-        raise PositivityError(f"record {k} at t={times[k]:g} has block eigenvalue "
-                              f"{min_eig[k]:.3g}, below -{POSITIVITY_TOL:g}; the propagation "
-                              "lost accuracy at these rates")
+        raise PositivityError(k, times[k], min_eig[k])
     return [array("d", col) for col in (times, *probs, drift, min_eig)]
 
 
@@ -257,92 +244,4 @@ def _check_trace(values, traces, drift, times, config) -> None:
         guard = [abs(x + 0.0 * sum(t) - 1.0) for x, *t in zip(traces, *off)]
     r = next((r for r in range(1, len(guard)) if not guard[r] <= config.trace_tol), None)
     if r is not None:
-        raise TraceDriftError(f"trace drift {guard[r]:.3g} at t={times[r]:g} exceeds "
-                              f"{config.trace_tol:.3g}; the propagation lost accuracy at "
-                              "these rates")
-
-
-def _components(indices, edges) -> list:
-    """The connected components of the graph on `indices` with `edges`, as sorted lists."""
-    parent = {i: i for i in indices}
-
-    def root(i):
-        while parent[i] != i:
-            i = parent[i]
-        return i
-
-    for m, w in edges:
-        parent[root(m)] = root(w)
-    groups = {}
-    for i in sorted(indices):
-        groups.setdefault(root(i), []).append(i)
-    return list(groups.values())
-
-
-def _min_eigenvalues(values, n1: int, d: int, n_records: int) -> list:
-    """The smallest eigenvalue of the Hermitian part of any block, per record.
-
-    The coherences of a block fall into components of basis indices that
-    stay fixed over the run.  A component of one index is its own entry, one
-    of two takes the 2 x 2 closed form, a larger one cyclic Jacobi, or
-    ``states.block_eigenvalues`` when Jacobi would cost more than JACOBI_PRICE.
-    An index with no entry in a block gives it the eigenvalue 0.
-    """
-    zeros = [0.0] * n_records
-    columns, large = [], []
-    for alpha in range(n1):
-        at = {pos: by_state[alpha] for pos, by_state in values.items() if alpha in by_state}
-        indices = {i for pos in at for i in pos}
-        if len(indices) < d:
-            columns.append(zeros)
-        for comp in _components(indices, [pos for pos in at if pos[0] != pos[1]]):
-            if len(comp) == 1:
-                columns.append(at[comp[0], comp[0]])
-            elif len(comp) == 2:
-                m, w = comp
-                a, c = at.get((m, m), zeros), at.get((w, w), zeros)
-                b = map(lambda x, y: 0.5 * (x + y), at.get((m, w), zeros), at.get((w, m), zeros))
-                columns.append([0.5 * (x + z) - math.hypot(0.5 * (x - z), y)
-                                for x, y, z in zip(a, b, c)])
-            else:
-                large.append([[at.get((m, w), zeros) for w in comp] for m in comp])
-    if n_records * sum(len(comp) ** 3 for comp in large) > JACOBI_PRICE:
-        columns += _lapack_minima(large)
-    else:
-        for comp in large:
-            columns.append([_jacobi_min([[0.5 * (comp[i][j][r] + comp[j][i][r])
-                                          for j in range(len(comp))] for i in range(len(comp))])
-                            for r in range(n_records)])
-    return [min(t) for t in zip(*columns)]
-
-
-def _lapack_minima(large) -> list:
-    """The smallest eigenvalue per record of each component, by ``states.block_eigenvalues``."""
-    import numpy as np
-
-    from .states import block_eigenvalues
-
-    return [block_eigenvalues(np.array(comp).transpose(2, 0, 1))[:, 0].tolist()
-            for comp in large]
-
-
-def _jacobi_min(a) -> float:
-    """The smallest eigenvalue of the real symmetric matrix `a` (changed in place), by cyclic
-    Jacobi rotations until the off-diagonal part is below 2^-53 of the whole."""
-    c = len(a)
-    pairs = list(itertools.combinations(range(c), 2))
-    for _ in range(JACOBI_SWEEPS):
-        if not sum(a[p][q] * a[p][q] for p, q in pairs) > 2.0 ** -106 * _squares(a):
-            break
-        for p, q in pairs:
-            if a[p][q] == 0:
-                continue
-            theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
-            t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-            cos = 1.0 / math.sqrt(t * t + 1.0)
-            sin = t * cos
-            for row in a:
-                row[p], row[q] = cos * row[p] - sin * row[q], sin * row[p] + cos * row[q]
-            a[p], a[q] = ([cos * x - sin * y for x, y in zip(a[p], a[q])],
-                          [sin * x + cos * y for x, y in zip(a[p], a[q])])
-    return min(a[i][i] for i in range(c))
+        raise TraceDriftError(guard[r], times[r], config.trace_tol)

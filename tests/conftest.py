@@ -7,7 +7,8 @@ import pytest
 
 from eeqt import cli
 from eeqt.evolution import CouplingOperator
-from eeqt.states import HybridState
+from eeqt.limits import check_signal, signal_entries
+from eeqt.states import HybridState, product_state
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -52,11 +53,15 @@ def config_system(text: str) -> tuple:
     diagonal matrix of its entries; the state is the product of the checked
     signal with p = (1, 0, ...), as ``simulate`` propagates it.
     """
-    cli._library("limits", "states", "detectors")
+    cli._library("limits", "detectors")
     config = cli._Config()
     config.read_string(text)
     _, dim, family = cli._read_family(config)
-    state = cli._initial_state(cli._signal_matrix(dim, family), family.classical_dim)
+    check_signal(dim, family.classical_dim, family.weights, family.coherences)
+    rho_q = np.zeros((dim, dim), dtype=complex)
+    for pos, value in signal_entries(family.weights, family.coherences).items():
+        rho_q[pos] = value
+    state = product_state(rho_q, np.eye(family.classical_dim)[0])
     couplings = table_couplings(family.couplings, family.classical_dim, dim)
     return couplings, state, cli._evolution_config(config)
 

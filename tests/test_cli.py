@@ -570,8 +570,6 @@ def test_signal_refusals_keep_their_numpy_message(tmp_path, capsys):
     ("0.500000001", EXIT_CONFIG),         # trace 1 + 1.00000008e-09: beyond it
 ], ids=["inside", "beyond"])
 def test_a_trace_at_the_tolerance_gets_one_verdict(tmp_path, capsys, weight, code):
-    # within a few ulps of TRACE_TOL the trace is left to numpy, as simulate checks it
-    assert not limits.certainly_density_matrix(2, {0: 0.5, 1: float(weight)}, ())
     text = FILTER_CONFIG.replace("0.7,0.3", f"0.5,{weight}")
     simulated, closed_form = both_commands(tmp_path, capsys, text)
     assert simulated == closed_form and simulated[0] == code
@@ -808,16 +806,16 @@ def count_eigenvalue_calls(monkeypatch):
 
 def test_simulate_computes_the_record_eigenvalues_once(tmp_path, monkeypatch):
     # one pass over every record serves both the positivity guard and the
-    # min_eigenvalue column; the signal passes its disc test, and a binary
-    # detector keeps its diagonal signal diagonal, so numpy never runs
+    # min_eigenvalue column; a binary detector keeps its diagonal signal
+    # diagonal, so numpy never runs
     passes = []
-    min_eigenvalues = sectors._min_eigenvalues
+    min_eigenvalues = sectors.min_eigenvalues
 
     def counted(values, n1, d, n_records):
         passes.append((n1, d, n_records))
         return min_eigenvalues(values, n1, d, n_records)
 
-    monkeypatch.setattr(sectors, "_min_eigenvalues", counted)
+    monkeypatch.setattr(sectors, "min_eigenvalues", counted)
     blocks, lapack = count_eigenvalue_calls(monkeypatch)
     config = write(tmp_path, "binary.ini", BINARY_CONFIG)
     assert main(["simulate", "--config", config, "--output", str(tmp_path / "s.csv")]) == EXIT_OK
@@ -837,7 +835,7 @@ def test_only_the_blocks_with_a_coherence_reach_eigvalsh(tmp_path, monkeypatch):
                                                                   "record_every = 1")
             .replace("0.7,0.3", "0.5,0.3,0.2\noffdiag_0_1 = 0.1\noffdiag_1_0 = 0.1\n"
                      "offdiag_1_2 = 0.1\noffdiag_2_1 = 0.1"))
-    assert 4001 * 3 ** 3 > sectors.JACOBI_PRICE
+    assert 4001 * 3 ** 3 > limits.JACOBI_PRICE
     config = write(tmp_path, "coherent.ini", text)
     assert main(["simulate", "--config", config, "--output", str(tmp_path / "s.csv")]) == EXIT_OK
     assert blocks == [(4001, 3, 3)]

@@ -2,9 +2,9 @@
 
 ``import eeqt`` resolves its names lazily, each CLI command imports only
 the eeqt modules it runs, and only ``reproduce`` always imports numpy;
-``simulate`` and ``efficiency`` load it only for a signal outside their
-disc test, and ``simulate`` besides only past its Jacobi price.  These
-tests pin all of it, in fresh interpreters.  The value classes are
+``simulate`` and ``efficiency`` load it only for eigenvalues past the
+Jacobi price, which no signal of fewer than 45 coherent indices reaches.
+These tests pin all of it, in fresh interpreters.  The value classes are
 plain classes, so no command imports ``dataclasses`` either, and each of
 them refuses an assignment to its attributes.
 """
@@ -18,7 +18,7 @@ import sys
 import pytest
 
 import eeqt
-from eeqt import cli, sectors
+from eeqt import cli, limits
 
 ROOT = pathlib.Path(__file__).parents[1]
 SRC = pathlib.Path(eeqt.__file__).parents[1]
@@ -176,19 +176,47 @@ def csv_body(path) -> list:
             if not line.startswith("#")]
 
 
-@pytest.mark.parametrize("weights, coherence, numpy", [
-    ("0.5,0.5", "0.5", False),    # a pure state: both discs end at 0
-    ("0.36,0.64", "0.48", True),  # a pure state whose first disc reaches -0.12
-], ids=["disc-edge", "outside-the-discs"])
-def test_only_a_signal_outside_the_discs_loads_numpy(tmp_path, weights, coherence, numpy):
+# Two pure states: one whose Gershgorin discs both end at 0, and one whose
+# first disc reaches -0.12, so that no disc test could accept it.
+PURE_SIGNALS = [("0.5,0.5", "0.5"), ("0.36,0.64", "0.48")]
+
+
+@pytest.mark.parametrize("weights, coherence", PURE_SIGNALS,
+                         ids=["disc-edge", "outside-the-discs"])
+def test_no_signal_below_the_price_loads_numpy_in_efficiency(tmp_path, weights, coherence):
     config = tmp_path / "signal.ini"
     config.write_text(FILTER_SIGNAL.format(weights, coherence, coherence))
     diagonal = tmp_path / "diagonal.ini"  # the same closed form: q1 is the weight on e1
     diagonal.write_text(FILTER_SIGNAL.format(weights, 0, 0))
     loaded = efficiency_loads([config], output=tmp_path / "signal.csv")
-    assert ("numpy" in loaded) == numpy
+    assert eeqt_modules(loaded) == {"cli", "limits", "detectors"}
+    assert "numpy" not in loaded
     efficiency_loads([diagonal], output=tmp_path / "diagonal.csv")
     assert csv_body(tmp_path / "signal.csv") == csv_body(tmp_path / "diagonal.csv")
+
+
+# Signals that both commands refuse, each with its own message.
+REFUSED_SIGNALS = {
+    "cohbad": ("0.5,0.5", "0.6", "0.6"),            # eigenvalues 1.1 and -0.1
+    "non-hermitian": ("0.7,0.3", "0.1", "0"),
+    "trace-not-1": ("0.7,0.2", "0", "0"),
+    "nan-weight": ("0.7,nan", "0", "0"),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "efficiency"])
+@pytest.mark.parametrize("signal", REFUSED_SIGNALS.values(), ids=REFUSED_SIGNALS)
+def test_a_refused_signal_loads_no_numpy(tmp_path, signal, command):
+    config = tmp_path / "signal.ini"
+    config.write_text(FILTER_SIGNAL.format(*signal))
+    code = ("import contextlib, io\nfrom eeqt.cli import main\n"
+            "with contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    code = main([{command!r}, '--config', {str(config)!r}])\n"
+            "assert code == 2, code")
+    loaded = all_loaded_modules(code)
+    assert eeqt_modules(loaded) == {"cli", "limits", "detectors"} | (
+        {"sectors"} if command == "simulate" else set())
+    assert "numpy" not in loaded
 
 
 def test_no_command_loads_dataclasses():
@@ -305,18 +333,14 @@ def test_simulate_loads_no_numpy(tmp_path, monkeypatch):
     assert "numpy" not in loaded
 
 
-@pytest.mark.parametrize("weights, coherence, numpy", [
-    ("0.5,0.5", "0.5", False),    # a pure state: both discs end at 0
-    ("0.36,0.64", "0.48", True),  # a pure state whose first disc reaches -0.12
-], ids=["disc-edge", "outside-the-discs"])
-def test_simulate_loads_numpy_only_for_a_signal_outside_the_discs(tmp_path, weights, coherence,
-                                                                  numpy):
+@pytest.mark.parametrize("weights, coherence", PURE_SIGNALS,
+                         ids=["disc-edge", "outside-the-discs"])
+def test_no_signal_below_the_price_loads_numpy_in_simulate(tmp_path, weights, coherence):
     config = tmp_path / "signal.ini"
     config.write_text(FILTER_SIGNAL.format(weights, coherence, coherence))
     loaded = efficiency_loads([config], command="simulate")
-    assert ("numpy" in loaded) == numpy
-    assert eeqt_modules(loaded) == {"cli", "limits", "detectors", "sectors"} | (
-        {"states"} if numpy else set())
+    assert eeqt_modules(loaded) == {"cli", "limits", "detectors", "sectors"}
+    assert "numpy" not in loaded
 
 
 # A filter whose three basis indices form one coherence component in block 0.
@@ -343,7 +367,7 @@ record_every = 1
 @pytest.mark.parametrize("beyond", [False, True], ids=["at-the-price", "past-the-price"])
 def test_simulate_loads_numpy_only_past_the_jacobi_price(tmp_path, beyond):
     # records * 3^3 against the price: the last record count at it, and one more
-    records = sectors.JACOBI_PRICE // 27 + beyond
+    records = limits.JACOBI_PRICE // 27 + beyond
     config = tmp_path / "component.ini"
     config.write_text(COMPONENT.format(repr((records - 1) * 0.001)))
     loaded = efficiency_loads([config], command="simulate")

@@ -158,12 +158,12 @@ def test_jacobi_matches_eigvalsh(c):
     for _ in range(20):
         a = rng.normal(size=(c, c))
         a = a + a.T
-        assert abs(sectors._jacobi_min(a.tolist()) - np.linalg.eigvalsh(a)[0]) <= 1e-13
+        assert abs(limits._jacobi_min(a.tolist()) - np.linalg.eigvalsh(a)[0]) <= 1e-13
 
 
 def test_jacobi_and_lapack_give_the_same_column(monkeypatch):
     jacobi = simulated_columns(COMPONENT_FILTER)
-    monkeypatch.setattr(sectors, "JACOBI_PRICE", 0)
+    monkeypatch.setattr(limits, "JACOBI_PRICE", 0)
     lapack = simulated_columns(COMPONENT_FILTER)
     assert jacobi[:-1] == lapack[:-1]
     np.testing.assert_allclose(jacobi[-1], lapack[-1], rtol=0, atol=1e-15)
@@ -254,6 +254,6 @@ def test_every_coherence_component_size_meets_eigvalsh():
         matrix[i, j] = matrix[j, i] = c * min(weights[i], weights[j])
     values = {(i, j): {0: [matrix[i, j]] * 3} for i, j in itertools.product(range(6), repeat=2)
               if matrix[i, j]}
-    got = sectors._min_eigenvalues(values, 1, 6, 3)
+    got = limits.min_eigenvalues(values, 1, 6, 3)
     assert got == [got[0]] * 3
     assert abs(got[0] - np.linalg.eigvalsh(matrix)[0]) <= 1e-15
