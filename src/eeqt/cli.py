@@ -28,16 +28,15 @@ With the default ``--output -`` the CSV goes to stdout and the summaries of
 ``plan`` and ``validate`` go to stderr, so stdout holds nothing but the CSV;
 with an output file they go to stdout.
 
-Only reproduce always imports numpy, so argparse answers ``--version``,
-``--help`` and every usage error without loading numpy or any eeqt module.
-``efficiency`` evaluates the closed forms on ``math``, and ``simulate``
-propagates the coupling table sector by sector with ``sectors``.  Both check
-the signal with ``limits.check_signal``, whose smallest eigenvalue is the
-one ``simulate`` computes for every record.  Either command loads numpy
-only for eigenvalues whose Jacobi sweeps would cost more than the import
-(``limits.JACOBI_PRICE``): in the signal, a coherence component of 45 or
-more indices; in ``simulate``'s records besides, a component of 3 or more
-on a long run.
+No command loads numpy below ``limits.JACOBI_PRICE``; argparse answers
+``--version``, ``--help`` and usage errors without any eeqt module.
+``efficiency`` evaluates the closed forms on ``math``, ``simulate`` (and
+``reproduce``'s binary row) propagates sector by sector with ``sectors``.
+Both check the signal with ``limits.check_signal``, whose smallest
+eigenvalue is the one ``simulate`` computes for every record.  Either loads
+numpy only for eigenvalues whose Jacobi sweeps would cost more than the
+import: in the signal, a coherence component of 45 or more indices; in
+``simulate``'s records besides, a component of 3 or more on a long run.
 No command loads OpenSSL (through ``hashlib``) or ``numpy.random``.  A
 process runs ``console_main``, which is ``main`` with the cyclic garbage
 collector off.
@@ -72,12 +71,11 @@ from . import __version__
 _LIBRARY = {
     "limits": ("EvolutionConfig", "check_basis_index", "check_offdiagonal_index",
                "check_record_memory", "check_signal", "signal_entries"),
-    "states": ("basis_projector", "product_state"),
     "evolution": ("evolve", "trajectory_rows"),
-    "detectors": ("BinaryConstants", "BinaryDetectorSpec", "FilterConstants",
-                  "NStateConstants", "NStateDetectorSpec", "SignalDecomposition",
-                  "TwoStateConstants", "binary_trajectory", "check_basis_orthogonal",
-                  "filter_classical_output", "n_state_trajectory", "two_state_trajectory"),
+    "detectors": ("BinaryConstants", "FilterConstants", "NStateConstants",
+                  "SignalDecomposition", "TwoStateConstants", "binary_trajectory",
+                  "check_basis_orthogonal", "filter_classical_output", "n_state_trajectory",
+                  "two_state_trajectory"),
     "sectors": ("sector_columns",),
     "shapes": ("TOPOLOGY_BY_TAG", "classify_2x2", "classify_3x3",
                "enumerate_admissible_patterns"),
@@ -318,9 +316,6 @@ def _none(config, dim):
     return Family(classical_dim, *_weighted_signal(config, dim, [1.0]), ())
 
 
-# The modules that build and run a numpy system (reproduce).
-_SYSTEM_MODULES = ("limits", "states", "evolution", "detectors")
-
 # Detector family -> reader(config, quantum dim) -> Family.  A family's
 # config keys are read in its reader and nowhere else.
 FAMILIES = {
@@ -467,7 +462,7 @@ def _reproduction_rows():
     Yields (name, computed, expected, tolerance) tuples.  Tolerances of zero
     mean exact (integer or closed-form) agreement.
     """
-    _library("planner", *_SYSTEM_MODULES)
+    _library("planner", "limits", "detectors", "sectors")
     scenario = TransmissionScenario(rho1=0.8, eta_det=0.9, accuracy=0.05,
                                     confidence_target=0.6, margin=0.045)
     yield ("minimal_m", minimal_m(scenario), 12, 0)
@@ -490,20 +485,15 @@ def _reproduction_rows():
     yield ("confirmation count n(p=0.45, 90%)", di_confirmation_count(0.45, 0.9), 4, 0)
 
     # balanced binary detector reaches 1/2 under numeric evolution
-    e = basis_projector(2, 0)
-    spec = BinaryDetectorSpec(1.0, 1.0, e)
-    state = product_state(e, [1.0, 0.0])
-    traj = evolve(state, couplings=[spec.coupling()],
-                  config=EvolutionConfig(step=0.005, duration=12.0, record_every=200))
-    yield ("binary k1=k2 registered probability", float(traj.probabilities()[-1, 1]),
-           0.5, 1e-4)
+    columns = sector_columns(((((0, 1), {0: 1.0}), ((1, 0), {0: 1.0})),), {(0, 0): 1.0},
+                             (2, 2), EvolutionConfig(step=0.005, duration=12.0,
+                                                     record_every=200))
+    yield ("binary k1=k2 registered probability", columns[2][-1], 0.5, 1e-4)
 
     # n-state detector: unit asymptotic efficiency regardless of channel count
     for channels in (1, 2, 5):
-        spec_n = NStateDetectorSpec(1.0, tuple(basis_projector(5, i)
-                                               for i in range(channels)))
         yield (f"n-state p_j(10), {channels} channels",
-               float(n_state_trajectory(spec_n, 0, 10.0)[1]), 1.0, 1e-4)
+               n_state_trajectory(NStateConstants(1.0, channels), 0, 10.0)[1], 1.0, 1e-4)
 
 
 def _cmd_reproduce(args):
@@ -638,11 +628,11 @@ def _run(argv) -> int:
 def console_main() -> int:
     """The process entry of ``eeqt`` and ``python -m eeqt.cli``: ``main()`` without the cyclic GC.
 
-    A CLI process is short, and reference counting frees its arrays, so the
-    cyclic collector only walks numpy's objects: during the import, during
-    the run and once more at interpreter exit.  Disabling it skips the first
-    two; freezing what is left skips the last.  ``main`` itself leaves the
-    collector alone for in-process callers.
+    Reference counting frees what a short process allocates, so the cyclic
+    collector only walks its rows and configs, and all once more at exit;
+    disabling it skips the first, freezing skips the last.  In-process,
+    detector-mix's seed-1 invocations run about 7% faster so (2 vCPUs).
+    ``main`` itself leaves the collector alone for in-process callers.
     """
     gc.disable()
     code = main()

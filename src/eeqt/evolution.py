@@ -52,6 +52,9 @@ from .states import (HERMITICITY_TOL, POSITIVITY_TOL, HybridState, block_eigenva
                      operator_array)
 
 PATTERN_ZERO_TOL = 1e-12
+# The figures of the three constants below were measured while ``eeqt
+# simulate`` still ran ``evolve`` (``BENCH_16.json`` and the later single
+# cost rule of ``_dense_pays``); they set the library integrator's path alone.
 # The dense path holds at most four N x N complex arrays at once (L and three
 # while it sums or squares a record propagator), and its stack adds at most
 # STACK_BYTES beyond them.  It is never taken when the four need more bytes

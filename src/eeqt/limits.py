@@ -148,7 +148,11 @@ def check_signal(dim: int, classical_dim: int, weights: dict, coherences) -> Non
     entries = signal_entries(weights, coherences)
     if not all(map(math.isfinite, entries.values())):
         raise ValueError("quantum state contains non-finite entries")
-    trace = math.fsum(value for (m, w), value in entries.items() if m == w)
+    diagonal = [value for (m, w), value in entries.items() if m == w]
+    try:
+        trace = math.fsum(diagonal)
+    except OverflowError:  # a partial sum left the float range: numpy's plain sum
+        trace = sum(diagonal)
     if abs(trace - 1.0) > TRACE_TOL:
         raise ValueError(f"quantum state has trace {trace:.12g}, expected 1")
     herm = max((abs(value - entries.get((w, m), 0.0)) for (m, w), value in entries.items()),

@@ -417,6 +417,27 @@ def test_console_script_is_the_process_entry():
     assert ast.unparse(entry) == f"if __name__ == '__main__':\n    sys.exit({function}())"
 
 
+REPRODUCE_TABLE = """\
+quantity                                               computed           expected  result
+minimal_m                                                    12                 12  pass
+i_minus(12)                                                 8.1      8.1 +/- 1e-09  pass
+i_plus(12)                                                 9.18     9.18 +/- 1e-09  pass
+set(12)                                                     {9}                {9}  pass
+P(12)                                                  0.251125     0.25 +/- 0.005  pass
+P(15)                                                  0.226163     0.22 +/- 0.005  FAIL
+set(62)                                     {42,43,44,45,46,47} {42,43,44,45,46,47}  pass
+P(62)                                                  0.602554    0.603 +/- 0.005  pass
+set(66) at eff 0.45                         {21,22,23,24,25,26} {21,22,23,24,25,26}  pass
+P(66) at eff 0.45                                      0.557946      0.56 +/- 0.01  pass
+confirmation count n(p=0.45, 90%)                             4                  4  pass
+binary k1=k2 registered probability                         0.5     0.5 +/- 0.0001  pass
+n-state p_j(10), 1 channels                            0.999955       1 +/- 0.0001  pass
+n-state p_j(10), 2 channels                            0.999955       1 +/- 0.0001  pass
+n-state p_j(10), 5 channels                            0.999955       1 +/- 0.0001  pass
+1 row(s) failed
+"""
+
+
 def test_reproduce_reports_known_truncated_row(capsys):
     # one reference row cannot pass: the table's P(15) = 0.22 truncates the
     # exact 0.226163, which falls outside the 0.005 band
@@ -424,10 +445,8 @@ def test_reproduce_reports_known_truncated_row(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_NUMERIC
     failing = [line for line in out.splitlines() if line.endswith("FAIL")]
-    assert len(failing) == 1
-    assert failing[0].startswith("P(15)")
-    assert out.count("pass") >= 14
-    assert "1 row(s) failed" in out
+    assert len(failing) == 1 and failing[0].startswith("P(15)")
+    assert out == REPRODUCE_TABLE  # every digit of every row
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
@@ -559,7 +578,10 @@ def test_signal_refusals_keep_their_numpy_message(tmp_path, capsys):
     for text, message in ((COHBAD_CONFIG, "signal is not a density matrix: Hermiticity "
                                           "deviation 0, min eigenvalue -0.1"),
                           (FILTER_CONFIG.replace("0.7,0.3", "0.7,0.2"),
-                           "quantum state has trace 0.9, expected 1")):
+                           "quantum state has trace 0.9, expected 1"),
+                          # fsum overflows; the plain sum, like numpy's trace, is inf
+                          (FILTER_CONFIG.replace("0.7,0.3", "1e308,1e308"),
+                           "quantum state has trace inf, expected 1")):
         for code, err in both_commands(tmp_path, capsys, text):
             assert (code, err) == (EXIT_CONFIG,
                                    f"config error: {tmp_path / 'case.ini'}: {message}\n")

@@ -781,6 +781,10 @@ def large_generator(family, dim, channels):
     return Generator.prepare(couplings, state=state)
 
 
+# The path-rule tests below pin which path the library ``evolve`` takes.
+# ``eeqt simulate`` propagates sectors and runs neither path, so they pin
+# library behaviour, not the path of a benchmark workload.
+#
 # The large-dim benchmark shapes (family, quantum dim, channels, steps,
 # record_every) at the benchmark's largest step, 0.01, where a dense N x N
 # propagator would need more memory than the ceiling or more operations than
@@ -838,8 +842,9 @@ def test_path_rule_takes_the_propagator_for_shipped_configs(path):
     assert _dense_pays(gen, config)
 
 
-# The path of every perfbench simulate invocation at seeds 1-3: large-dim and
-# detector-mix's n_state go matrix-free, all else is dense.
+# The path ``evolve`` takes on the system of every perfbench simulate
+# invocation at seeds 1-3: large-dim and detector-mix's n_state go
+# matrix-free, all else is dense.  The invocations themselves run ``sectors``.
 BENCH_PATHS = {
     "detector-mix": {"mix0-binary-d2": True, "mix1-two_state-d3": True,
                      "mix2-n_state-d5": False, "mix3-filter-d3": True},

@@ -49,8 +49,26 @@ k = 1.3
 aligned_channel = 17
 """
 
+# The system of the binary row of ``eeqt reproduce``.
+BALANCED_BINARY = """\
+[detector]
+family = binary
+dim = 2
+k1 = 1.0
+k2 = 1.0
+
+[signal]
+aligned = 1.0
+
+[evolution]
+step = 0.005
+duration = 12.0
+record_every = 200
+"""
+
 PARITY_CONFIGS = {**FAMILY_CONFIGS, "filter-3-index-component": COMPONENT_FILTER,
-                  "n_state-30-channels": WIDE_N_STATE}
+                  "n_state-30-channels": WIDE_N_STATE,
+                  "reproduce-balanced-binary": BALANCED_BINARY}
 
 
 def simulated_columns(text: str) -> list:
