@@ -10,12 +10,19 @@ and ``FilterConstants``.  Its detector spec is a subclass that adds the
 projectors.  The classical solutions read only the constants: they take one
 time t and return their n+1 channel values as Python floats from
 ``math.exp``, and their long-time limits are the same functions at t = inf.
-A constant whose square overflows raises OverflowError, and a binary rate
-that underflows to zero raises ZeroDivisionError.
+A constant whose square overflows raises OverflowError.  A channel whose
+squared constants underflow to a zero rate registers nothing at a finite t:
+its r -> 0 limit, weight * gain^2 * t, is 0 when gain^2 is.  At t = inf it
+registers weight * gain^2 / (gain^2 + loss^2), taken on the constants scaled
+by the larger one, because the true rate is positive.
 
 ``import eeqt.detectors`` loads no numpy: the spec constructors, the
 couplings, ``balance_residual`` and ``filter_quantum_marginal`` import it
 when they run.
+
+It also reads the configs of ``simulate`` and ``efficiency``: each entry of
+``FAMILIES`` is the one reader of a family's keys and returns a ``Family``,
+and ``read_system`` parses the INI file and makes the checks both share.
 
 Two printed solutions required correction to be consistent with their own
 asymptotics and with numeric integration of the unambiguous rate equations:
@@ -26,6 +33,8 @@ rebuilt from the decay structure of its listed special cases.
 
 from __future__ import annotations
 
+import configparser
+import functools
 import itertools
 import math
 
@@ -139,15 +148,33 @@ def _decay(rate: float, t: float) -> float:
     return math.exp(-rate * t)
 
 
+def _underflowed_share(weight: float, gain: float, loss: float, t: float) -> float:
+    """weight * gain^2/r * (1 - exp(-r t)) where r = gain^2 + loss^2 underflows to 0.
+
+    At a finite t this is the r -> 0 limit weight * gain^2 * t, which is 0
+    because gain^2 is.  At t = inf the true rate is positive, so the share
+    gain^2 / r is taken on the constants scaled by the larger one.
+    """
+    if weight == 0 or t != math.inf:
+        return 0.0
+    top = max(gain, loss)
+    gain, loss = gain / top, loss / top
+    return weight * gain * gain / (gain * gain + loss * loss)
+
+
 def binary_trajectory(spec: BinaryConstants, sig: SignalDecomposition, t: float) -> tuple:
     """Probabilities (p0(t), p1(t)) of the binary detector.
 
     p1(t) = a0 * k1^2/(k1^2 + k2^2) * (1 - exp(-(k1^2 + k2^2) t)) and
     p0(t) = a0 + b0 - p1(t); the orthogonal weight b0 is inert.  At
     t = inf the registered probability is a0 k1^2 / (k1^2 + k2^2).
+    A rate that underflows to zero registers nothing at a finite t.
     """
     rate = spec.k1 ** 2 + spec.k2 ** 2
     decay = _decay(rate, t)
+    if rate == 0:
+        p1 = _underflowed_share(sig.a0, spec.k1, spec.k2, t)
+        return sig.a0 + sig.b0 - p1, p1
     p1 = sig.a0 * spec.k1 ** 2 / rate * (1.0 - decay)
     return sig.a0 + sig.b0 - p1, p1
 
@@ -212,9 +239,9 @@ def _channel(weight: float, gain: float, loss: float, t: float, name: str) -> fl
     rate = gain ** 2 + loss ** 2
     decay = _decay(rate, t)
     if rate == 0:
-        if weight > 0:
+        if weight > 0 and gain == loss == 0:
             raise ValueError(f"channel {name} has weight but zero coupling constants")
-        return 0.0
+        return _underflowed_share(weight, gain, loss, t)
     return weight * gain ** 2 / rate * (1.0 - decay)
 
 
@@ -362,3 +389,202 @@ def filter_classical_output(p0: float, p1: float, q1: float, k: float, t: float)
     out0 = 0.5 * (p1 - p0) * q1 + p0 + 0.5 * (p0 - p1) * q1 * decay
     out1 = 0.5 * (p0 - p1) * q1 + p1 + 0.5 * (p1 - p0) * q1 * decay
     return out0, out1
+
+
+class _Config(configparser.ConfigParser):
+    """A parsed config file whose values are read with a cast and a default."""
+
+    def value(self, section, key, cast=float, default=None):
+        if not self.has_option(section, key):
+            if default is None:
+                raise ValueError(f"missing key '{key}' in section [{section}]")
+            return default
+        try:
+            return cast(self.get(section, key))
+        except (ValueError, configparser.Error) as exc:
+            raise ValueError(f"bad value for [{section}] {key}: {exc}") from exc
+
+
+class Family(_Frozen):
+    """What a detector family reads and checks in a config, without numpy.
+
+    The quantum signal is ``weights`` on the diagonal (basis index ->
+    weight) plus ``coherences``, the ``offdiag_i_j`` entries as ((i, j),
+    value) pairs in config order.  ``couplings`` is the coupling table that
+    ``sectors.sector_columns`` reads: one tuple of ((gamma, alpha), {m: v})
+    block entries per coupling, each block the diagonal matrix with entries
+    v at basis indices m.  ``closed_form`` returns the map from a time t to
+    (p_0, ..., p_n) on the family's constants; only ``efficiency`` calls
+    it, after every check ``simulate`` makes, so its own checks may reject a
+    config that integrates fine.
+    ``asymptotic`` formats those values at t = inf for the metadata.  Either
+    is None when the family has none.
+    """
+
+    __slots__ = ("classical_dim", "weights", "coherences", "couplings", "closed_form",
+                 "asymptotic")
+
+    def __init__(self, classical_dim: int, weights: dict, coherences: tuple, couplings: tuple,
+                 closed_form=None, asymptotic=None):
+        self._set(classical_dim=classical_dim, weights=weights, coherences=coherences,
+                  couplings=couplings, closed_form=closed_form, asymptotic=asymptotic)
+
+
+def _binary(config, dim):
+    from .limits import check_basis_index
+
+    get = config.value
+    idx = get("detector", "projector", int, 0)
+    k1, k2 = get("detector", "k1"), get("detector", "k2")
+    check_basis_index(dim, idx)
+    constants = BinaryConstants(k1, k2)
+    a0 = get("signal", "aligned", default=1.0)
+    b0 = get("signal", "orthogonal", default=0.0)
+    if b0 > 0 and dim < 2:
+        raise ValueError("orthogonal weight needs quantum dim >= 2")
+    if 1.0 - a0 - b0 > 1e-12:
+        raise ValueError("binary signal weights must sum to 1")
+    weights = {idx: a0, **({(idx + 1) % dim: b0} if b0 > 0 else {})}
+    return Family(2, weights, (), ((((0, 1), {idx: k1}), ((1, 0), {idx: k2})),),
+                  lambda: functools.partial(binary_trajectory, constants,
+                                            SignalDecomposition(a0, b0)),
+                  lambda p: f"p_0={p[0]:.12g} p_1={p[1]:.12g}")
+
+
+def _two_state(config, dim):
+    from .limits import check_basis_index
+
+    get = config.value
+    k = [get("detector", key) for key in ("k1", "k2", "n1", "n2")]
+    i2 = get("detector", "projector2", int, 0)
+    i3 = get("detector", "projector3", int, 1)
+    check_basis_index(dim, i2)
+    check_basis_index(dim, i3)
+    constants = TwoStateConstants(*k)
+    check_basis_orthogonal({"e2": i2, "e3": i3})
+    a0 = get("signal", "aligned", default=1.0)
+    b0 = get("signal", "orthogonal", default=0.0)
+    weights = {i2: a0, i3: b0}
+    rest = 1.0 - a0 - b0
+    if rest > 1e-12:
+        # the inert weight goes on the highest basis index neither projector uses
+        free = [i for i in range(dim) if i not in (i2, i3)]
+        if not free:
+            raise ValueError("inert weight needs quantum dim >= 3")
+        weights[free[-1]] = rest
+    couplings = ((((0, 1), {i2: k[0]}), ((1, 0), {i2: k[1]})),
+                 (((0, 2), {i3: k[2]}), ((2, 0), {i3: k[3]})))
+    return Family(3, weights, (), couplings,
+                  lambda: functools.partial(two_state_trajectory, constants, a0, b0),
+                  lambda p: f"p_1={p[1]:.12g} p_2={p[2]:.12g} efficiency={p[1] + p[2]:.12g}")
+
+
+def _n_state(config, dim):
+    get = config.value
+    channels = get("detector", "channels", int)
+    if not 1 <= channels <= dim:
+        raise ValueError(f"channels = {channels} must lie in 1..{dim}, the quantum dim")
+    constants = NStateConstants(get("detector", "k"), channels)
+    aligned = get("detector", "aligned_channel", int, 0)
+    if not 0 <= aligned < channels:
+        raise ValueError("aligned_channel out of range")
+    root_k = math.sqrt(constants.k)
+    return Family(channels + 1, {aligned: 1.0}, (),
+                  tuple((((0, i + 1), {i: root_k}),) for i in range(channels)),
+                  lambda: functools.partial(n_state_trajectory, constants, aligned),
+                  lambda p: f"p_{aligned + 1}={p[aligned + 1]:.12g}")
+
+
+def _weighted_signal(config, dim, default_weights=None):
+    """Diagonal ``weights``, by basis index, and the ``offdiag_i_j`` coherences of [signal]."""
+    from .limits import check_offdiagonal_index
+
+    weights = config.value("signal", "weights", lambda raw: [float(v) for v in raw.split(",")],
+                           default_weights)
+    if len(weights) > dim:
+        raise ValueError(f"{len(weights)} signal weights for quantum dim {dim}")
+    coherences = []
+    for key in config.options("signal") if config.has_section("signal") else ():
+        if key.startswith("offdiag_"):
+            try:
+                _, i, j = key.split("_")
+                i, j = int(i), int(j)
+                check_offdiagonal_index(dim, i, j)
+            except ValueError as exc:
+                raise ValueError(f"bad off-diagonal key '{key}': {exc}") from exc
+            coherences.append(((i, j), config.value("signal", key)))
+    return dict(enumerate(weights)), tuple(coherences)
+
+
+def _filter(config, dim):
+    from .limits import check_basis_index
+
+    k = config.value("detector", "k")
+    projector = config.value("detector", "projector", int, 0)
+    check_basis_index(dim, projector)
+    FilterConstants(k)  # the checks of the rate
+    weights, coherences = _weighted_signal(config, dim)
+    q1 = weights.get(projector, 0.0)  # tr(e1 rho_q), the weight on the detector projector
+    root_k = math.sqrt(k)
+    return Family(2, weights, coherences,
+                  ((((0, 1), {projector: root_k}), ((1, 0), {projector: root_k})),),
+                  lambda: functools.partial(filter_classical_output, 1.0, 0.0, q1, k))
+
+
+def _none(config, dim):
+    classical_dim = config.value("detector", "classical_dim", int, 2)
+    if classical_dim < 1:
+        raise ValueError("classical_dim must be at least 1")
+    return Family(classical_dim, *_weighted_signal(config, dim, [1.0]), ())
+
+
+# Detector family -> reader(config, quantum dim) -> Family.  A family's
+# config keys are read in its reader and nowhere else.
+FAMILIES = {
+    "binary": _binary,
+    "two_state": _two_state,
+    "n_state": _n_state,
+    "filter": _filter,
+    "none": _none,
+}
+
+
+def _read_family(config):
+    """Detector family name, quantum dim and Family of a config, without numpy."""
+    family = config.value("detector", "family", str)
+    if family not in FAMILIES:
+        raise ValueError(f"unknown detector family '{family}'")
+    dim = config.value("detector", "dim", int, 2)
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    return family, dim, FAMILIES[family](config, dim)
+
+
+def _evolution_config(config):
+    from .limits import EvolutionConfig
+
+    return EvolutionConfig(
+        step=config.value("evolution", "step", default=0.005),
+        duration=config.value("evolution", "duration", default=10.0),
+        record_every=config.value("evolution", "record_every", int, 10),
+    )
+
+
+def read_system(path):
+    """Raw text, family name, quantum dim, Family and EvolutionConfig of a config file.
+
+    It makes the checks that ``simulate`` and ``efficiency`` both make, in
+    the same order; the caller digests the raw text for the metadata.
+    """
+    from .limits import check_signal
+
+    config = _Config()
+    try:
+        with open(path) as fh:
+            raw = fh.read()
+        config.read_string(raw, source=path)
+    except (OSError, configparser.Error) as exc:
+        raise ValueError(f"cannot read config: {exc}") from exc
+    family, dim, spec = _read_family(config)
+    check_signal(dim, spec.classical_dim, spec.weights, spec.coherences)
+    return raw, family, dim, spec, _evolution_config(config)

@@ -9,6 +9,7 @@ full catalogue.
 Classification is by exact zero-pattern (blocks compared to zero at 1e-12),
 not by operator values.  ``classify_2x2`` and ``classify_3x3`` take a support
 alone; only ``CataloguePattern.instantiate`` imports ``evolution`` and numpy.
+``catalogue_report`` gives the table and report that ``eeqt validate`` writes.
 """
 
 from __future__ import annotations
@@ -247,3 +248,28 @@ def enumerate_admissible_patterns(classical_dim: int) -> list:
             patterns.append(CataloguePattern(tag.name, 3, support, tag, duplicate))
         return patterns
     raise ValueError(f"unsupported classical_dim {classical_dim} (expected 2 or 3)")
+
+
+def catalogue_report() -> tuple:
+    """Header, rows and report lines of ``eeqt validate``: both catalogues, by support alone."""
+    rows = []
+    report_lines = []
+    for dim in (2, 3):
+        for pattern in enumerate_admissible_patterns(dim):
+            cls = (classify_2x2 if dim == 2 else classify_3x3)(pattern.support)
+            # with distinct orthogonal rank-1 projectors only blocks sharing a row fail CP
+            cp_pass = len({g for g, _ in pattern.support}) == len(pattern.support)
+            topology = TOPOLOGY_BY_TAG[cls.tag].value if cls.tag in TOPOLOGY_BY_TAG else ""
+            support = ";".join(f"{a}{b}" for a, b in sorted(pattern.support))
+            rows.append((dim, pattern.label, support,
+                         cls.tag.name if cls.tag else "REJECTED",
+                         topology, "yes" if cp_pass else "no",
+                         pattern.duplicate_of or ""))
+            report_lines.append(
+                f"dim {dim} pattern {pattern.label:<20} tag={rows[-1][3]:<12} "
+                f"topology={topology or '-':<24} cp={'pass' if cp_pass else 'FAIL'}"
+                + (f" duplicate of {pattern.duplicate_of}" if pattern.duplicate_of else "")
+            )
+    header = ["classical_dim", "pattern", "support", "tag", "topology", "cp_pass",
+              "duplicate_of"]
+    return header, rows, report_lines

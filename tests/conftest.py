@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from eeqt import cli
+from eeqt import detectors
 from eeqt.evolution import CouplingOperator
 from eeqt.limits import check_signal, signal_entries
 from eeqt.states import HybridState, product_state
@@ -53,17 +53,16 @@ def config_system(text: str) -> tuple:
     diagonal matrix of its entries; the state is the product of the checked
     signal with p = (1, 0, ...), as ``simulate`` propagates it.
     """
-    cli._library("limits", "detectors")
-    config = cli._Config()
+    config = detectors._Config()
     config.read_string(text)
-    _, dim, family = cli._read_family(config)
+    _, dim, family = detectors._read_family(config)
     check_signal(dim, family.classical_dim, family.weights, family.coherences)
     rho_q = np.zeros((dim, dim), dtype=complex)
     for pos, value in signal_entries(family.weights, family.coherences).items():
         rho_q[pos] = value
     state = product_state(rho_q, np.eye(family.classical_dim)[0])
     couplings = table_couplings(family.couplings, family.classical_dim, dim)
-    return couplings, state, cli._evolution_config(config)
+    return couplings, state, detectors._evolution_config(config)
 
 
 def table_couplings(table, classical_dim: int, dim: int) -> list:

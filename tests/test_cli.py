@@ -19,8 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eeqt import cli, evolution, limits, sectors, states
-from eeqt.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, FAMILIES, main
-from eeqt.detectors import n_state_trajectory
+from eeqt.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from eeqt.detectors import FAMILIES, n_state_trajectory
 from eeqt.evolution import PositivityError, TraceDriftError, evolve
 
 from conftest import load_system
@@ -889,9 +889,8 @@ def test_nan_trace_drift_exits_3(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("text", [
     BINARY_CONFIG.replace("k1 = 1.0", "k1 = 1e200"),     # k1 ** 2 overflows
-    BINARY_CONFIG.replace("k1 = 1.0", "k1 = 1e-200"),    # k1 ** 2 + k2 ** 2 underflows to 0
     FILTER_CONFIG.replace("k = 1.0", "k = 1e308"),       # 2 k t is inf * 0 at t = 0
-], ids=["overflow", "underflow", "nan"])
+], ids=["overflow", "nan"])
 def test_unrepresentable_closed_form_exits_3(tmp_path, capsys, text):
     config = write(tmp_path, "extreme.ini", text)
     out = tmp_path / "eff.csv"
@@ -900,6 +899,42 @@ def test_unrepresentable_closed_form_exits_3(tmp_path, capsys, text):
         "numerical guard: closed form is not finite; a constant is too large or too small "
         "to represent"]
     assert not out.exists()
+
+
+# Channels whose squared constants underflow, so that k1 ** 2 + k2 ** 2 is 0:
+# simulate's generator is zero on them, and the closed form gives the r -> 0
+# limit a0 k1^2 t, which is 0 too.  The true rate is still positive, so the
+# t = inf metadata holds a0 k1^2 / (k1^2 + k2^2), taken on scaled constants.
+ZERO_RATE_CONFIGS = {
+    "binary-k1-1e-200": (BINARY_CONFIG.replace("k1 = 1.0", "k1 = 1e-200"), "p_0=0 p_1=1"),
+    "binary-k1-1e-300": (BINARY_CONFIG.replace("k1 = 1.0", "k1 = 1e-300"), "p_0=0 p_1=1"),
+    "binary-k1-1e-300-k2-3e-300": (
+        BINARY_CONFIG.replace("k1 = 1.0", "k1 = 1e-300").replace("k2 = 0.0", "k2 = 3e-300"),
+        "p_0=0.9 p_1=0.1"),
+    "two_state-k1-1e-300": (TWO_STATE_CONFIG.replace("k1 = 1.0", "k1 = 1e-300"),
+                            "p_1=0.5 p_2=0.5 efficiency=1"),
+    "two_state-k1-k2-1e-300": (
+        TWO_STATE_CONFIG.replace("k1 = 1.0", "k1 = 1e-300").replace("k2 = 0.0", "k2 = 1e-300"),
+        "p_1=0.25 p_2=0.5 efficiency=0.75"),
+}
+
+
+@pytest.mark.parametrize("text, asymptotic", ZERO_RATE_CONFIGS.values(), ids=ZERO_RATE_CONFIGS)
+def test_a_zero_rate_channel_registers_nothing_at_a_finite_time(tmp_path, capsys, text,
+                                                                 asymptotic):
+    config = write(tmp_path, "zero-rate.ini", text)
+    sim, eff = tmp_path / "sim.csv", tmp_path / "eff.csv"
+    assert main(["simulate", "--config", config, "--output", str(sim)]) == EXIT_OK
+    assert main(["efficiency", "--config", config, "--output", str(eff)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    _, sim_header, sim_rows = read_csv(sim)
+    meta, header, rows = read_csv(eff)
+    assert sim_header[:len(header)] == header
+    assert len(rows) == len(sim_rows) == 5
+    np.testing.assert_allclose(np.array(rows, float), np.array(sim_rows, float)[:, :len(header)],
+                               rtol=0, atol=1e-12)
+    assert {row[header.index("p_1")] for row in rows} == {"0"}
+    assert meta["asymptotic"] == asymptotic
 
 
 def csv_body(header, rows, text=()):

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eeqt import cli
-from eeqt.detectors import FilterSpec, NStateDetectorSpec
+from eeqt.detectors import FAMILIES, FilterSpec, NStateDetectorSpec
 from eeqt import evolution, limits
 from eeqt.evolution import (
     BLOCK_ZERO_TOL,
@@ -692,7 +691,7 @@ FAMILY_CONFIGS["none"] = "[detector]\nfamily = none\ndim = 2\nclassical_dim = 3\
 
 def family_system(family):
     """Generator, initial state, Hamiltonian (None) and couplings that
-    cli.FAMILIES builds for a config of `family`."""
+    detectors.FAMILIES builds for a config of `family`."""
     couplings, state, _ = config_system(FAMILY_CONFIGS[family])
     return Generator.prepare(couplings, state=state), state, None, couplings
 
@@ -735,7 +734,7 @@ def reference_exact(hamiltonian, couplings, rho, config):
 
 
 # every detector family as the CLI builds it, plus a Hamiltonian case
-SYSTEMS = {**{family: lambda family=family: family_system(family) for family in cli.FAMILIES},
+SYSTEMS = {**{family: lambda family=family: family_system(family) for family in FAMILIES},
            "hamiltonian": hamiltonian_system}
 
 

@@ -12,9 +12,9 @@ import pathlib
 import numpy as np
 import pytest
 
-from eeqt import cli, evolution
-from eeqt.detectors import (BinaryDetectorSpec, SignalDecomposition, TwoStateDetectorSpec,
-                            binary_trajectory, two_state_trajectory)
+from eeqt import evolution
+from eeqt.detectors import (FAMILIES, BinaryDetectorSpec, SignalDecomposition,
+                            TwoStateDetectorSpec, binary_trajectory, two_state_trajectory)
 from eeqt.evolution import Generator, evolve
 from eeqt.states import basis_projector, product_state
 
@@ -59,7 +59,7 @@ def exact_records(lv: np.ndarray, rho: np.ndarray, config) -> np.ndarray:
     return np.array(records).reshape(-1, *rho.shape)
 
 
-# One config per cli.FAMILIES entry: the shipped configs, and a free system
+# One config per detectors.FAMILIES entry: the shipped configs, and a free system
 # with a coherent signal.
 FAMILY_CONFIGS = {path.stem: path.read_text()
                   for path in sorted((pathlib.Path(__file__).parents[1] / "configs").glob("*.ini"))}
@@ -81,7 +81,7 @@ record_every = 3
 
 
 def test_family_configs_cover_every_family():
-    assert set(FAMILY_CONFIGS) == set(cli.FAMILIES)
+    assert set(FAMILY_CONFIGS) == set(FAMILIES)
 
 
 # The name predates the 1e-12 bound; it is kept so that the test ids stay stable.

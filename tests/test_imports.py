@@ -43,12 +43,16 @@ PUBLIC = [
 ]
 
 
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this tree's eeqt."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+
+
 def run_fresh(code: str, *flags: str) -> str:
     """Stdout of `code` run by a fresh interpreter, with `flags`, that imports this tree's eeqt."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True,
-                          env=env, cwd=ROOT, check=True)
+                          env=fresh_env(), cwd=ROOT, check=True)
     return proc.stdout
 
 
@@ -103,7 +107,7 @@ def test_import_detectors_loads_no_numpy():
     (["simulate", "--config", BINARY], {"limits", "detectors", "sectors"}, False),
     (["efficiency", "--config", BINARY], {"limits", "detectors"}, False),
     (["validate"], {"shapes"}, False),
-    (["reproduce"], {"planner", "limits", "detectors", "sectors"}, False),
+    (["reproduce"], {"reproduction", "planner", "limits", "detectors", "sectors"}, False),
 ], ids=["version", "usage", "help", "plan-help", "plan-bad-flag", "plan", "simulate",
         "efficiency", "validate", "reproduce"])
 def test_each_command_loads_only_its_modules(argv, modules, numpy):
@@ -219,18 +223,47 @@ def test_a_refused_signal_loads_no_numpy(tmp_path, signal, command):
     assert "numpy" not in loaded
 
 
+# Every command, one after another in one interpreter.
+COMMANDS = [PLAN, ["simulate", "--config", BINARY], ["efficiency", "--config", BINARY],
+            ["validate"], ["reproduce"]]
+EVERY_COMMAND = ("import contextlib, io\nfrom eeqt.cli import main\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    codes = [main(argv) for argv in {COMMANDS!r}]\n"
+                 "assert codes == [0, 0, 0, 0, 3], codes")  # reproduce fails on P(15) alone
+
+
 def test_no_command_loads_dataclasses():
     # a frozen dataclass generates its methods with exec when its module loads
-    commands = [PLAN, ["simulate", "--config", BINARY], ["efficiency", "--config", BINARY],
-                ["validate"], ["reproduce"]]
-    code = ("import contextlib, io\nfrom eeqt.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    codes = [main(argv) for argv in {commands!r}]\n"
-            "assert codes == [0, 0, 0, 0, 3], codes")  # reproduce fails on P(15) alone
-    loaded = all_loaded_modules(code)
+    loaded = all_loaded_modules(EVERY_COMMAND)
     assert eeqt_modules(loaded) == {"cli", "limits", "detectors", "sectors", "shapes",
-                                    "planner"}
+                                    "planner", "reproduction"}
     assert "dataclasses" not in loaded
+
+
+def test_no_command_loads_typing():
+    # -S skips the site hooks, which may import typing at start-up
+    assert "typing" not in all_loaded_modules(EVERY_COMMAND, "-S")
+
+
+# The INI parser and the family readers live in ``detectors``, which only
+# simulate, efficiency and reproduce load.
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], PLAN, ["validate"]],
+                         ids=["version", "help", "plan", "validate"])
+def test_commands_without_a_config_load_no_configparser(argv):
+    assert "configparser" not in all_loaded_modules(main_code(argv), "-S")
+
+
+def test_a_module_run_never_imports_eeqt_cli():
+    # under ``python -m eeqt.cli`` the running module is __main__: an import of
+    # eeqt.cli by a module that a command loads would compile cli.py a second time
+    proc = subprocess.run([sys.executable, "-v", "-m", "eeqt.cli", "simulate",
+                           "--config", BINARY, "--output", os.devnull],
+                          capture_output=True, text=True, env=fresh_env(), cwd=ROOT, check=True)
+    # -v reports each module the import system loads as "import 'name' # loader"
+    imported = {line.split("'")[1] for line in proc.stderr.splitlines()
+                if line.startswith("import '")}
+    assert {"eeqt", "eeqt.limits", "eeqt.detectors", "eeqt.sectors"} <= imported
+    assert "eeqt.cli" not in imported
 
 
 def frozen_instances():
@@ -256,6 +289,7 @@ def frozen_instances():
         "NStateDetectorSpec": (detectors.NStateDetectorSpec(1.0, (e0, e1)), "projectors"),
         "FilterSpec": (detectors.FilterSpec(1.0, e0), "k"),
         "SignalDecomposition": (detectors.SignalDecomposition(0.5, 0.5), "a0"),
+        "Family": (detectors.Family(2, {0: 1.0}, (), ()), "weights"),
         "TransmissionScenario": (scenario, "margin"),
         "PlanResult": (planner.plan_for_m(12, scenario), "confidence"),
         "Classification2x2": (shapes.admissible_2x2(coupling), "tag"),

@@ -7,7 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from eeqt import cli, limits, sectors
+from eeqt import detectors, limits, sectors
 from eeqt.evolution import (EvolutionConfig, PositivityError, TraceDriftError, evolve,
                             trajectory_rows)
 from eeqt.states import basis_projector, product_state
@@ -73,13 +73,12 @@ PARITY_CONFIGS = {**FAMILY_CONFIGS, "filter-3-index-component": COMPONENT_FILTER
 
 def simulated_columns(text: str) -> list:
     """The columns that ``simulate`` writes for a config of `text`, before formatting."""
-    cli._library("limits", "detectors")
-    config = cli._Config()
+    config = detectors._Config()
     config.read_string(text)
-    _, dim, family = cli._read_family(config)
+    _, dim, family = detectors._read_family(config)
     return sectors.sector_columns(
         family.couplings, limits.signal_entries(family.weights, family.coherences),
-        (family.classical_dim, dim), cli._evolution_config(config))
+        (family.classical_dim, dim), detectors._evolution_config(config))
 
 
 @pytest.mark.parametrize("text", PARITY_CONFIGS.values(), ids=PARITY_CONFIGS)
@@ -96,14 +95,13 @@ def test_every_benchmark_record_matches_its_closed_form(workload, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import workloads
 
-    cli._library("limits", "detectors")
     for seed in (1, 2, 3):
         for inv in workloads.generate(workload, seed):
             if inv.command != "simulate":
                 continue
-            config = cli._Config()
+            config = detectors._Config()
             config.read_string(inv.config_text)
-            family = cli._read_family(config)[2]
+            family = detectors._read_family(config)[2]
             columns = simulated_columns(inv.config_text)
             closed_form = family.closed_form()
             expected = [closed_form(t) for t in columns[0]]
