@@ -67,7 +67,7 @@ from . import __version__
 # modules it runs and binds their names here with ``_library``, so ``eeqt
 # plan`` never loads the integrator and ``--version`` loads no eeqt module.
 _LIBRARY = {
-    "limits": ("check_record_memory", "signal_entries"),
+    "limits": ("FLOAT_BYTES", "TUPLE_BYTES", "check_record_memory", "signal_entries"),
     "evolution": ("evolve", "trajectory_rows"),
     "detectors": ("read_system",),
     "sectors": ("sector_columns",),
@@ -194,7 +194,8 @@ def _cmd_efficiency(args):
     raw, family, dim, spec, cfg = read_system(args.config)
     if spec.closed_form is None:
         raise ValueError(f"family '{family}' has no closed form")
-    check_record_memory(cfg, (spec.classical_dim, dim, dim))  # refuse what simulate refuses
+    held = spec.classical_dim + 2  # a record's time and its row tuple of t, p_0..p_n
+    check_record_memory(cfg, FLOAT_BYTES * held + TUPLE_BYTES)
     unrepresentable = FloatingPointError("closed form is not finite; a constant is too "
                                          "large or too small to represent")
     closed_form = spec.closed_form()

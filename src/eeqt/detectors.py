@@ -6,19 +6,21 @@ integration and as independent oracles against it.
 
 Each family's coupling constants, with their checks, form a value class that
 holds no array: ``BinaryConstants``, ``TwoStateConstants``, ``NStateConstants``
-and ``FilterConstants``.  Its detector spec is a subclass that adds the
-projectors.  The classical solutions read only the constants: they take one
-time t and return their n+1 channel values as Python floats from
-``math.exp``, and their long-time limits are the same functions at t = inf.
+and ``FilterConstants``.  Its detector spec, in ``specs``, is a subclass
+that adds numpy projectors.  The classical solutions read only the
+constants: they take one time t and return their n+1 channel values as
+Python floats from ``math.exp``, and their long-time limits are the same
+functions at t = inf.
 A constant whose square overflows raises OverflowError.  A channel whose
 squared constants underflow to a zero rate registers nothing at a finite t:
 its r -> 0 limit, weight * gain^2 * t, is 0 when gain^2 is.  At t = inf it
 registers weight * gain^2 / (gain^2 + loss^2), taken on the constants scaled
 by the larger one, because the true rate is positive.
 
-``import eeqt.detectors`` loads no numpy: the spec constructors, the
-couplings, ``balance_residual`` and ``filter_quantum_marginal`` import it
-when they run.
+``import eeqt.detectors`` loads no numpy and compiles no numpy code: the
+specs, ``balance_residual`` and ``filter_quantum_marginal`` live in
+``specs``, which no command loads, and are read from there on first access
+(PEP 562, ``__getattr__``).
 
 It also reads the configs of ``simulate`` and ``efficiency``: each entry of
 ``FAMILIES`` is the one reader of a family's keys and returns a ``Family``,
@@ -39,6 +41,19 @@ import itertools
 import math
 
 from . import _Frozen
+
+# The numpy names of ``specs``, given by ``__getattr__`` without being bound here.
+_SPECS = ("BinaryDetectorSpec", "FilterSpec", "NStateDetectorSpec", "TwoStateDetectorSpec",
+          "balance_residual", "filter_quantum_marginal")
+
+
+def __getattr__(name):
+    """A name of ``specs``, imported on first access and left unbound in this module."""
+    if name not in _SPECS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import specs
+
+    return getattr(specs, name)
 
 
 def _check_finite(*constants) -> None:
@@ -63,22 +78,8 @@ def _not_orthogonal(a: str, b: str, overlap: float) -> ValueError:
                       f"|tr({a} {b})| = {overlap:.3g}")
 
 
-def _check_orthogonal(projectors: dict) -> None:
-    """Raise ValueError unless tr(ei ej) vanishes for every pair of named projectors."""
-    import numpy as np
-
-    names, e = list(projectors), np.array(list(projectors.values()))
-    n = len(e)
-    # tr(ea eb) = flat(ea) . flat(eb^T): one Gram product gives every overlap
-    overlap = np.abs(e.reshape(n, -1) @ e.swapaxes(1, 2).reshape(n, -1).T)
-    bad = np.argwhere(np.triu(overlap > 1e-10, 1))  # row-major: itertools.combinations order
-    if len(bad):
-        i, j = bad[0]
-        raise _not_orthogonal(names[i], names[j], overlap[i, j])
-
-
 def check_basis_orthogonal(indices: dict) -> None:
-    """``_check_orthogonal`` for basis projectors, named -> basis index, without numpy.
+    """``specs._check_orthogonal`` for basis projectors, named -> basis index, without numpy.
 
     tr(ei ej) is 1 for two projectors on one basis vector and 0 otherwise.
     """
@@ -99,25 +100,6 @@ class BinaryConstants(_Frozen):
             raise ValueError("at least one coupling constant must be positive")
         _check_finite(k1, k2)
         self._set(k1=k1, k2=k2)
-
-
-class BinaryDetectorSpec(BinaryConstants):
-    """Yes/no detector with antidiagonal coupling blocks k1*e and k2*e."""
-
-    __slots__ = ("e",)
-
-    def __init__(self, k1: float, k2: float, e):
-        from .states import check_projector
-
-        super().__init__(k1, k2)
-        self._set(e=check_projector(e))
-
-    def coupling(self) -> CouplingOperator:
-        """Antidiagonal coupling operator over a 2-event classical space."""
-        from .evolution import CouplingOperator
-
-        return CouplingOperator.from_entries(2, {(0, 1): self.k1 * self.e,
-                                                 (1, 0): self.k2 * self.e})
 
 
 def _check_weights(a0: float, b0: float) -> None:
@@ -179,22 +161,6 @@ def binary_trajectory(spec: BinaryConstants, sig: SignalDecomposition, t: float)
     return sig.a0 + sig.b0 - p1, p1
 
 
-def balance_residual(spec: BinaryDetectorSpec, state: HybridState) -> float:
-    """Stationarity residual k2^2 tr(e rho1) - k1^2 tr(e rho0).
-
-    Zero exactly when the classical evolution has reached balance.
-    """
-    import numpy as np
-
-    if state.classical_dim != 2:
-        raise ValueError("balance residual requires a 2-event state")
-    if state.quantum_dim != spec.e.shape[0]:
-        raise ValueError("quantum dimension mismatch between spec and state")
-    tr0 = np.trace(spec.e @ state.blocks[0]).real
-    tr1 = np.trace(spec.e @ state.blocks[1]).real
-    return spec.k2 ** 2 * tr1 - spec.k1 ** 2 * tr0
-
-
 class TwoStateConstants(_Frozen):
     """Constants (k1, k2) of the e2 channel and (n1, n2) of the e3 channel."""
 
@@ -208,31 +174,6 @@ class TwoStateConstants(_Frozen):
             raise ValueError("at least one channel must have a positive constant")
         _check_finite(k1, k2, n1, n2)
         self._set(k1=k1, k2=k2, n1=n1, n2=n2)
-
-
-class TwoStateDetectorSpec(TwoStateConstants):
-    """Detector distinguishing two signals via orthogonal projectors e2, e3."""
-
-    __slots__ = ("e2", "e3")
-
-    def __init__(self, k1: float, k2: float, n1: float, n2: float, e2, e3):
-        from .states import check_projector
-
-        super().__init__(k1, k2, n1, n2)
-        e2, e3 = check_projector(e2), check_projector(e3)
-        _check_orthogonal({"e2": e2, "e3": e3})
-        self._set(e2=e2, e3=e3)
-
-    def couplings(self) -> list:
-        """The pair of single-focus coupling operators over 3 classical events."""
-        from .evolution import CouplingOperator
-
-        return [
-            CouplingOperator.from_entries(3, {(0, 1): self.k1 * self.e2,
-                                              (1, 0): self.k2 * self.e2}),
-            CouplingOperator.from_entries(3, {(0, 2): self.n1 * self.e3,
-                                              (2, 0): self.n2 * self.e3}),
-        ]
 
 
 def _channel(weight: float, gain: float, loss: float, t: float, name: str) -> float:
@@ -268,29 +209,6 @@ class NStateConstants(_Frozen):
         self._set(k=k, n_channels=n_channels)
 
 
-class NStateDetectorSpec(NStateConstants):
-    """Detector registering n distinguishable signals at a common rate k."""
-
-    __slots__ = ("projectors",)
-
-    def __init__(self, k: float, projectors: tuple):
-        from .states import check_projector
-
-        projectors = tuple(projectors)
-        super().__init__(k, len(projectors))
-        projectors = tuple(check_projector(e) for e in projectors)
-        _check_orthogonal({f"e{i}": e for i, e in enumerate(projectors, start=1)})
-        self._set(projectors=projectors)
-
-    def couplings(self) -> list:
-        """One coupling per channel: sqrt(k) e_i in block (0, i)."""
-        from .evolution import CouplingOperator
-
-        root_k = math.sqrt(self.k)
-        return [CouplingOperator.from_entries(self.n_channels + 1, {(0, i): root_k * e})
-                for i, e in enumerate(self.projectors, start=1)]
-
-
 def n_state_trajectory(spec: NStateConstants, j: int, t: float) -> tuple:
     """Probabilities (p0(t), ..., pn(t)) for a signal aligned with channel j.
 
@@ -316,26 +234,6 @@ class FilterConstants(_Frozen):
         self._set(k=k)
 
 
-class FilterSpec(FilterConstants):
-    """Nondemolition filter: registers without disturbing aligned signals."""
-
-    __slots__ = ("e1",)
-
-    def __init__(self, k: float, e1):
-        from .states import check_projector
-
-        super().__init__(k)
-        self._set(e1=check_projector(e1))
-
-    def coupling(self) -> CouplingOperator:
-        """Antidiagonal coupling sqrt(k) * e1 on both off-diagonal blocks."""
-        from .evolution import CouplingOperator
-
-        root_k = math.sqrt(self.k)
-        return CouplingOperator.from_entries(2, {(0, 1): root_k * self.e1,
-                                                 (1, 0): root_k * self.e1})
-
-
 def filter_quantum_output(diagonal_weights, offdiagonal_weights, spec: FilterConstants,
                           t: float):
     """Quantum output of the filter in the projector-basis description.
@@ -352,27 +250,6 @@ def filter_quantum_output(diagonal_weights, offdiagonal_weights, spec: FilterCon
             raise ValueError("off-diagonal weights require i != j")
         out_off[(i, j)] = w * (decay if 0 in (i, j) else 1.0)
     return dict(diagonal_weights), out_off
-
-
-def filter_quantum_marginal(rho_q, spec: FilterSpec, t: float) -> np.ndarray:
-    """Quantum marginal of the filter output for an arbitrary input matrix.
-
-    rho_q(t) = rho_q + (exp(-k t / 2) - 1) ({e1, rho_q} - 2 e1 rho_q e1):
-    the e1-diagonal and fully orthogonal parts are untouched while the
-    cross terms decay.  Raises ValueError for a negative time, for a
-    `rho_q` that is not a finite square matrix and for one whose dimension
-    differs from the projector's.
-    """
-    from .states import operator_array
-
-    decay = _decay(0.5 * spec.k, t)
-    e = spec.e1
-    rho_q = operator_array(rho_q, "quantum input", 2)
-    if rho_q.shape != e.shape:
-        raise ValueError(f"quantum input has shape {rho_q.shape}, "
-                         f"but the filter projector has {e.shape}")
-    anti = e @ rho_q + rho_q @ e
-    return rho_q + (decay - 1.0) * (anti - 2.0 * (e @ rho_q @ e))
 
 
 def filter_classical_output(p0: float, p1: float, q1: float, k: float, t: float) -> tuple:

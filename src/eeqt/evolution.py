@@ -45,9 +45,9 @@ import operator
 import numpy as np
 
 from . import _Frozen
-from .limits import (BLOCK_ZERO_TOL, K_NOT_FINITE, MAX_RECORD_BYTES,  # noqa: F401
-                     MAX_STEPS, TAYLOR_TERMS, CPReport, EvolutionConfig, PositivityError,
-                     TraceDriftError, check_record_memory)
+from .limits import (BLOCK_ZERO_TOL, COMPLEX_BYTES, K_NOT_FINITE,  # noqa: F401
+                     MAX_RECORD_BYTES, MAX_STEPS, TAYLOR_TERMS, CPReport, EvolutionConfig,
+                     PositivityError, TraceDriftError, check_record_memory)
 from .states import (HERMITICITY_TOL, POSITIVITY_TOL, HybridState, block_eigenvalues,
                      operator_array)
 
@@ -314,7 +314,7 @@ def evolve(state: HybridState, hamiltonian=None, couplings=(), *, config: Evolut
     couplings fail the structural CP check, the records would need more than
     ``MAX_RECORD_BYTES`` or a matrix-free run more than MAX_STEPS substeps.
     """
-    check_record_memory(config, state.blocks.shape)
+    check_record_memory(config, COMPLEX_BYTES * math.prod(state.blocks.shape))
     gen = Generator.prepare(couplings, hamiltonian, state)
     if check_cp:
         gen.cp_report().check()

@@ -16,6 +16,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from itertools import repeat
+from operator import add, mul, sub
 
 from . import _Frozen
 
@@ -34,12 +36,18 @@ TAYLOR_TERMS = 30
 # more than 10^7 records; evolve refuses a matrix-free run of more series
 # substeps than this.
 MAX_STEPS = 10 ** 7
-# check_record_memory refuses a run whose records, sized as the complex
-# (n+1, d, d) arrays that evolve holds, would need more bytes than this;
-# MAX_STEPS alone still allows 10^7 records.  evolve, sectors and the CLI's
-# efficiency command all apply it, though sectors keeps only the nonzero
-# sector columns as floats and efficiency keeps no record at all.
+# check_record_memory refuses a run whose records would need more bytes than
+# this; MAX_STEPS alone still allows 10^7 records.  Each caller sizes what it
+# holds: evolve complex (n+1, d, d) arrays, sectors the records of every
+# sector state and its n+4 output columns, and the CLI's efficiency command a
+# row tuple of t, p_0..p_n and the time grid.
 MAX_RECORD_BYTES = 2 ** 30
+# Bytes a held value costs: a complex128 array entry; a Python float in a list
+# or tuple, its 24-byte object and the 8-byte slot that points to it; a
+# tuple's 40-byte header and its slot in a list.
+COMPLEX_BYTES = 16
+FLOAT_BYTES = 32
+TUPLE_BYTES = 48
 # Records times the sum of c^3 over the coherence components of c >= 3
 # indices, above which min_eigenvalues hands them to numpy.  Cyclic Jacobi
 # takes 1.3-1.9 us per c^3 per record in CPython 3.11 on 2 vCPUs (35 us for a
@@ -191,7 +199,9 @@ def min_eigenvalues(values, n1: int, d: int, n_records: int) -> list:
     of one index is its own entry, one of two takes the 2 x 2 closed form, a
     larger one cyclic Jacobi, or ``states.block_eigenvalues`` when Jacobi
     would cost more than JACOBI_PRICE.  An index with no entry in a block
-    gives it the eigenvalue 0.
+    gives it the eigenvalue 0.  The columns of the components meet in one
+    C-level ``map(min, *columns)``; ``min`` of one float raises, so a lone
+    column is the result itself.
     """
     zeros = [0.0] * n_records
     columns, large = [], []
@@ -204,11 +214,13 @@ def min_eigenvalues(values, n1: int, d: int, n_records: int) -> list:
             if len(comp) == 1:
                 columns.append(at[comp[0], comp[0]])
             elif len(comp) == 2:
+                # 0.5 (x + z) - hypot(0.5 (x - z), y) with y = 0.5 (b_mw + b_wm)
                 m, w = comp
-                a, c = at.get((m, m), zeros), at.get((w, w), zeros)
-                b = map(lambda x, y: 0.5 * (x + y), at.get((m, w), zeros), at.get((w, m), zeros))
-                columns.append([0.5 * (x + z) - math.hypot(0.5 * (x - z), y)
-                                for x, y, z in zip(a, b, c)])
+                x, z = at.get((m, m), zeros), at.get((w, w), zeros)
+                y = map(mul, repeat(0.5), map(add, at.get((m, w), zeros), at.get((w, m), zeros)))
+                half = map(mul, repeat(0.5), map(sub, x, z))
+                columns.append(list(map(sub, map(mul, repeat(0.5), map(add, x, z)),
+                                        map(math.hypot, half, y))))
             else:
                 large.append([[at.get((m, w), zeros) for w in comp] for m in comp])
     if n_records * sum(len(comp) ** 3 for comp in large) > JACOBI_PRICE:
@@ -218,7 +230,7 @@ def min_eigenvalues(values, n1: int, d: int, n_records: int) -> list:
             columns.append([_jacobi_min([[0.5 * (comp[i][j][r] + comp[j][i][r])
                                           for j in range(len(comp))] for i in range(len(comp))])
                             for r in range(n_records)])
-    return [min(t) for t in zip(*columns)]
+    return list(map(min, *columns)) if len(columns) > 1 else columns[0]
 
 
 def _lapack_minima(large) -> list:
@@ -262,19 +274,14 @@ def _jacobi_min(a) -> float:
     return math.ldexp(min(a[i][i] for i in range(c)), scale)
 
 
-def check_record_memory(config: "EvolutionConfig", shape: tuple) -> None:
-    """Raise ValueError when recording complex arrays of `shape` on config's grid needs
-    more than MAX_RECORD_BYTES.
-
-    The bound sizes the complex (n+1, d, d) records of ``evolve``; ``sectors``
-    and ``efficiency`` apply it unchanged, so all three refuse the same grids,
-    though neither holds such records.
-    """
-    need = config.n_records * 16 * math.prod(shape)  # 16 bytes a complex128 entry
-    if need > MAX_RECORD_BYTES:
-        raise ValueError(f"{config.n_records} records of shape {shape} need "
-                         f"{need / 2 ** 30:.3g} GiB, above the {MAX_RECORD_BYTES / 2 ** 30:g} "
-                         f"GiB limit (MAX_RECORD_BYTES); raise record_every")
+def check_record_memory(config: "EvolutionConfig", record_bytes: int) -> None:
+    """Raise ValueError when config's records, `record_bytes` each, need more than
+    MAX_RECORD_BYTES.  The message names only the record count and the limit, so
+    a grid that both simulate and efficiency refuse reads the same under both."""
+    if config.n_records * record_bytes > MAX_RECORD_BYTES:
+        raise ValueError(f"{config.n_records} records need more than the "
+                         f"{MAX_RECORD_BYTES / 2 ** 30:g} GiB limit (MAX_RECORD_BYTES); "
+                         "raise record_every")
 
 
 class EvolutionConfig(_Frozen):
@@ -335,4 +342,5 @@ class EvolutionConfig(_Frozen):
         """The record times as floats, k * step over ``record_steps()``: bit for bit its
         product with ``step``, without numpy."""
         n = self.n_steps
-        return [k * self.step for k in (*range(0, n, self.record_every), n)]
+        return list(map(mul, itertools.chain(range(0, n, self.record_every), (n,)),
+                        repeat(self.step)))

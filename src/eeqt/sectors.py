@@ -20,9 +20,12 @@ generator: the record propagator e^{tau M} - I is a truncated Taylor sum at
 tau / 2^s squared s times in the I + A form, and each chunk of records is
 read off a stack S_j = e^{j tau M} - I built by doubling, so rounding does
 not build up over the records.  It makes the checks that ``evolve`` makes,
-with the same errors and messages.  A coupling table is a sequence of
-couplings, each a sequence of ((gamma, alpha), {m: v}) block entries, the
-diagonal v of the block at (gamma, alpha) by basis index.
+with the same errors and messages.  Every per-record step, the chunks, the
+columns and the guards, is a chain of ``map`` and ``itertools`` over plain
+lists, so no record costs a Python frame; each chain adds in plain left to
+right order, as ``sum`` does on Python 3.11 (3.12 compensates).  A coupling
+table is a sequence of couplings, each a sequence of ((gamma, alpha), {m: v})
+block entries, the diagonal v of the block at (gamma, alpha) by basis index.
 
 The record eigenvalues come from ``limits.min_eigenvalues``, which checks
 the signal too.  Only a block with a coherence component of 3 or more
@@ -35,11 +38,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from array import array
-from operator import mul
+from itertools import repeat
+from operator import add, ge, mul, sub
 
-from .limits import (BLOCK_ZERO_TOL, K_NOT_FINITE, POSITIVITY_TOL, TAYLOR_TERMS, CPReport,
-                     PositivityError, TraceDriftError, check_record_memory, min_eigenvalues)
+from .limits import (BLOCK_ZERO_TOL, FLOAT_BYTES, K_NOT_FINITE, POSITIVITY_TOL, TAYLOR_TERMS,
+                     CPReport, PositivityError, TraceDriftError, check_record_memory,
+                     min_eigenvalues)
 
 # A sector of c states holds a stack of at most this many c x c record
 # propagators, the depth of ``evolution``'s dense stack at N = 8, and at most
@@ -127,18 +131,18 @@ def _propagator(rows, tau: float) -> list:
     2^-106 of the sum's, or is not finite, and after TAYLOR_TERMS terms at
     most.  The squarings keep the I + A form, (I + A)^2 - I = 2A + A A.
     """
-    norm = max(sum(abs(row[j]) for row in rows) for j in range(len(rows)))
+    norm = max(sum(map(abs, col)) for col in zip(*rows))
     s = max(0, math.frexp(tau * norm)[1])
     h = math.ldexp(tau, -s)
     term = [[float(i == j) for j in range(len(rows))] for i in range(len(rows))]
     out = [[0.0] * len(rows) for _ in rows]
     for k in range(1, TAYLOR_TERMS + 1):
-        term = [[x * (h / k) for x in row] for row in _matmul(rows, term)]
-        out = [[x + y for x, y in zip(a, b)] for a, b in zip(out, term)]
+        term = [list(map(mul, row, repeat(h / k))) for row in _matmul(rows, term)]
+        out = [list(map(add, a, b)) for a, b in zip(out, term)]
         if not _squares(term) > 2.0 ** -106 * _squares(out):
             break
     for _ in range(s):
-        out = [[x + (y + x) for x, y in zip(a, b)] for a, b in zip(out, _matmul(out, out))]
+        out = [list(map(add, a, map(add, b, a))) for a, b in zip(out, _matmul(out, out))]
     return out
 
 
@@ -157,20 +161,30 @@ def _stack(p, depth: int) -> list:
         heads = [[col[:k] for col in row] for row in cols]
         for a, b in itertools.product(range(c), repeat=2):
             # S_(j+i) = S_j S_i + S_i + S_j for i = 1..k
-            products = zip(*(heads[t][b] for t in range(c)))
-            cols[a][b] += [sum(map(mul, last[a], ts)) + s + last[a][b]
-                           for ts, s in zip(products, heads[a][b])]
+            terms = map(mul, repeat(last[a][0]), heads[0][b])
+            for t in range(1, c):
+                terms = map(add, terms, map(mul, repeat(last[a][t]), heads[t][b]))
+            cols[a][b] += map(add, map(add, terms, heads[a][b]), repeat(last[a][b]))
         j += k
     return cols
 
 
-def _advance(stack, v, n: int) -> list:
-    """The n records S_j v + v, j = 1..n, after the record v, as one list per state."""
-    out = []
-    for row, va in zip(stack, v):
-        terms = [[s * x for s in col[:n]] for col, x in zip(row, v)]
-        out.append([sum(t) + va for t in zip(*terms)])
-    return out
+def _advance(stack, columns, n: int) -> None:
+    """Append to each state's column the n records S_j v + v, j = 1..n, after its last v.
+
+    State a's records are ((S[a][0] v_0 + S[a][1] v_1) + ...) + v_a, one
+    C-level ``map`` chain over the stack's columns.  No chain here or in the
+    columns starts at 0.0, as ``sum`` does, because 0.0 + x differs from x
+    only at x = -0.0, and no record is -0.0: a sum is -0.0 only when every
+    term is, each record adds the one before it, and a run starts from the
+    nonzero signal entries and 0.0.
+    """
+    v = [col[-1] for col in columns]
+    for row, col, va in zip(stack, columns, v):
+        terms = map(mul, row[0], repeat(v[0]))
+        for s, x in zip(row[1:], v[1:]):
+            terms = map(add, terms, map(mul, s, repeat(x)))
+        col += map(add, terms, repeat(va, n))
 
 
 def _propagate(states, rows, starts, config) -> list:
@@ -182,33 +196,41 @@ def _propagate(states, rows, starts, config) -> list:
         stack = _stack(_propagator(rows, q * config.step), depth)
         for columns in records:
             for j in range(0, count, depth):
-                chunk = _advance(stack, [col[-1] for col in columns], min(depth, count - j))
-                for col, new in zip(columns, chunk):
-                    col += new
+                _advance(stack, columns, min(depth, count - j))
     return records
 
 
+def _total(columns) -> list:
+    """The record-by-record sum of `columns`, left to right; a lone column is returned itself."""
+    total = columns[0]
+    for col in columns[1:]:
+        total = list(map(add, total, col))
+    return total
+
+
 def sector_columns(couplings, signal: dict, shape: tuple, config) -> list:
-    """Columns t, p_0..p_n, trace_drift, min_eigenvalue of the records, as ``array('d')``.
+    """Columns t, p_0..p_n, trace_drift, min_eigenvalue of the records, as lists.
 
     `couplings` is a real diagonal coupling table, `signal` the nonzero
     entries {(m, w): value} of a checked quantum signal
     (``limits.signal_entries``), the initial state its product with
-    p = (1, 0, ...), and `shape` (n+1, d).  Raises what
-    ``evolve`` raises: ValueError when the records would need more than
-    MAX_RECORD_BYTES or the couplings fail the structural CP check,
-    OverflowError when K or a sector is not finite, TraceDriftError at the
+    p = (1, 0, ...), and `shape` (n+1, d).  Columns may share one list.
+    Raises what ``evolve`` raises: OverflowError when K or a sector is not
+    finite, ValueError when the couplings fail the structural CP check or the
+    records would need more than MAX_RECORD_BYTES, TraceDriftError at the
     first record whose total trace drifts beyond ``config.trace_tol`` or that
     has an entry that is not finite, and PositivityError at the first record
-    with a block eigenvalue below -POSITIVITY_TOL.
+    with a block eigenvalue below -POSITIVITY_TOL.  A record holds the states
+    of every sector and the n+4 columns, FLOAT_BYTES each.
     """
     n1, d = shape
-    check_record_memory(config, (n1, d, d))
     blocks, kappa = _gather(couplings, n1)
     _check_cp(couplings)
     sectors = {}
     for (m, w), x0 in signal.items():
         sectors.setdefault(_sector(m, w, blocks, kappa), []).append(((m, w), x0))
+    held = sum(len(states) * len(members) for (states, _), members in sectors.items()) + n1 + 3
+    check_record_memory(config, FLOAT_BYTES * held)
     values = {}  # (m, w) -> {alpha: records}
     for (states, rows), members in sectors.items():
         for (pos, _), records in zip(members, _propagate(states, rows, [x for _, x in members],
@@ -217,31 +239,33 @@ def sector_columns(couplings, signal: dict, shape: tuple, config) -> list:
     times = config.record_times()
     zeros = [0.0] * len(times)
     diagonal = sorted(pos for pos in values if pos[0] == pos[1])
-    probs = []
-    for alpha in range(n1):
-        cols = [values[pos][alpha] for pos in diagonal if alpha in values[pos]]
-        probs.append([sum(t) for t in zip(*cols)] if cols else zeros)
-    traces = [sum(t) for t in zip(*probs)]
-    drift = [abs(x - 1.0) for x in traces]
+    probs = [_total([values[pos][a] for pos in diagonal if a in values[pos]] or [zeros])
+             for a in range(n1)]
+    traces = _total(probs)
+    drift = list(map(abs, map(sub, traces, repeat(1.0))))
     _check_trace(values, traces, drift, times, config)
     min_eig = min_eigenvalues(values, n1, d, len(times))
-    k = next((r for r, x in enumerate(min_eig) if x < -POSITIVITY_TOL), None)
-    if k is not None:
-        raise PositivityError(k, times[k], min_eig[k])
-    return [array("d", col) for col in (times, *probs, drift, min_eig)]
+    if not min(min_eig) >= -POSITIVITY_TOL:  # also when a NaN comes first and hides the rest
+        for k, x in enumerate(min_eig):
+            if x < -POSITIVITY_TOL:
+                raise PositivityError(k, times[k], x)
+    return [times, *probs, drift, min_eig]
 
 
 def _check_trace(values, traces, drift, times, config) -> None:
     """Raise TraceDriftError at the first record after the first that drifts or is not finite.
 
     A coherence that is not finite makes the guarded trace NaN by adding it
-    times 0, as ``evolution`` weights every entry of a record.
+    times 0, as ``evolution`` weights every entry of a record.  One C-level
+    scan passes every record; only a failed one looks for the first.
     """
     off = [cols for pos, by_state in values.items() if pos[0] != pos[1]
            for cols in by_state.values()]
     guard = drift
     if off:
-        guard = [abs(x + 0.0 * sum(t) - 1.0) for x, *t in zip(traces, *off)]
-    r = next((r for r in range(1, len(guard)) if not guard[r] <= config.trace_tol), None)
-    if r is not None:
-        raise TraceDriftError(guard[r], times[r], config.trace_tol)
+        guard = list(map(abs, map(sub, map(add, traces, map(mul, repeat(0.0), _total(off))),
+                                  repeat(1.0))))
+    tol = config.trace_tol
+    if not all(map(ge, repeat(tol), itertools.islice(guard, 1, None))):  # and not NaN
+        r = next(r for r in range(1, len(guard)) if not guard[r] <= tol)
+        raise TraceDriftError(guard[r], times[r], tol)

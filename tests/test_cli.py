@@ -574,6 +574,36 @@ def test_config_errors_are_the_same_under_both_commands(tmp_path, capsys, text):
     assert simulated[0] == EXIT_CONFIG and simulated[1].startswith("config error: ")
 
 
+def test_each_command_bounds_what_it_holds(tmp_path, capsys, monkeypatch):
+    # simulate holds 32 B a float for the 3 states of the filter's two
+    # sectors and its 5 columns (2.38 GiB), efficiency a 48 B tuple of t, p_0,
+    # p_1 and the time (1.64 GiB); evolve's records, 16 B a complex entry of
+    # (2, 36, 36), would need 386 GiB.  Both refuse with one message.
+    beyond = {param.id: param.values[1] for param in BAD_CONFIGS}["records-beyond-memory"]
+    assert both_commands(tmp_path, capsys, beyond) == 2 * [
+        (EXIT_CONFIG, f"config error: {tmp_path / 'case.ini'}: 10000001 records need more "
+                      "than the 1 GiB limit (MAX_RECORD_BYTES); raise record_every\n")]
+    # efficiency's price at its byte boundary: 201 records of 4 floats and a tuple
+    grid = BINARY_CONFIG.replace("record_every = 50", "record_every = 1")
+    monkeypatch.setattr(limits, "MAX_RECORD_BYTES", 201 * (4 * 32 + 48))
+    assert main(["efficiency", "--config", write(tmp_path, "rows.ini", grid),
+                 "--output", str(tmp_path / "out.csv")]) == EXIT_OK
+    monkeypatch.setattr(limits, "MAX_RECORD_BYTES", 201 * (4 * 32 + 48) - 1)
+    assert main(["efficiency", "--config", write(tmp_path, "rows.ini", grid),
+                 "--output", str(tmp_path / "out.csv")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.endswith(": 201 records need more than the 3.29455e-05 GiB "
+                                            "limit (MAX_RECORD_BYTES); raise record_every\n")
+    monkeypatch.undo()
+    # n_state at 100 channels and dim 100: 1001 records of 2 sector states and
+    # 104 columns take 3.4 MB as floats, where complex (101, 100, 100) records
+    # would take 15.1 GiB
+    codes = both_commands(tmp_path, capsys, WIDE_N_STATE_CONFIG.replace(
+        "duration = 0.05", "duration = 10.0").replace("record_every = 10", "record_every = 1"))
+    assert codes == [(EXIT_OK, ""), (EXIT_OK, "")]
+    _, _, rows = read_csv(tmp_path / "out.csv")
+    assert len(rows) == 1001
+
+
 def test_signal_refusals_keep_their_numpy_message(tmp_path, capsys):
     for text, message in ((COHBAD_CONFIG, "signal is not a density matrix: Hermiticity "
                                           "deviation 0, min eigenvalue -0.1"),

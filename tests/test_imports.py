@@ -117,6 +117,32 @@ def test_each_command_loads_only_its_modules(argv, modules, numpy):
     assert not {"_hashlib", "numpy.random"} & loaded
 
 
+# The numpy names that ``detectors`` gives from ``specs`` on first access.
+SPECS = ("BinaryDetectorSpec", "FilterSpec", "NStateDetectorSpec", "TwoStateDetectorSpec",
+         "balance_residual", "filter_quantum_marginal")
+
+
+@pytest.mark.parametrize("command", ["simulate", "efficiency"])
+def test_config_commands_never_load_the_numpy_specs(command):
+    # the specs are compiled only where they are used, so a command that
+    # reads a config pays nothing for them
+    code = (main_code([command, "--config", BINARY]) + "\nfrom eeqt import detectors\n"
+            f"print('eeqt.specs' in sys.modules, sorted(set({SPECS!r}) & set(vars(detectors))))")
+    assert run_fresh(f"import sys\n{code}").strip() == "False []"
+
+
+def test_the_specs_resolve_through_detectors_and_the_package():
+    from eeqt import detectors, specs
+    from eeqt.detectors import BinaryDetectorSpec
+
+    assert BinaryDetectorSpec is eeqt.BinaryDetectorSpec is specs.BinaryDetectorSpec
+    for name in SPECS:
+        assert getattr(detectors, name) is getattr(eeqt, name) is getattr(specs, name)
+        assert name not in vars(detectors)
+    with pytest.raises(AttributeError):
+        detectors.no_such_name  # noqa: B018
+
+
 def test_validate_loads_no_random():
     # -S skips the site hooks, which may load tempfile, and with it random, at start-up
     assert "random" not in all_loaded_modules(main_code(["validate"]), "-S")

@@ -1,11 +1,15 @@
 """The sector propagator of ``simulate`` against ``evolve``, the closed forms and numpy."""
 
+import functools
 import itertools
 import math
+import operator
 import pathlib
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eeqt import detectors, limits, sectors
 from eeqt.evolution import (EvolutionConfig, PositivityError, TraceDriftError, evolve,
@@ -209,6 +213,17 @@ def test_cp_refusal_is_evolve_s(table):
     assert str(raised.value).startswith("coupling operators fail CP conditions: ")
 
 
+def test_records_are_sized_as_the_floats_they_hold(monkeypatch):
+    # one sector of 2 states and 5 columns: 7 floats of 32 bytes a record
+    table = ((((0, 1), {0: 1.0}), ((1, 0), {0: 0.5})),)
+    config = EvolutionConfig(step=0.01, duration=1.0)
+    monkeypatch.setattr(limits, "MAX_RECORD_BYTES", 101 * 7 * 32)
+    assert len(sectors.sector_columns(table, {(0, 0): 1.0}, (2, 1), config)[0]) == 101
+    monkeypatch.setattr(limits, "MAX_RECORD_BYTES", 101 * 7 * 32 - 1)
+    with pytest.raises(ValueError, match=r"^101 records need more than .*MAX_RECORD_BYTES"):
+        sectors.sector_columns(table, {(0, 0): 1.0}, (2, 1), config)
+
+
 def test_an_infinite_kappa_is_evolve_s_overflow():
     table = ((((0, 1), {0: 1e200}), ((1, 0), {0: 0.0})),)
     config = EvolutionConfig(step=0.1, duration=1.0)
@@ -273,3 +288,155 @@ def test_every_coherence_component_size_meets_eigvalsh():
     got = limits.min_eigenvalues(values, 1, 6, 3)
     assert got == [got[0]] * 3
     assert abs(got[0] - np.linalg.eigvalsh(matrix)[0]) <= 1e-15
+
+
+# The per-record layer before the map chains, comprehension and ``sum``, kept
+# as the bit-for-bit reference of ``_stack``, ``_advance``, the columns and
+# the guards.  ``sum`` of floats adds left to right from the int 0 on Python
+# 3.11; 3.12 compensates, so the reference spells the 3.11 order out.
+def plain_sum(terms):
+    return functools.reduce(operator.add, terms, 0)
+
+
+def reference_stack(p, depth):
+    c = len(p)
+    cols = [[[x] for x in row] for row in p]
+    j = 1
+    while j < depth:
+        k = min(j, depth - j)
+        last = [[col[j - 1] for col in row] for row in cols]
+        heads = [[col[:k] for col in row] for row in cols]
+        for a, b in itertools.product(range(c), repeat=2):
+            products = zip(*(heads[t][b] for t in range(c)))
+            cols[a][b] += [plain_sum(map(operator.mul, last[a], ts)) + s + last[a][b]
+                           for ts, s in zip(products, heads[a][b])]
+        j += k
+    return cols
+
+
+def reference_advance(stack, v, n):
+    out = []
+    for row, va in zip(stack, v):
+        terms = [[s * x for s in col[:n]] for col, x in zip(row, v)]
+        out.append([plain_sum(t) + va for t in zip(*terms)])
+    return out
+
+
+def reference_propagate(states, rows, starts, config):
+    c = len(states)
+    records = [[[x0]] + [[0.0] for _ in range(c - 1)] for x0 in starts]
+    for q, count in config.intervals():
+        depth = max(1, min(count // c, sectors.STACK_DEPTH))
+        stack = reference_stack(sectors._propagator(rows, q * config.step), depth)
+        for columns in records:
+            for j in range(0, count, depth):
+                chunk = reference_advance(stack, [col[-1] for col in columns],
+                                          min(depth, count - j))
+                for col, new in zip(columns, chunk):
+                    col += new
+    return records
+
+
+def reference_min_eigenvalues(values, n1, d, n_records):
+    zeros = [0.0] * n_records
+    columns = []
+    for alpha in range(n1):
+        at = {pos: by_state[alpha] for pos, by_state in values.items() if alpha in by_state}
+        indices = {i for pos in at for i in pos}
+        if len(indices) < d:
+            columns.append(zeros)
+        for comp in limits._components(indices, [pos for pos in at if pos[0] != pos[1]]):
+            if len(comp) == 1:
+                columns.append(at[comp[0], comp[0]])
+            else:  # the draws below reach components of two indices at most
+                m, w = comp
+                a, c = at.get((m, m), zeros), at.get((w, w), zeros)
+                b = map(lambda x, y: 0.5 * (x + y), at.get((m, w), zeros), at.get((w, m), zeros))
+                columns.append([0.5 * (x + z) - math.hypot(0.5 * (x - z), y)
+                                for x, y, z in zip(a, b, c)])
+    return [min(t) for t in zip(*columns)]
+
+
+def reference_columns(couplings, signal, shape, config):
+    n1, d = shape
+    blocks, kappa = sectors._gather(couplings, n1)
+    found = {}
+    for (m, w), x0 in signal.items():
+        found.setdefault(sectors._sector(m, w, blocks, kappa), []).append(((m, w), x0))
+    values = {}
+    for (states, rows), members in found.items():
+        records = reference_propagate(states, rows, [x for _, x in members], config)
+        for (pos, _), by_state in zip(members, records):
+            values[pos] = dict(zip(states, by_state))
+    n = config.n_steps
+    times = [k * config.step for k in (*range(0, n, config.record_every), n)]
+    zeros = [0.0] * len(times)
+    diagonal = sorted(pos for pos in values if pos[0] == pos[1])
+    probs = []
+    for alpha in range(n1):
+        cols = [values[pos][alpha] for pos in diagonal if alpha in values[pos]]
+        probs.append([plain_sum(t) for t in zip(*cols)] if cols else zeros)
+    traces = [plain_sum(t) for t in zip(*probs)]
+    drift = [abs(x - 1.0) for x in traces]
+    off = [cols for pos, by_state in values.items() if pos[0] != pos[1]
+           for cols in by_state.values()]
+    guard = [abs(x + 0.0 * plain_sum(t) - 1.0) for x, *t in zip(traces, *off)] if off else drift
+    r = next((r for r in range(1, len(guard)) if not guard[r] <= config.trace_tol), None)
+    if r is not None:
+        raise TraceDriftError(guard[r], times[r], config.trace_tol)
+    min_eig = reference_min_eigenvalues(values, n1, d, len(times))
+    k = next((r for r, x in enumerate(min_eig) if x < -limits.POSITIVITY_TOL), None)
+    if k is not None:
+        raise PositivityError(k, times[k], min_eig[k])
+    return [times, *probs, drift, min_eig], values
+
+
+def as_bytes(columns):
+    """Each column as the bytes of its doubles, so that 0.0 and -0.0 differ."""
+    return [struct.pack(f"{len(col)}d", *col) for col in columns]
+
+
+RATES = st.one_of(st.just(0.0), st.floats(0.05, 40.0))
+
+
+@st.composite
+def sector_runs(draw):
+    """A chain of binary couplings on 1 to 3 classical states, each on basis index 0 or 1,
+    a d = 2 signal with a coherence of either sign, and a grid with or without a leftover
+    interval, up to times where the records underflow."""
+    n1 = draw(st.integers(1, 3))
+    couplings = tuple((((g, g + 1), {m: draw(RATES)}), ((g + 1, g), {m: draw(RATES)}))
+                      for g, m in enumerate(draw(st.lists(st.integers(0, 1), min_size=n1 - 1,
+                                                          max_size=n1 - 1))))
+    w0 = draw(st.floats(0.05, 0.95))
+    coherence = draw(st.sampled_from([-0.99, 0.99])) * draw(st.floats(0.0, 1.0))
+    coherence *= math.sqrt(w0 * (1.0 - w0))
+    signal = limits.signal_entries({0: w0, 1: 1.0 - w0}, [((0, 1), coherence),
+                                                          ((1, 0), coherence)])
+    step = draw(st.sampled_from([0.01, 0.05, 0.25, 0.5]))
+    config = EvolutionConfig(step, draw(st.integers(1, 600)) * step,
+                             draw(st.integers(1, 9)))
+    return couplings, signal, (n1, 2), config
+
+
+def outcome(run, *args):
+    """The value of run(*args), or the type and text of what it raised."""
+    try:
+        return run(*args)
+    except (TraceDriftError, PositivityError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sector_runs())
+def test_the_chains_match_the_comprehensions_bit_for_bit(run):
+    expected = outcome(reference_columns, *run)
+    got = outcome(sectors.sector_columns, *run)
+    if isinstance(expected[0], type):
+        assert got == expected
+        return
+    columns, values = expected
+    assert as_bytes(got) == as_bytes(columns)
+    # the chains start at their first term, not at 0.0: no record is -0.0
+    records = [col for by_state in values.values() for col in by_state.values()]
+    assert not any(x == 0 and math.copysign(1.0, x) < 0 for col in records for x in col)
