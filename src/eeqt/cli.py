@@ -15,15 +15,17 @@ body goes through one %-template per file, ``%.12g`` for numeric columns and
 an iterable of rows, formatted a block of rows at a time.  The bytes are
 those of formatting each value with ``_fmt``.
 
-This module is the dispatcher: each command imports its code when it runs.
-``simulate`` and ``efficiency`` read their config with
-``detectors.read_system``, ``validate`` writes ``shapes.catalogue_report``
-and ``reproduce`` the rows of ``reproduction``, so ``--version``, ``plan``
-and ``validate`` import no ``configparser``.  No eeqt module imports
-``eeqt.cli``: under ``python -m eeqt.cli`` it would compile twice.  Both
-config commands refuse a config with the same message; every ValueError
-raised while serving one, from a missing key to a signal that is not a
-density matrix or a duration the step does not divide, is a config error.
+This module is the dispatcher: each handler imports the names it calls at
+the top of its body, so a command loads only its own modules and
+``--version`` no eeqt module.  ``simulate`` and ``efficiency`` read their
+config with ``detectors.read_system``, ``validate`` writes
+``shapes.catalogue_report`` and ``reproduce`` the rows of ``reproduction``,
+so ``--version``, ``plan`` and ``validate`` import no ``configparser``.
+No eeqt module imports ``eeqt.cli``: under ``python -m eeqt.cli`` it would
+compile twice.  Both config commands refuse a config with the same message;
+every ValueError raised while serving one, from a missing key to a signal
+that is not a density matrix or a duration the step does not divide, is a
+config error.
 
 With the default ``--output -`` the CSV goes to stdout and the summaries of
 ``plan`` and ``validate`` go to stderr, so stdout holds nothing but the CSV;
@@ -55,7 +57,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import importlib
 import itertools
 import math
 import os
@@ -63,39 +64,18 @@ import sys
 
 from . import __version__
 
-# Library names the commands use, by module.  Each command imports only the
-# modules it runs and binds their names here with ``_library``, so ``eeqt
-# plan`` never loads the integrator and ``--version`` loads no eeqt module.
-_LIBRARY = {
-    "limits": ("FLOAT_BYTES", "TUPLE_BYTES", "check_record_memory", "signal_entries"),
-    "evolution": ("evolve", "trajectory_rows"),
-    "detectors": ("read_system",),
-    "sectors": ("sector_columns",),
-    "shapes": ("catalogue_report",),
-    "planner": ("TransmissionScenario", "minimal_m", "scan_rows"),
-    "reproduction": ("reproduction_rows",),
-}
-
-
-def _library(*modules):
-    """Import `modules` and bind their ``_LIBRARY`` names in this module.
-
-    A name that is already bound keeps its value, so a wrapper set on this
-    module from outside (``cli.evolve = traced``) is what the commands call.
-    """
-    for module in modules:
-        source = importlib.import_module(f".{module}", __package__)
-        for name in _LIBRARY[module]:
-            globals().setdefault(name, getattr(source, name))
-
 
 def __getattr__(name):
-    """A library name read from outside before a command has bound it."""
-    for module, names in _LIBRARY.items():
-        if name in names:
-            _library(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """``evolve`` and ``trajectory_rows`` of ``eeqt.evolution``, and no other name.
+
+    No command calls either; ``perfbench/tracing.py`` reads, rebinds and
+    restores both here.  ROADMAP item 2 deletes this with the tracer rewrite.
+    """
+    if name not in ("evolve", "trajectory_rows"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import evolution
+
+    return getattr(evolution, name)
 
 
 DEFAULT_SEED = 0
@@ -179,7 +159,10 @@ def _write_system_csv(args, digest, family, classical_dim, rows, columns=(), met
 
 def _cmd_simulate(args):
     """The records of the coupling table, propagated sector by sector without numpy."""
-    _library("limits", "detectors", "sectors")
+    from .detectors import read_system
+    from .limits import signal_entries
+    from .sectors import sector_columns
+
     raw, family, dim, spec, cfg = read_system(args.config)
     columns = sector_columns(spec.couplings, signal_entries(spec.weights, spec.coherences),
                             (spec.classical_dim, dim), cfg)
@@ -190,7 +173,9 @@ def _cmd_simulate(args):
 
 def _cmd_efficiency(args):
     """The closed form on simulate's record grid, after simulate's checks, without numpy."""
-    _library("limits", "detectors")
+    from .detectors import read_system
+    from .limits import FLOAT_BYTES, TUPLE_BYTES, check_record_memory
+
     raw, family, dim, spec, cfg = read_system(args.config)
     if spec.closed_form is None:
         raise ValueError(f"family '{family}' has no closed form")
@@ -214,7 +199,8 @@ def _cmd_efficiency(args):
 def _cmd_validate(args):
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
-    _library("shapes")
+    from .shapes import catalogue_report
+
     header, rows, report_lines = catalogue_report()
     _write_csv(args, header, rows, text=header[1:])
     _summary(args, "\n".join(report_lines))
@@ -222,7 +208,8 @@ def _cmd_validate(args):
 
 
 def _cmd_plan(args):
-    _library("planner")
+    from .planner import TransmissionScenario, minimal_m, scan_rows
+
     scenario = TransmissionScenario(args.rho1, args.eff, args.accuracy, args.confidence,
                                     args.margin)
     columns, first = scan_rows(scenario, args.m_max)  # as in the header below
@@ -243,7 +230,8 @@ def _cmd_plan(args):
 
 
 def _cmd_reproduce(args):
-    _library("reproduction")
+    from .reproduction import reproduction_rows
+
     failures = 0
     print(f"{'quantity':<40} {'computed':>22} {'expected':>18}  result")
     for name, computed, expected, tol in reproduction_rows():
@@ -362,10 +350,11 @@ def _run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, MemoryError) as exc:  # MemoryError: arrays too large for memory
+        reason = str(exc) or type(exc).__name__  # a MemoryError of the interpreter has no text
         if not hasattr(args, "config"):  # plan rejects a flag value
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {reason}", file=sys.stderr)
             return EXIT_USAGE
-        print(f"config error: {args.config}: {exc}", file=sys.stderr)
+        print(f"config error: {args.config}: {reason}", file=sys.stderr)
         return EXIT_CONFIG
     except ArithmeticError as exc:  # limits.TraceDriftError and PositivityError among them
         print(f"numerical guard: {exc}", file=sys.stderr)

@@ -144,6 +144,16 @@ def _underflowed_share(weight: float, gain: float, loss: float, t: float) -> flo
     return weight * gain * gain / (gain * gain + loss * loss)
 
 
+def _channel(weight: float, gain: float, loss: float, t: float, name: str) -> float:
+    rate = gain ** 2 + loss ** 2
+    decay = _decay(rate, t)
+    if rate == 0:
+        if weight > 0 and gain == loss == 0:
+            raise ValueError(f"channel {name} has weight but zero coupling constants")
+        return _underflowed_share(weight, gain, loss, t)
+    return weight * gain ** 2 / rate * (1.0 - decay)
+
+
 def binary_trajectory(spec: BinaryConstants, sig: SignalDecomposition, t: float) -> tuple:
     """Probabilities (p0(t), p1(t)) of the binary detector.
 
@@ -152,12 +162,7 @@ def binary_trajectory(spec: BinaryConstants, sig: SignalDecomposition, t: float)
     t = inf the registered probability is a0 k1^2 / (k1^2 + k2^2).
     A rate that underflows to zero registers nothing at a finite t.
     """
-    rate = spec.k1 ** 2 + spec.k2 ** 2
-    decay = _decay(rate, t)
-    if rate == 0:
-        p1 = _underflowed_share(sig.a0, spec.k1, spec.k2, t)
-        return sig.a0 + sig.b0 - p1, p1
-    p1 = sig.a0 * spec.k1 ** 2 / rate * (1.0 - decay)
+    p1 = _channel(sig.a0, spec.k1, spec.k2, t, "e1")  # BinaryConstants refuses k1 = k2 = 0
     return sig.a0 + sig.b0 - p1, p1
 
 
@@ -174,16 +179,6 @@ class TwoStateConstants(_Frozen):
             raise ValueError("at least one channel must have a positive constant")
         _check_finite(k1, k2, n1, n2)
         self._set(k1=k1, k2=k2, n1=n1, n2=n2)
-
-
-def _channel(weight: float, gain: float, loss: float, t: float, name: str) -> float:
-    rate = gain ** 2 + loss ** 2
-    decay = _decay(rate, t)
-    if rate == 0:
-        if weight > 0 and gain == loss == 0:
-            raise ValueError(f"channel {name} has weight but zero coupling constants")
-        return _underflowed_share(weight, gain, loss, t)
-    return weight * gain ** 2 / rate * (1.0 - decay)
 
 
 def two_state_trajectory(spec: TwoStateConstants, a0: float, b0: float, t: float) -> tuple:

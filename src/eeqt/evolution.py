@@ -252,13 +252,7 @@ class Generator(_Frozen):
         for e, f in zip(*np.nonzero(same & (row[:, None] == row) & (col[:, None] != col))):
             at = (int(i[e]), int(col[e]), int(col[f]))
             leak[at] = leak.get(at, 0.0) + float(norms[e] * norms[f])
-        violations = [("gain", None, *at, mag) for at, mag in sorted(gain.items())]
-        violations += [("sandwich", *at, mag) for at, mag in sorted(leak.items())]
-        return CPReport(
-            gain_offdiag=max(gain.values(), default=0.0),
-            sandwich_offdiag=max(leak.values(), default=0.0),
-            violations=tuple(v for v in violations if v[-1] > BLOCK_ZERO_TOL),
-        )
+        return CPReport.from_magnitudes(gain, leak)
 
 
 def liouville_rhs(state: HybridState, hamiltonian=None, couplings=()) -> np.ndarray:

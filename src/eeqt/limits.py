@@ -101,6 +101,16 @@ class CPReport(_Frozen):
         self._set(gain_offdiag=gain_offdiag, sandwich_offdiag=sandwich_offdiag,
                   violations=violations)
 
+    @classmethod
+    def from_magnitudes(cls, gain: dict, leak: dict) -> "CPReport":
+        """The report on the off-diagonal block magnitudes, `gain` of sum Vi Vi* by
+        (alpha, beta) and `leak` of the sandwich by (i, alpha, beta); a violation is
+        one above BLOCK_ZERO_TOL, listed in that order and sorted."""
+        violations = [("gain", None, *at, mag) for at, mag in sorted(gain.items())]
+        violations += [("sandwich", *at, mag) for at, mag in sorted(leak.items())]
+        return cls(max(gain.values(), default=0.0), max(leak.values(), default=0.0),
+                   tuple(v for v in violations if v[-1] > BLOCK_ZERO_TOL))
+
     @property
     def ok(self) -> bool:
         return not self.violations
@@ -199,17 +209,27 @@ def min_eigenvalues(values, n1: int, d: int, n_records: int) -> list:
     of one index is its own entry, one of two takes the 2 x 2 closed form, a
     larger one cyclic Jacobi, or ``states.block_eigenvalues`` when Jacobi
     would cost more than JACOBI_PRICE.  An index with no entry in a block
-    gives it the eigenvalue 0.  The columns of the components meet in one
-    C-level ``map(min, *columns)``; ``min`` of one float raises, so a lone
-    column is the result itself.
+    gives it the eigenvalue 0, a column of zeros added once, where the first
+    such block comes; the blocks without any entry stand for all of them, so
+    the work grows with the entries and not with `n1`.  The columns of the
+    components meet in one C-level ``map(min, *columns)``; ``min`` of one
+    float raises, so a lone column is the result itself.
     """
     zeros = [0.0] * n_records
-    columns, large = [], []
-    for alpha in range(n1):
-        at = {pos: by_state[alpha] for pos, by_state in values.items() if alpha in by_state}
+    blocks = {}  # alpha -> {(m, w): records}, in the order of `values`
+    for pos, by_state in values.items():
+        for alpha, records in by_state.items():
+            blocks.setdefault(alpha, {})[pos] = records
+    empty = next(alpha for alpha in itertools.count() if alpha not in blocks)
+    if empty < n1:
+        blocks[empty] = {}
+    columns, large, zeroed = [], [], False
+    for alpha in sorted(blocks):
+        at = blocks[alpha]
         indices = {i for pos in at for i in pos}
-        if len(indices) < d:
+        if len(indices) < d and not zeroed:
             columns.append(zeros)
+            zeroed = True
         for comp in _components(indices, [pos for pos in at if pos[0] != pos[1]]):
             if len(comp) == 1:
                 columns.append(at[comp[0], comp[0]])

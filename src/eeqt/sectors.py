@@ -36,14 +36,14 @@ more than importing numpy (``limits.JACOBI_PRICE``), loads numpy, for
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from itertools import repeat
 from operator import add, ge, mul, sub
 
-from .limits import (BLOCK_ZERO_TOL, FLOAT_BYTES, K_NOT_FINITE, POSITIVITY_TOL, TAYLOR_TERMS,
-                     CPReport, PositivityError, TraceDriftError, check_record_memory,
-                     min_eigenvalues)
+from .limits import (FLOAT_BYTES, K_NOT_FINITE, POSITIVITY_TOL, TAYLOR_TERMS, CPReport,
+                     PositivityError, TraceDriftError, check_record_memory, min_eigenvalues)
 
 # A sector of c states holds a stack of at most this many c x c record
 # propagators, the depth of ``evolution``'s dense stack at N = 8, and at most
@@ -52,19 +52,20 @@ from .limits import (BLOCK_ZERO_TOL, FLOAT_BYTES, K_NOT_FINITE, POSITIVITY_TOL, 
 STACK_DEPTH = 256
 
 
-def _gather(couplings, n1: int) -> tuple:
-    """([(gamma, alpha, {m: v})] of the nonzero entries, [{m: kappa_gamma[m]}] by gamma).
+def _gather(couplings) -> tuple:
+    """([(gamma, alpha, {m: v})] of the nonzero entries, {gamma: {m: kappa_gamma[m]}}).
 
-    Raises OverflowError when a kappa is not finite.
+    The kappas are a ``defaultdict`` that lists only the rows gamma holding a
+    block.  Raises OverflowError when a kappa is not finite.
     """
     blocks = [(g, a, {m: v for m, v in entries.items() if v})
               for coupling in couplings for (g, a), entries in coupling]
     blocks = [block for block in blocks if block[2]]
-    kappa = [{} for _ in range(n1)]
+    kappa = collections.defaultdict(dict)
     for g, _, entries in blocks:
         for m, v in entries.items():
             kappa[g][m] = kappa[g].get(m, 0.0) - 0.5 * (v * v)
-    if not all(math.isfinite(k) for row in kappa for k in row.values()):
+    if not all(math.isfinite(k) for row in kappa.values() for k in row.values()):
         raise OverflowError(K_NOT_FINITE)
     return blocks, kappa
 
@@ -89,10 +90,7 @@ def _check_cp(couplings) -> None:
                 at = (i, a, b)
                 leak[at] = leak.get(at, 0.0) + math.hypot(*e.values()) * math.hypot(*f.values())
     gain = {at: max(map(abs, block.values()), default=0.0) for at, block in gain.items()}
-    violations = [("gain", None, *at, mag) for at, mag in sorted(gain.items())]
-    violations += [("sandwich", *at, mag) for at, mag in sorted(leak.items())]
-    CPReport(max(gain.values(), default=0.0), max(leak.values(), default=0.0),
-             tuple(v for v in violations if v[-1] > BLOCK_ZERO_TOL)).check()
+    CPReport.from_magnitudes(gain, leak).check()
 
 
 def _sector(m: int, w: int, blocks, kappa) -> tuple:
@@ -224,7 +222,7 @@ def sector_columns(couplings, signal: dict, shape: tuple, config) -> list:
     of every sector and the n+4 columns, FLOAT_BYTES each.
     """
     n1, d = shape
-    blocks, kappa = _gather(couplings, n1)
+    blocks, kappa = _gather(couplings)
     _check_cp(couplings)
     sectors = {}
     for (m, w), x0 in signal.items():

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eeqt import cli, evolution, limits, sectors, states
+from eeqt import cli, detectors, evolution, limits, sectors, states
 from eeqt.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from eeqt.detectors import FAMILIES, n_state_trajectory
 from eeqt.evolution import PositivityError, TraceDriftError, evolve
@@ -707,20 +707,24 @@ record_every = 10
 """
 
 
-def test_n_state_runs_at_a_hundred_channels_in_bounded_memory(tmp_path):
-    # a dense coupling of 101 x 101 blocks of 100 x 100 would take 1.52 GiB;
-    # the child alone runs under a 1.5 GiB address-space limit
+def address_space_limit(limit: int):
+    """A ``preexec_fn`` that caps a child's address space at `limit` bytes."""
     resource = pytest.importorskip("resource")
-    limit = 3 * 2 ** 29
 
     def bound_memory():
         resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
 
+    return bound_memory
+
+
+def test_n_state_runs_at_a_hundred_channels_in_bounded_memory(tmp_path):
+    # a dense coupling of 101 x 101 blocks of 100 x 100 would take 1.52 GiB;
+    # the child alone runs under a 1.5 GiB address-space limit
     config = write(tmp_path, "wide.ini", WIDE_N_STATE_CONFIG)
     out = tmp_path / "wide.csv"
     proc = subprocess.run([sys.executable, "-m", "eeqt.cli", "simulate", "--config", config,
                            "--output", str(out)], capture_output=True, text=True, timeout=120,
-                          env=cli_env(), preexec_fn=bound_memory)
+                          env=cli_env(), preexec_fn=address_space_limit(3 * 2 ** 29))
     assert proc.returncode == EXIT_OK, proc.stderr
     _, header, rows = read_csv(out)
     rows = np.array(rows, dtype=float)
@@ -729,6 +733,49 @@ def test_n_state_runs_at_a_hundred_channels_in_bounded_memory(tmp_path):
     constants = types.SimpleNamespace(k=1.0, n_channels=100)
     expected = [n_state_trajectory(constants, 0, t) for t in rows[:, 0]]
     np.testing.assert_allclose(rows[:, 1:102], expected, rtol=0, atol=1e-12)
+
+
+HUGE_CLASSICAL_DIM_CONFIG = """\
+[detector]
+family = none
+dim = 2
+classical_dim = 100000000
+
+[evolution]
+step = 1
+duration = 1
+"""
+
+
+@pytest.mark.parametrize("command, message", [
+    ("simulate", "2 records need more than the 1 GiB limit (MAX_RECORD_BYTES); "
+                 "raise record_every"),
+    ("efficiency", "family 'none' has no closed form"),
+], ids=["simulate", "efficiency"])
+def test_a_huge_classical_dim_is_refused_at_once(tmp_path, command, message):
+    # 10^8 classical states and one signal entry: the signal check and the
+    # coupling table visit only the blocks that hold an entry, so nothing
+    # grows with the classical dim before the record bound or the missing
+    # closed form refuses the run, in a child capped at 1 GiB
+    config = write(tmp_path, "huge.ini", HUGE_CLASSICAL_DIM_CONFIG)
+    proc = subprocess.run([sys.executable, "-m", "eeqt.cli", command, "--config", config],
+                          capture_output=True, text=True, timeout=20, env=cli_env(),
+                          preexec_fn=address_space_limit(2 ** 30))
+    assert (proc.returncode, proc.stderr) == (EXIT_CONFIG, f"config error: {config}: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "efficiency"])
+def test_a_memory_error_without_text_is_named(tmp_path, capsys, monkeypatch, command):
+    # n_state at dim = channels = 10^7 passes the record bound, but its table
+    # of 10^7 couplings does not fit under a 1.5 GB cap, and the interpreter's
+    # MemoryError carries no text
+    def out_of_memory(path):
+        raise MemoryError()
+
+    monkeypatch.setattr(detectors, "read_system", out_of_memory)
+    config = write(tmp_path, "h.ini", BINARY_CONFIG)
+    assert main([command, "--config", config]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {config}: MemoryError\n"
 
 
 def test_simulate_does_not_evaluate_the_closed_form(tmp_path):

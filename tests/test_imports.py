@@ -367,15 +367,24 @@ def test_star_import_binds_every_public_name():
     assert namespace["evolve"] is eeqt.evolution.evolve
 
 
-def test_cli_library_names_resolve_from_outside():
-    # a name deleted from its module but left in the table fails here, not
-    # when a command first binds it
-    for module, names in cli._LIBRARY.items():
-        for name in names:
-            assert getattr(cli, name) is getattr(importlib.import_module(f"eeqt.{module}"),
-                                                 name), f"{module}.{name}"
-    with pytest.raises(AttributeError):
-        cli.no_such_name  # noqa: B018
+def test_cli_serves_evolve_and_trajectory_rows_alone():
+    # perfbench/tracing.py reads both names here, rebinds them and restores
+    # them; each handler imports its own names, so no other one resolves
+    from eeqt import evolution
+
+    assert cli.evolve is evolution.evolve
+    assert cli.trajectory_rows is evolution.trajectory_rows
+    saved = cli.evolve, cli.trajectory_rows
+    cli.evolve, cli.trajectory_rows = len, repr
+    try:
+        assert (cli.evolve, cli.trajectory_rows) == (len, repr)
+    finally:
+        cli.evolve, cli.trajectory_rows = saved
+    assert cli.evolve is evolution.evolve
+    assert cli.trajectory_rows is evolution.trajectory_rows
+    for name in ("no_such_name", "read_system", "sector_columns", "_LIBRARY", "_library"):
+        with pytest.raises(AttributeError):
+            getattr(cli, name)
 
 
 def test_simulate_loads_no_numpy(tmp_path, monkeypatch):

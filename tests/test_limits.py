@@ -125,6 +125,12 @@ def test_a_45_index_component_goes_to_block_eigenvalues(monkeypatch):
     assert message.startswith("signal is not a density matrix: Hermiticity deviation 0, ")
 
 
+def test_the_signal_check_does_not_grow_with_the_classical_dim():
+    # one entry in block 0 of 10^12: the blocks without an entry count once
+    check_signal(2, 10 ** 12, {0: 1.0}, ())
+    assert limits.min_eigenvalues({(0, 0): {0: [1.0, -0.5]}}, 10 ** 12, 1, 2) == [0.0, -0.5]
+
+
 @pytest.mark.parametrize("dim, weights, coherences, eigenvalue", [
     # coherences whose squares overflow
     (3, {0: 0.5, 1: 0.3, 2: 0.2},

@@ -139,7 +139,7 @@ def test_sector_reaches_only_states_with_a_nonzero_product():
     # blocks (0, 1) on index 0 and (1, 2) on index 1: sector (0, 0) reaches 1
     # but stops there, sector (0, 1) reaches nothing
     table = ((((0, 1), {0: 2.0}),), (((1, 2), {1: 3.0}),))
-    blocks, kappa = sectors._gather(table, 3)
+    blocks, kappa = sectors._gather(table)
     assert sectors._sector(0, 0, blocks, kappa) == ((0, 1), ((-4.0, 0.0), (4.0, 0.0)))
     assert sectors._sector(0, 1, blocks, kappa) == ((0,), ((-2.0,),))
     assert sectors._sector(1, 1, blocks, kappa) == ((0,), ((0.0,),))
@@ -359,7 +359,7 @@ def reference_min_eigenvalues(values, n1, d, n_records):
 
 def reference_columns(couplings, signal, shape, config):
     n1, d = shape
-    blocks, kappa = sectors._gather(couplings, n1)
+    blocks, kappa = sectors._gather(couplings)
     found = {}
     for (m, w), x0 in signal.items():
         found.setdefault(sectors._sector(m, w, blocks, kappa), []).append(((m, w), x0))
@@ -440,3 +440,26 @@ def test_the_chains_match_the_comprehensions_bit_for_bit(run):
     # the chains start at their first term, not at 0.0: no record is -0.0
     records = [col for by_state in values.values() for col in by_state.values()]
     assert not any(x == 0 and math.copysign(1.0, x) < 0 for col in records for x in col)
+
+
+@st.composite
+def block_values(draw):
+    """Record columns on up to 6 blocks of d <= 2, each position in a few of the blocks,
+    with 0.0, -0.0 and NaN among the entries, so that the order of ``min`` shows."""
+    n1, d, n_records = draw(st.integers(1, 6)), draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    entry = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, math.nan]))
+    positions = [(m, w) for m in range(d) for w in range(d)]
+    values = {}
+    for pos in draw(st.lists(st.sampled_from(positions), min_size=1, unique=True)):
+        blocks = draw(st.lists(st.integers(0, n1 - 1), min_size=1, unique=True))
+        values[pos] = {alpha: draw(st.lists(entry, min_size=n_records, max_size=n_records))
+                       for alpha in blocks}
+    return values, n1, d, n_records
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_values())
+def test_min_eigenvalues_meet_the_walk_over_every_block_bit_for_bit(run):
+    # only the blocks with an entry are visited, and the zeros column of the
+    # blocks that lack an index comes once, where the first of them comes
+    assert as_bytes([limits.min_eigenvalues(*run)]) == as_bytes([reference_min_eigenvalues(*run)])
