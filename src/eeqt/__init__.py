@@ -23,10 +23,10 @@ _EXPORTS = {
                   "classical_rate_equations", "evolve", "liouville_rhs"),
     "shapes": ("ShapeTag2x2", "ShapeTag3x3", "TopologyTag", "admissible_2x2", "admissible_3x3",
                "classify_topology", "enumerate_admissible_patterns"),
-    "detectors": ("BinaryDetectorSpec", "FilterSpec", "NStateDetectorSpec",
-                  "SignalDecomposition", "TwoStateDetectorSpec", "balance_residual",
-                  "binary_trajectory", "filter_classical_output", "filter_quantum_marginal",
+    "detectors": ("SignalDecomposition", "binary_trajectory", "filter_classical_output",
                   "filter_quantum_output", "n_state_trajectory", "two_state_trajectory"),
+    "specs": ("BinaryDetectorSpec", "FilterSpec", "NStateDetectorSpec", "TwoStateDetectorSpec",
+              "balance_residual", "filter_quantum_marginal"),
     "planner": ("PlanResult", "TransmissionScenario", "confidence", "detect_nonmonotonicity",
                 "di_confirmation_count", "intelligibility", "minimal_m", "plan_for_m",
                 "scan_plan", "transmission_speed"),

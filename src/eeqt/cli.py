@@ -40,6 +40,9 @@ eigenvalue is the one ``simulate`` computes for every record.  Either loads
 numpy only for eigenvalues whose Jacobi sweeps would cost more than the
 import: in the signal, a coherence component of 45 or more indices; in
 ``simulate``'s records besides, a component of 3 or more on a long run.
+numpy is the package's ``library`` extra, so every command runs on the
+standard library alone, and where numpy is not installed those eigenvalues
+make a config error that names the extra.
 No command loads OpenSSL (through ``hashlib``) or ``numpy.random``.  A
 process runs ``console_main``, which is ``main`` with the cyclic garbage
 collector off.
@@ -164,7 +167,7 @@ def _cmd_simulate(args):
     from .sectors import sector_columns
 
     raw, family, dim, spec, cfg = read_system(args.config)
-    columns = sector_columns(spec.couplings, signal_entries(spec.weights, spec.coherences),
+    columns = sector_columns(spec.couplings(), signal_entries(spec.weights, spec.coherences),
                             (spec.classical_dim, dim), cfg)
     _write_system_csv(args, _digest(raw), family, spec.classical_dim, zip(*columns),
                       ["trace_drift", "min_eigenvalue"])

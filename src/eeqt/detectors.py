@@ -19,8 +19,7 @@ by the larger one, because the true rate is positive.
 
 ``import eeqt.detectors`` loads no numpy and compiles no numpy code: the
 specs, ``balance_residual`` and ``filter_quantum_marginal`` live in
-``specs``, which no command loads, and are read from there on first access
-(PEP 562, ``__getattr__``).
+``specs``, which no command loads.
 
 It also reads the configs of ``simulate`` and ``efficiency``: each entry of
 ``FAMILIES`` is the one reader of a family's keys and returns a ``Family``,
@@ -41,19 +40,6 @@ import itertools
 import math
 
 from . import _Frozen
-
-# The numpy names of ``specs``, given by ``__getattr__`` without being bound here.
-_SPECS = ("BinaryDetectorSpec", "FilterSpec", "NStateDetectorSpec", "TwoStateDetectorSpec",
-          "balance_residual", "filter_quantum_marginal")
-
-
-def __getattr__(name):
-    """A name of ``specs``, imported on first access and left unbound in this module."""
-    if name not in _SPECS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import specs
-
-    return getattr(specs, name)
 
 
 def _check_finite(*constants) -> None:
@@ -282,13 +268,15 @@ class Family(_Frozen):
 
     The quantum signal is ``weights`` on the diagonal (basis index ->
     weight) plus ``coherences``, the ``offdiag_i_j`` entries as ((i, j),
-    value) pairs in config order.  ``couplings`` is the coupling table that
-    ``sectors.sector_columns`` reads: one tuple of ((gamma, alpha), {m: v})
-    block entries per coupling, each block the diagonal matrix with entries
-    v at basis indices m.  ``closed_form`` returns the map from a time t to
-    (p_0, ..., p_n) on the family's constants; only ``efficiency`` calls
-    it, after every check ``simulate`` makes, so its own checks may reject a
-    config that integrates fine.
+    value) pairs in config order.  ``couplings`` returns the coupling table
+    that ``sectors.sector_columns`` reads: one tuple of ((gamma, alpha),
+    {m: v}) block entries per coupling, each block the diagonal matrix with
+    entries v at basis indices m; only ``simulate`` calls it, so
+    ``efficiency`` never builds an n-state table of ``channels`` couplings.
+    ``closed_form`` returns the map from a time t to (p_0, ..., p_n) on the
+    family's constants; only ``efficiency`` calls it, after every check
+    ``simulate`` makes, so its own checks may reject a config that
+    integrates fine.
     ``asymptotic`` formats those values at t = inf for the metadata.  Either
     is None when the family has none.
     """
@@ -317,7 +305,7 @@ def _binary(config, dim):
     if 1.0 - a0 - b0 > 1e-12:
         raise ValueError("binary signal weights must sum to 1")
     weights = {idx: a0, **({(idx + 1) % dim: b0} if b0 > 0 else {})}
-    return Family(2, weights, (), ((((0, 1), {idx: k1}), ((1, 0), {idx: k2})),),
+    return Family(2, weights, (), lambda: ((((0, 1), {idx: k1}), ((1, 0), {idx: k2})),),
                   lambda: functools.partial(binary_trajectory, constants,
                                             SignalDecomposition(a0, b0)),
                   lambda p: f"p_0={p[0]:.12g} p_1={p[1]:.12g}")
@@ -339,14 +327,15 @@ def _two_state(config, dim):
     weights = {i2: a0, i3: b0}
     rest = 1.0 - a0 - b0
     if rest > 1e-12:
-        # the inert weight goes on the highest basis index neither projector uses
-        free = [i for i in range(dim) if i not in (i2, i3)]
-        if not free:
+        # the inert weight goes on the highest basis index neither projector
+        # uses, one of the top three
+        inert = max({dim - 1, dim - 2, dim - 3} - {i2, i3})
+        if inert < 0:
             raise ValueError("inert weight needs quantum dim >= 3")
-        weights[free[-1]] = rest
+        weights[inert] = rest
     couplings = ((((0, 1), {i2: k[0]}), ((1, 0), {i2: k[1]})),
                  (((0, 2), {i3: k[2]}), ((2, 0), {i3: k[3]})))
-    return Family(3, weights, (), couplings,
+    return Family(3, weights, (), lambda: couplings,
                   lambda: functools.partial(two_state_trajectory, constants, a0, b0),
                   lambda p: f"p_1={p[1]:.12g} p_2={p[2]:.12g} efficiency={p[1] + p[2]:.12g}")
 
@@ -362,7 +351,7 @@ def _n_state(config, dim):
         raise ValueError("aligned_channel out of range")
     root_k = math.sqrt(constants.k)
     return Family(channels + 1, {aligned: 1.0}, (),
-                  tuple((((0, i + 1), {i: root_k}),) for i in range(channels)),
+                  lambda: tuple((((0, i + 1), {i: root_k}),) for i in range(channels)),
                   lambda: functools.partial(n_state_trajectory, constants, aligned),
                   lambda p: f"p_{aligned + 1}={p[aligned + 1]:.12g}")
 
@@ -399,7 +388,7 @@ def _filter(config, dim):
     q1 = weights.get(projector, 0.0)  # tr(e1 rho_q), the weight on the detector projector
     root_k = math.sqrt(k)
     return Family(2, weights, coherences,
-                  ((((0, 1), {projector: root_k}), ((1, 0), {projector: root_k})),),
+                  lambda: ((((0, 1), {projector: root_k}), ((1, 0), {projector: root_k})),),
                   lambda: functools.partial(filter_classical_output, 1.0, 0.0, q1, k))
 
 
@@ -407,7 +396,7 @@ def _none(config, dim):
     classical_dim = config.value("detector", "classical_dim", int, 2)
     if classical_dim < 1:
         raise ValueError("classical_dim must be at least 1")
-    return Family(classical_dim, *_weighted_signal(config, dim, [1.0]), ())
+    return Family(classical_dim, *_weighted_signal(config, dim, [1.0]), lambda: ())
 
 
 # Detector family -> reader(config, quantum dim) -> Family.  A family's

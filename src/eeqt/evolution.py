@@ -404,7 +404,7 @@ def _stack(d: np.ndarray, depth: int) -> np.ndarray:
 
 
 def _record(gen: Generator, rho: np.ndarray, config: EvolutionConfig, dense: bool) -> Trajectory:
-    """Records on ``config.record_steps()``, by ``_dense`` movers or by ``_series`` ones.
+    """Records at ``config.record_times()``, by ``_dense`` movers or by ``_series`` ones.
 
     Each of ``config.intervals()`` gets one mover, (move, depth): ``move(v, out)``
     writes the len(out) <= depth records after the flat record `v` into the
@@ -414,8 +414,8 @@ def _record(gen: Generator, rho: np.ndarray, config: EvolutionConfig, dense: boo
     next is formed, so a dense run never holds two stacks.
     """
     n1, d = rho.shape[:2]
-    steps = config.record_steps()
-    records = np.empty((len(steps), rho.size), dtype=complex)
+    times = np.array(config.record_times())
+    records = np.empty((len(times), rho.size), dtype=complex)
     records[0] = rho.ravel()
     # the total trace of a flat record is its dot product with these weights;
     # their zeros off the diagonal make it NaN when any entry is not finite
@@ -426,10 +426,10 @@ def _record(gen: Generator, rho: np.ndarray, config: EvolutionConfig, dense: boo
         for j in range(k, k + count, depth):
             chunk = records[j + 1:min(j + depth, k + count) + 1]
             move(records[j], chunk)
-            _check_trace(chunk, steps[j + 1:], trace, config)
+            _check_trace(chunk, times[j + 1:], trace, config)
         k += count
         del move
-    return Trajectory(times=steps * config.step, blocks=records.reshape(-1, n1, d, d))
+    return Trajectory(times=times, blocks=records.reshape(-1, n1, d, d))
 
 
 def _dense(gen: Generator, config: EvolutionConfig, q: int, count: int) -> tuple:
@@ -485,14 +485,14 @@ def _series(gen: Generator, config: EvolutionConfig, q: int, count: int) -> tupl
     return move, 1
 
 
-def _check_trace(records: np.ndarray, steps: np.ndarray, trace: np.ndarray,
+def _check_trace(records: np.ndarray, times: np.ndarray, trace: np.ndarray,
                  config: EvolutionConfig) -> None:
-    """Raise TraceDriftError at the first of the flat `records`, taken at `steps`, that drifts."""
+    """Raise TraceDriftError at the first of the flat `records`, taken at `times`, that drifts."""
     drift = np.abs((records @ trace).real - 1.0)
     bad = ~(drift <= config.trace_tol)  # also catches NaN
     if bad.any():
         i = bad.argmax()
-        raise TraceDriftError(drift[i], steps[i] * config.step, config.trace_tol)
+        raise TraceDriftError(drift[i], times[i], config.trace_tol)
 
 
 def check_cp_conditions(couplings, probes=()) -> CPReport:

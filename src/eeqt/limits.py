@@ -8,7 +8,9 @@ raise.  ``min_eigenvalues`` decides the positivity of the records of
 ``sectors`` and, through ``check_signal``, of the quantum signal itself.  It
 loads numpy only when the sum of c^3 over the coherence components of c >= 3
 indices, times the records, exceeds JACOBI_PRICE: for the signal alone, one
-record, a component of c >= 45 indices.
+record, a component of c >= 45 indices.  numpy is the ``library`` extra of
+the package; where it is not installed, that one path raises ValueError,
+which both commands report as a config error.
 """
 
 from __future__ import annotations
@@ -254,9 +256,18 @@ def min_eigenvalues(values, n1: int, d: int, n_records: int) -> list:
 
 
 def _lapack_minima(large) -> list:
-    """The smallest eigenvalue per record of each component, by ``states.block_eigenvalues``."""
-    import numpy as np
+    """The smallest eigenvalue per record of each component, by ``states.block_eigenvalues``.
 
+    Without numpy, a ValueError names the largest component and the extra that
+    installs numpy.  Jacobi does not stand in: it rounds an eigenvalue near 0
+    otherwise than LAPACK, and the bytes of a run must not depend on what is
+    installed.
+    """
+    try:
+        import numpy as np
+    except ImportError:
+        raise ValueError(f"a coherence component of {max(map(len, large))} indices needs numpy "
+                         "for its eigenvalues; install eeqt[library]") from None
     from .states import block_eigenvalues
 
     return [block_eigenvalues(np.array(comp).transpose(2, 0, 1))[:, 0].tolist()
@@ -312,7 +323,7 @@ class EvolutionConfig(_Frozen):
     so ``step`` sets where records fall, not how accurate they are.  A
     ``record_every`` that is not an integer raises TypeError, and a
     ``trace_tol`` that is negative or NaN raises ValueError.  The grid is
-    checked and read without numpy; only ``record_steps`` imports it.
+    checked and read without numpy.
     """
 
     __slots__ = ("step", "duration", "record_every", "trace_tol")
@@ -342,13 +353,6 @@ class EvolutionConfig(_Frozen):
     def n_records(self) -> int:
         return len(range(0, self.n_steps, self.record_every)) + 1
 
-    def record_steps(self):
-        """The recorded step numbers as int64: 0, every ``record_every``-th, and the last."""
-        import numpy as np
-
-        return np.append(np.arange(0, self.n_steps, self.record_every, dtype=np.int64),
-                         np.int64(self.n_steps))
-
     def intervals(self) -> list:
         """[(steps per record interval, at most the run; records on the grid)].
 
@@ -359,8 +363,8 @@ class EvolutionConfig(_Frozen):
         return [(every, grid), (left, 1)] if left else [(every, grid)]
 
     def record_times(self) -> list:
-        """The record times as floats, k * step over ``record_steps()``: bit for bit its
-        product with ``step``, without numpy."""
+        """The record times as floats, k * step over the recorded step numbers k: 0, every
+        ``record_every``-th and the last.  Bit for bit numpy's int64 k times ``step``."""
         n = self.n_steps
         return list(map(mul, itertools.chain(range(0, n, self.record_every), (n,)),
                         repeat(self.step)))

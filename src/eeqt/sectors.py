@@ -31,7 +31,8 @@ The record eigenvalues come from ``limits.min_eigenvalues``, which checks
 the signal too.  Only a block with a coherence component of 3 or more
 indices, on a run long enough for the component's Jacobi sweeps to cost
 more than importing numpy (``limits.JACOBI_PRICE``), loads numpy, for
-``states.block_eigenvalues``.
+``states.block_eigenvalues``; where numpy is not installed, that run is
+refused with a ValueError that names the component and the extra.
 """
 
 from __future__ import annotations

@@ -61,7 +61,7 @@ def config_system(text: str) -> tuple:
     for pos, value in signal_entries(family.weights, family.coherences).items():
         rho_q[pos] = value
     state = product_state(rho_q, np.eye(family.classical_dim)[0])
-    couplings = table_couplings(family.couplings, family.classical_dim, dim)
+    couplings = table_couplings(family.couplings(), family.classical_dim, dim)
     return couplings, state, detectors._evolution_config(config)
 
 

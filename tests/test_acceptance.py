@@ -15,14 +15,9 @@ import numpy as np
 import pytest
 
 from eeqt.detectors import (
-    BinaryDetectorSpec,
-    FilterSpec,
-    NStateDetectorSpec,
     SignalDecomposition,
-    TwoStateDetectorSpec,
     binary_trajectory,
     filter_classical_output,
-    filter_quantum_marginal,
     n_state_trajectory,
     two_state_trajectory,
 )
@@ -37,6 +32,13 @@ from eeqt.planner import (
     scan_plan,
 )
 from eeqt.shapes import enumerate_admissible_patterns
+from eeqt.specs import (
+    BinaryDetectorSpec,
+    FilterSpec,
+    NStateDetectorSpec,
+    TwoStateDetectorSpec,
+    filter_quantum_marginal,
+)
 from eeqt.states import basis_projector, product_state, quantum_marginal
 
 SCENARIO = TransmissionScenario(rho1=0.8, eta_det=0.9, accuracy=0.05,

@@ -766,9 +766,9 @@ def test_a_huge_classical_dim_is_refused_at_once(tmp_path, command, message):
 
 @pytest.mark.parametrize("command", ["simulate", "efficiency"])
 def test_a_memory_error_without_text_is_named(tmp_path, capsys, monkeypatch, command):
-    # n_state at dim = channels = 10^7 passes the record bound, but its table
-    # of 10^7 couplings does not fit under a 1.5 GB cap, and the interpreter's
-    # MemoryError carries no text
+    # simulate of n_state at dim = channels = 10^7 passes the record bound,
+    # but its table of 10^7 couplings does not fit under a 1.5 GB cap, and
+    # the interpreter's MemoryError carries no text
     def out_of_memory(path):
         raise MemoryError()
 
@@ -776,6 +776,47 @@ def test_a_memory_error_without_text_is_named(tmp_path, capsys, monkeypatch, com
     config = write(tmp_path, "h.ini", BINARY_CONFIG)
     assert main([command, "--config", config]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {config}: MemoryError\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "efficiency"])
+def test_a_huge_two_state_dim_runs_at_once(tmp_path, command):
+    # the inert weight goes on the highest of the top three basis indices
+    # that no projector uses, found without a walk over the dim: at 10^12 a
+    # child capped at 1 GiB writes the p columns of the same detector at dim 4
+    text = TWO_STATE_CONFIG.replace("aligned = 0.5", "aligned = 0.3")
+    huge = write(tmp_path, "huge.ini", text.replace("dim = 3", "dim = 1000000000000"))
+    small = write(tmp_path, "small.ini", text.replace("dim = 3", "dim = 4"))
+    proc = subprocess.run([sys.executable, "-m", "eeqt.cli", command, "--config", huge,
+                           "--output", str(tmp_path / "huge.csv")], capture_output=True,
+                          text=True, timeout=20, env=cli_env(),
+                          preexec_fn=address_space_limit(2 ** 30))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert main([command, "--config", small, "--output", str(tmp_path / "small.csv")]) == EXIT_OK
+    _, header, rows = read_csv(tmp_path / "huge.csv")
+    _, small_header, small_rows = read_csv(tmp_path / "small.csv")
+    assert header[:4] == small_header[:4] == ["t", "p_0", "p_1", "p_2"]
+    assert [row[:4] for row in rows] == [row[:4] for row in small_rows]
+
+
+def test_only_simulate_builds_the_n_state_table(tmp_path, monkeypatch):
+    # the coupling table holds one coupling per channel; efficiency reads the
+    # closed form alone, so it never builds the table
+    built = []
+    family = detectors.Family
+
+    def counted(classical_dim, weights, coherences, couplings, *rest):
+        def table():
+            built.append(classical_dim)
+            return couplings()
+
+        return family(classical_dim, weights, coherences, table, *rest)
+
+    monkeypatch.setattr(detectors, "Family", counted)
+    config = write(tmp_path, "wide.ini", WIDE_N_STATE_CONFIG)
+    assert main(["efficiency", "--config", config, "--output", str(tmp_path / "e.csv")]) == EXIT_OK
+    assert built == []
+    assert main(["simulate", "--config", config, "--output", str(tmp_path / "s.csv")]) == EXIT_OK
+    assert built == [101]
 
 
 def test_simulate_does_not_evaluate_the_closed_form(tmp_path):
@@ -922,6 +963,15 @@ def test_simulate_computes_the_record_eigenvalues_once(tmp_path, monkeypatch):
     assert blocks == [] and lapack == []
 
 
+# A filter whose three basis indices form one coherence component in block 0,
+# over 4001 records.
+COHERENT_FILTER_CONFIG = (
+    FILTER_CONFIG.replace("dim = 2", "dim = 3").replace("step = 0.01", "step = 0.001")
+    .replace("duration = 2.0", "duration = 4.0").replace("record_every = 100", "record_every = 1")
+    .replace("0.7,0.3", "0.5,0.3,0.2\noffdiag_0_1 = 0.1\noffdiag_1_0 = 0.1\n"
+             "offdiag_1_2 = 0.1\noffdiag_2_1 = 0.1"))
+
+
 def test_only_the_blocks_with_a_coherence_reach_eigvalsh(tmp_path, monkeypatch):
     # the filter leaves block 0's coherences in place and moves only the
     # diagonal e1 rho e1 into block 1.  Block 0's three indices form one
@@ -929,13 +979,8 @@ def test_only_the_blocks_with_a_coherence_reach_eigvalsh(tmp_path, monkeypatch):
     # above a numpy import, so that component of each record is the only
     # matrix that goes to LAPACK; a 2-index component never does.
     blocks, lapack = count_eigenvalue_calls(monkeypatch)
-    text = (FILTER_CONFIG.replace("dim = 2", "dim = 3").replace("step = 0.01", "step = 0.001")
-            .replace("duration = 2.0", "duration = 4.0").replace("record_every = 100",
-                                                                  "record_every = 1")
-            .replace("0.7,0.3", "0.5,0.3,0.2\noffdiag_0_1 = 0.1\noffdiag_1_0 = 0.1\n"
-                     "offdiag_1_2 = 0.1\noffdiag_2_1 = 0.1"))
     assert 4001 * 3 ** 3 > limits.JACOBI_PRICE
-    config = write(tmp_path, "coherent.ini", text)
+    config = write(tmp_path, "coherent.ini", COHERENT_FILTER_CONFIG)
     assert main(["simulate", "--config", config, "--output", str(tmp_path / "s.csv")]) == EXIT_OK
     assert blocks == [(4001, 3, 3)]
     assert [a.shape for a in lapack] == [(4001, 3, 3)]
@@ -946,6 +991,80 @@ def test_only_the_blocks_with_a_coherence_reach_eigvalsh(tmp_path, monkeypatch):
                    .replace("record_every = 100", "record_every = 1"))
     assert main(["simulate", "--config", config, "--output", str(tmp_path / "p.csv")]) == EXIT_OK
     assert blocks == [] and len(lapack) == 1
+
+
+def component_config(family: str, n: int) -> str:
+    """A ``none`` or ``filter`` config of one step of 0.1 whose signal is one tridiagonal
+    coherence component of `n` basis indices: weights 1/n and coherences 0.01."""
+    detector = "family = none" if family == "none" else "family = filter\nk = 1.0"
+    coherences = "".join(f"offdiag_{i}_{i + 1} = 0.01\noffdiag_{i + 1}_{i} = 0.01\n"
+                         for i in range(n - 1))
+    return (f"[detector]\n{detector}\ndim = {n}\n\n[signal]\n"
+            f"weights = {','.join([repr(1 / n)] * n)}\n{coherences}\n"
+            "[evolution]\nstep = 0.1\nduration = 0.1\n")
+
+
+NEEDS_NUMPY = ("a coherence component of {} indices needs numpy for its eigenvalues; "
+               "install eeqt[library]")
+
+
+@pytest.fixture(scope="module")
+def no_numpy_without_site():
+    """Skip unless a ``python -S`` child, which leaves site-packages off its path, lacks numpy."""
+    proc = subprocess.run([sys.executable, "-S", "-c", "import numpy"], capture_output=True,
+                          env=cli_env())
+    if proc.returncode == 0:
+        pytest.skip("numpy is importable without site-packages")
+
+
+@pytest.mark.parametrize("family", ["none", "filter"])
+@pytest.mark.parametrize("command", ["simulate", "efficiency"])
+def test_a_signal_past_the_jacobi_price_needs_numpy(tmp_path, no_numpy_without_site, command,
+                                                    family):
+    # 45^3 > JACOBI_PRICE sends the signal's component to LAPACK; without
+    # numpy both commands refuse the config in one line, with no traceback
+    assert 45 ** 3 > limits.JACOBI_PRICE
+    config = write(tmp_path, "wide.ini", component_config(family, 45))
+    proc = subprocess.run([sys.executable, "-S", "-m", "eeqt.cli", command, "--config", config],
+                          capture_output=True, text=True, timeout=60, env=cli_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        EXIT_CONFIG, "", f"config error: {config}: {NEEDS_NUMPY.format(45)}\n")
+
+
+@pytest.mark.parametrize("flag", ["--version", "--help"])
+def test_the_flags_need_no_site_packages(flag):
+    proc = subprocess.run([sys.executable, "-S", "-m", "eeqt.cli", flag], capture_output=True,
+                          text=True, timeout=60, env=cli_env())
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert proc.stdout.startswith("eeqt 0.1.0" if flag == "--version" else "usage: eeqt")
+
+
+@pytest.mark.parametrize("family", ["none", "filter"])
+def test_a_signal_past_the_jacobi_price_runs_with_numpy(tmp_path, monkeypatch, family):
+    calls = []
+    lapack_minima = limits._lapack_minima
+
+    def counted(large):
+        calls.append([len(comp) for comp in large])
+        return lapack_minima(large)
+
+    monkeypatch.setattr(limits, "_lapack_minima", counted)
+    config = write(tmp_path, "wide.ini", component_config(family, 45))
+    assert main(["simulate", "--config", config, "--output", str(tmp_path / "s.csv")]) == EXIT_OK
+    assert calls == [[45], [45]]  # the signal, then its two records
+
+
+def test_records_past_the_jacobi_price_need_numpy(tmp_path, capsys, monkeypatch):
+    # the signal's 3-index component is priced under a numpy import, its 4001
+    # records above it: simulate refuses the config from sector_columns, and
+    # efficiency, which prices the signal alone, runs
+    monkeypatch.setitem(sys.modules, "numpy", None)  # `import numpy` raises ImportError
+    config = write(tmp_path, "coherent.ini", COHERENT_FILTER_CONFIG)
+    assert main(["simulate", "--config", config, "--output", str(tmp_path / "s.csv")]) == (
+        EXIT_CONFIG)
+    assert capsys.readouterr().err == f"config error: {config}: {NEEDS_NUMPY.format(3)}\n"
+    assert main(["efficiency", "--config", config, "--output", str(tmp_path / "e.csv")]) == (
+        EXIT_OK)
 
 
 def test_nan_trace_drift_exits_3(tmp_path, capsys, monkeypatch):

@@ -6,20 +6,22 @@ from hypothesis import given, strategies as st
 
 from eeqt import detectors
 from eeqt.detectors import (
-    BinaryDetectorSpec,
-    FilterSpec,
-    NStateDetectorSpec,
     SignalDecomposition,
-    TwoStateDetectorSpec,
-    balance_residual,
     binary_trajectory,
     filter_classical_output,
-    filter_quantum_marginal,
     filter_quantum_output,
     n_state_trajectory,
     two_state_trajectory,
 )
 from eeqt.evolution import EvolutionConfig, evolve
+from eeqt.specs import (
+    BinaryDetectorSpec,
+    FilterSpec,
+    NStateDetectorSpec,
+    TwoStateDetectorSpec,
+    balance_residual,
+    filter_quantum_marginal,
+)
 from eeqt.states import HybridState, basis_projector, product_state, quantum_marginal
 
 from conftest import dense_blocks

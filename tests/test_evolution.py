@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eeqt.detectors import FAMILIES, FilterSpec, NStateDetectorSpec
+from eeqt.detectors import FAMILIES
+from eeqt.specs import FilterSpec, NStateDetectorSpec
 from eeqt import evolution, limits
 from eeqt.evolution import (
     BLOCK_ZERO_TOL,
@@ -308,10 +309,7 @@ def test_config_rejects_more_than_max_steps(step, duration):
 ])
 def test_config_counts_its_records(step, duration, every):
     config = EvolutionConfig(step=step, duration=duration, record_every=every)
-    n = config.n_steps
-    steps = config.record_steps()
-    assert steps.dtype == np.int64
-    np.testing.assert_array_equal(steps, np.array([*range(0, n, every), n], dtype=np.int64))
+    steps = np.array([*range(0, config.n_steps, every), config.n_steps], dtype=np.int64)
     assert config.n_records == len(steps)
     assert config.record_times() == (steps * step).tolist()  # bit for bit, without numpy
 
@@ -767,7 +765,8 @@ def test_both_paths_match_the_reference_rk4_loop(name, dense):
         reference = reference_exact(hamiltonian, couplings, state.blocks, config)
         np.testing.assert_allclose(traj.blocks, reference, rtol=0, atol=1e-12,
                                    err_msg=f"duration {duration}, record_every {every}")
-        assert traj.times.tolist() == [step * 0.01 for step in config.record_steps()]
+        steps = [*range(0, config.n_steps, every), config.n_steps]
+        assert traj.times.tolist() == [step * 0.01 for step in steps]
 
 
 def large_generator(family, dim, channels):

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from eeqt import evolution
-from eeqt.detectors import (FAMILIES, BinaryDetectorSpec, SignalDecomposition,
-                            TwoStateDetectorSpec, binary_trajectory, two_state_trajectory)
+from eeqt.detectors import (FAMILIES, SignalDecomposition, binary_trajectory,
+                            two_state_trajectory)
 from eeqt.evolution import Generator, evolve
+from eeqt.specs import BinaryDetectorSpec, TwoStateDetectorSpec
 from eeqt.states import basis_projector, product_state
 
 from conftest import load_system
@@ -49,7 +50,7 @@ def test_expm_matches_known_exponentials():
 
 def exact_records(lv: np.ndarray, rho: np.ndarray, config) -> np.ndarray:
     """e^{t L} rho on the record grid, L = `lv`, one exact propagator per distinct gap of steps."""
-    steps = np.fromiter(config.record_steps(), dtype=int)
+    steps = np.array([*range(0, config.n_steps, config.record_every), config.n_steps])
     propagators = {gap: expm(gap * config.step * lv) for gap in set(np.diff(steps))}
     v = rho.ravel()
     records = [v]

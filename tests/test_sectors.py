@@ -81,7 +81,7 @@ def simulated_columns(text: str) -> list:
     config.read_string(text)
     _, dim, family = detectors._read_family(config)
     return sectors.sector_columns(
-        family.couplings, limits.signal_entries(family.weights, family.coherences),
+        family.couplings(), limits.signal_entries(family.weights, family.coherences),
         (family.classical_dim, dim), detectors._evolution_config(config))
 
 
